@@ -7,8 +7,8 @@ prints checkpoint manifests (get_db_stats analog, db.rs:191-210),
 db.rs:213-278). Config file + flag overrides mirror Config::from_file /
 CLI override precedence (cli.rs:74-92).
 
-This is the only module besides bench.py/tests allowed to own the Ray
-session (guarded init).
+This is the only library module allowed to own the Ray session
+(guarded init).
 """
 
 from __future__ import annotations
@@ -257,59 +257,6 @@ def cmd_diagnose(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_query(args) -> int:
-    """Run any operator from the driver battery over an sf-style table
-    dir: ``query --name t_token_count --sf-dir DIR [--out DIR]``.
-    Writes partitioned Parquet when --out is given, else prints row
-    count + head to stdout — the library/CLI parity surface (reference
-    README.md:88-108 split)."""
-    import ray
-
-    import importlib.util
-    import os
-
-    # the battery registry lives in the repo checkout next to the
-    # package; an installed (site-packages) package has no
-    # __ray_entry__.py — fail with a clear message, not a
-    # FileNotFoundError from deep inside exec_module
-    entry_path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "__ray_entry__.py")
-    if not os.path.exists(entry_path):
-        print("error: the query subcommand requires a repo checkout "
-              f"(no __ray_entry__.py at {entry_path})", file=sys.stderr)
-        return 2
-
-    started = False
-    if not ray.is_initialized():
-        ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
-                 include_dashboard=False, logging_level="ERROR")
-        started = True
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "__ray_entry__", entry_path)
-        entry = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(entry)
-        qs = entry.queries()
-        if args.name == "list" or args.name not in qs:
-            print(json.dumps(sorted(qs)))
-            return 0 if args.name == "list" else 2
-        res = qs[args.name](args.sf_dir)
-        if args.out and hasattr(res, "write_parquet"):
-            res.write_parquet(args.out)
-            print(json.dumps({"query": args.name, "out": args.out}))
-        else:
-            df = res.to_pandas() if hasattr(res, "to_pandas") else res
-            print(json.dumps({"query": args.name, "rows": len(df),
-                              "columns": list(map(str, df.columns)),
-                              "head": df.head(5).to_dict("records")},
-                             default=str))
-        return 0
-    finally:
-        if started:
-            ray.shutdown()
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="image_deduper_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -343,14 +290,6 @@ def main(argv=None) -> int:
     diag = sub.add_parser("diagnose", help="stage consistency cross-check")
     diag.add_argument("--out", required=True)
     diag.set_defaults(fn=cmd_diagnose)
-
-    q = sub.add_parser("query",
-                       help="run one battery operator over a table dir")
-    q.add_argument("--name", required=True,
-                   help="operator name ('list' prints all)")
-    q.add_argument("--sf-dir", default="/root/testdata/sf0.001")
-    q.add_argument("--out", help="write result Parquet here")
-    q.set_defaults(fn=cmd_query)
 
     args = p.parse_args(argv)
     return args.fn(args)

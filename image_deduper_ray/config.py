@@ -24,7 +24,6 @@ class DedupConfig:
     # --- signature config (must match the oracle exactly for recall) ---
     shingle_k: int = 5          # token 5-gram shingles (north rule)
     num_perms: int = 128        # MinHash permutations (analog: Enhanced [u64;16] phash)
-    simhash_bits: int = 64      # SimHash width (analog: Standard u64 phash)
     minhash_seed: int = 12345   # seeds the (a, b) permutation coefficients
 
     # --- LSH banding ---
@@ -40,7 +39,6 @@ class DedupConfig:
     # moderate containment (J >= ~0.4 at 16 bands w.h.p.)
     containment_perms: int = 32
     containment_rows: int = 2
-    containment_min_len_ratio: float = 0.0  # pairs with any size ratio allowed
     # containment candidates must clear this estimated Jaccard before
     # the (content-joining) substring pass: real containment of ratio r
     # has J ~= r, while shared-boilerplate noise sits near 0. Pairs

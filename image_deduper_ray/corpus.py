@@ -79,14 +79,6 @@ def _edit_lines(lines: list[str], frac: float, rng: random.Random) -> str:
     return "\n".join(out)
 
 
-def _rename_tokens(lines: list[str], frac: float, rng: random.Random) -> str:
-    text = "\n".join(lines)
-    victims = rng.sample(_IDENT_WORDS, max(1, int(len(_IDENT_WORDS) * frac)))
-    for v in victims:
-        text = text.replace(v, f"renamed_{v}")
-    return text
-
-
 def generate_corpus(n_clusters: int = 20, seed: int = 42,
                     n_singletons: int | None = None) -> tuple[pa.Table, list[list[int]]]:
     """Build the files table. Returns (table, expected_clusters) where

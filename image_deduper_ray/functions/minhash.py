@@ -70,14 +70,6 @@ def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
-def est_jaccard_matrix(sigs: np.ndarray) -> np.ndarray:
-    """All-pairs estimate within a (n, P) signature matrix — used inside
-    small LSH buckets. Returns (n, n) float."""
-    n = sigs.shape[0]
-    eq = (sigs[:, None, :] == sigs[None, :, :])
-    return eq.mean(axis=2)
-
-
 def hamming64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vector popcount(x XOR y) for uint64 arrays (the reference's
     XOR+count_ones at processing/types.rs:22-31)."""

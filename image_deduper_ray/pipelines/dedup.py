@@ -102,6 +102,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             _mem[name] = m
             _mem_rows[name] = m.count()
             return m
+        # write_parquet appends: drop a torn or stale earlier write first
+        ckpt.clear_stage(out_dir, name)
         return ckpt.write_stage(ds_, out_dir, name, cfg_json, schema=schema)
 
     def rows_of(name):
@@ -124,6 +126,10 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
         with StageTimer(metrics, "signatures") as t:
             files = read_files(input_paths, langs=langs,
                                exclude_path_prefixes=exclude_path_prefixes)
+            # a resume keeps the parts already written and appends only
+            # the files they lack; a forced rescan starts from nothing
+            if not resume:
+                ckpt.clear_stage(out_dir, "signatures")
             done = ckpt.done_key_set(out_dir, "signatures") if resume else set()
             if done:
                 files = files.map_batches(_add_file_id, batch_format="pyarrow",
@@ -380,8 +386,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     cl_schema)
 
             full = full.map_batches(fill, batch_format="pyarrow")
-            full = ckpt.write_stage(full, out_dir, "clusters", cfg_json)
-            t.done(ckpt.read_manifest(out_dir, "clusters")["rows"],
+            persist(full, "clusters")
+            t.done(rows_of("clusters"),
                    cc_s=round(_t_cc, 2),
                    attach_write_s=round(_time.monotonic() - _t0 - _t_cc, 2))
     clusters = ckpt.read_stage(out_dir, "clusters")
@@ -390,8 +396,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not (resume and ckpt.is_complete(out_dir, "actions")):
         with StageTimer(metrics, "actions") as t:
             acts = canonical_actions(clusters, cfg)
-            acts = ckpt.write_stage(acts, out_dir, "actions", cfg_json)
-            t.done(ckpt.read_manifest(out_dir, "actions")["rows"])
+            persist(acts, "actions")
+            t.done(rows_of("actions"))
     actions = ckpt.read_stage(out_dir, "actions")
 
     return {

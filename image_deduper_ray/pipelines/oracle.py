@@ -106,27 +106,6 @@ def oracle_pairs(sigs: dict, cfg: DedupConfig = DEFAULT_CONFIG,
     return pairs
 
 
-def oracle_clusters(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dict[str, str]:
-    """file_id -> cluster_id (min file_id per component), union-find
-    over the oracle pair set; singletons map to themselves."""
-    sigs = oracle_signatures(table, cfg)
-    pairs = oracle_pairs(sigs, cfg)
-    parent = {f: f for f in sigs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-    return {f: find(f) for f in sigs}
-
-
 def dup_pair_recall(engine_clusters: dict[str, str],
                     ref_pairs: set[tuple[str, str]]) -> float:
     """Fraction of reference dup pairs co-clustered by the engine —

@@ -37,11 +37,6 @@ class MetricsSink:
         pq.write_table(t, path)
         self._seq += 1
 
-    def read_all(self) -> pa.Table:
-        files = [os.path.join(self.dir, f) for f in sorted(os.listdir(self.dir))
-                 if f.endswith(".parquet")]
-        return pa.concat_tables([pq.read_table(f) for f in files]) if files else pa.table({})
-
 
 class StageTimer:
     def __init__(self, sink: MetricsSink, stage: str):

@@ -112,41 +112,13 @@ def test_queries_have_oracle_or_reason():
     # was the last rows-only entry; its driver variant now uses an
     # md5-gram SimHash DuckDB reconstructs bit by bit)
     assert set(qs) == set(sqls)
-
-
-def test_bench_covers_every_query():
-    """Driver-battery sync guard (round-4 verdict: q3_shipping_priority
-    was registered+oracled but missing from the recorded correctness
-    battery). Pins three alignments so a new query can never silently
-    fall out of any harness: (a) bench.py's skip-set is the ONLY
-    difference between the bench battery and queries(); (b) the skip-set
-    names real queries; (c) this file's own parametrized oracle list
-    covers every queries() entry."""
-    import importlib.util
-    import os
-
-    import __ray_entry__ as entry
-
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench", os.path.join(repo, "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    qnames = set(entry.queries())
-    assert bench.BENCH_SKIP <= qnames, \
-        f"bench skips unknown queries: {bench.BENCH_SKIP - qnames}"
-    benched = qnames - bench.BENCH_SKIP
-    assert benched | bench.BENCH_SKIP == qnames
-    # the flagship is the only allowed skip (it is measured separately
-    # as flagship_code_dedup, not dropped)
-    assert bench.BENCH_SKIP == {"minhash_lsh_clusters"}
-
+    # this file's parametrized oracle list covers every queries() entry,
+    # so a new query can never silently fall out of the battery
     pytest_checked = set(SQL_CHECKED) | {"ngram_jaccard_pairs"}
-    assert pytest_checked == qnames, (
+    assert pytest_checked == set(qs), (
         f"pytest oracle battery out of sync with queries(): "
-        f"missing={sorted(qnames - pytest_checked)} "
-        f"stale={sorted(pytest_checked - qnames)}")
+        f"missing={sorted(set(qs) - pytest_checked)} "
+        f"stale={sorted(pytest_checked - set(qs))}")
 
 
 def test_lang_id_detects_cjk():
@@ -1573,38 +1545,6 @@ def test_block_pair_tiling_chunked_equals_unchunked():
     pd.testing.assert_frame_equal(
         base.sort_values(key).reset_index(drop=True),
         tiny.sort_values(key).reset_index(drop=True))
-
-
-def test_cli_query_subcommand(capsys, tmp_path):
-    """python -m image_deduper_ray query — the CLI/library parity
-    surface: list names, run an operator to stdout, run one to Parquet.
-    Runs in-process (the guarded init must NOT tear down the test
-    session's Ray)."""
-    import json
-
-    import pyarrow.parquet as pq
-    from image_deduper_ray.__main__ import main
-
-    assert main(["query", "--name", "list"]) == 0
-    names = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert "t_token_count" in names and len(names) >= 40
-
-    assert main(["query", "--name", "t_pii_counts",
-                 "--sf-dir", SF]) == 0
-    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out["rows"] == 500
-    assert out["columns"] == ["doc_id", "n_emails", "n_urls", "n_ipv4"]
-
-    dest = str(tmp_path / "q_out")
-    assert main(["query", "--name", "t_repetition", "--sf-dir", SF,
-                 "--out", dest]) == 0
-    import os
-    n = sum(pq.ParquetFile(os.path.join(dest, f)).metadata.num_rows
-            for f in os.listdir(dest) if f.endswith(".parquet"))
-    assert n == 500
-
-    assert main(["query", "--name", "no_such_op"]) == 2
-    capsys.readouterr()
 
 
 def test_rollup_grains_are_consistent():

@@ -247,3 +247,23 @@ def test_light_checkpoint_mode_same_clusters(tmp_path, corpus_run):
     present = set(os.listdir(out2))
     assert {"signatures", "clusters", "actions"} <= present
     assert not ({"pairs", "verified", "edges"} & present)
+
+
+@pytest.mark.parametrize("case", ["torn_clusters", "force_rescan"])
+def test_rewritten_stage_replaces_old_parts(corpus_run, tmp_path, case):
+    """A stage written again must replace its earlier parts, not append
+    to them: a resume over a torn ``clusters`` stage (parts on disk, no
+    manifest) and a forced rescan over a complete out dir both give one
+    row per input file in every per-file stage, and the fresh partition."""
+    d, out_dir, full, table, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out_dir, out2)
+    if case == "torn_clusters":
+        os.remove(os.path.join(out2, "clusters", "_MANIFEST.json"))
+        shutil.rmtree(os.path.join(out2, "actions"))
+        res = run_pipeline(d, out2)
+    else:
+        res = run_pipeline(d, out2, resume=False)
+    for stage in ["signatures", "clusters", "actions"]:
+        assert res[stage].count() == table.num_rows, stage
+    assert _engine_clusters(res) == _engine_clusters(full)
