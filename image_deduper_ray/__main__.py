@@ -126,11 +126,11 @@ def cmd_apply(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .pipelines.dedup import STAGES
     from .sources import checkpoints as ckpt
 
     out = {}
-    for stage in ["signatures", "edges_exact", "pairs", "verified",
-                  "edges_cont", "edges", "clusters", "actions"]:
+    for stage in STAGES:
         try:
             out[stage] = ckpt.read_manifest(args.out, stage)["rows"]
         except FileNotFoundError:
@@ -154,6 +154,7 @@ def cmd_diagnose(args) -> int:
     import pyarrow.parquet as pq
 
     from .functions.arrow_utils import fixed_str_view
+    from .pipelines.dedup import EDGE_STAGES
 
     def col(stage: str, c: str) -> "np.ndarray | None":
         # stream per row-group and view each batch's key column as
@@ -239,8 +240,7 @@ def cmd_diagnose(args) -> int:
         ok &= good
     # 4. edge/pair endpoints all come from signed files
     if sig is not None:
-        for stage in ["edges_exact", "pairs", "verified", "edges_cont",
-                      "edges"]:
+        for stage in EDGE_STAGES:
             a = col(stage, "a")
             if a is None:
                 report["checks"][f"{stage}_endpoints"] = "absent"

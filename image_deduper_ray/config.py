@@ -61,13 +61,14 @@ class DedupConfig:
 
     # --- batch / scale knobs ---
     sig_batch_size: int = 512        # rows per signature-actor batch
-    # partition counts for the wide ops: None = derived from cluster CPU
-    # count at pipeline start (functions/groups.default_partitions) so a
-    # bigger cluster gets proportionally more reducers
-    pair_partitions: int | None = None   # LSH pair-gen blocks
+    # reducer count of every hash shuffle (LSH pair-gen, verify and
+    # containment joins, CC, canonical pick): None = one per cluster
+    # CPU, filled by resolved() (functions/groups.default_partitions)
+    num_partitions: int | None = None
     hot_sample_k: int = 16           # hot-bucket counting samples 1/k of rows
-    sig_concurrency: int | tuple[int, int] | None = None  # actor pool size (None = tasks sizing by Ray)
-    join_num_partitions: int | None = None  # pair-verify hash joins
+    # signature actor pool size (None = an autoscaling pool of 1 to 8
+    # actors, see pipelines/dedup.compute_signatures)
+    sig_concurrency: int | tuple[int, int] | None = None
     max_content_bytes: int = 262144  # rows larger than this use the windowed signature path (M6/M7)
     cc_max_rounds: int = 50          # label-propagation round cap
     # containment-verify broadcasts the candidate contents (zero
@@ -135,19 +136,13 @@ class DedupConfig:
             raise ValueError("containment_perms % containment_rows != 0")
 
     def resolved(self) -> "DedupConfig":
-        """Fill the cluster-derived knobs (partition counts) — called at
-        pipeline entry, once Ray is up. Explicit values pass through."""
-        if self.pair_partitions is not None \
-                and self.join_num_partitions is not None:
+        """Fill the cluster-derived partition count — called at pipeline
+        entry, once Ray is up. An explicit value passes through."""
+        if self.num_partitions is not None:
             return self
         from .functions.groups import default_partitions
 
-        return dataclasses.replace(
-            self,
-            pair_partitions=self.pair_partitions
-            or default_partitions(32, 4),
-            join_num_partitions=self.join_num_partitions
-            or default_partitions(48, 4))
+        return dataclasses.replace(self, num_partitions=default_partitions())
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

@@ -46,12 +46,11 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     """
     import pyarrow.compute as pc
 
-    from .groups import default_partitions, partitioned_group_map_arrow
+    from .groups import partitioned_group_map_arrow
 
     if right_dup not in ("unique", "expand"):
         raise ValueError(f"right_dup must be 'unique' or 'expand', "
                          f"got {right_dup!r}")
-    num_partitions = num_partitions or default_partitions()
     lcols = left_schema.names
     rcols = right_schema.names
     super_fields = ([pa.field(_KEY, pa.string()), pa.field(_SIDE, pa.int8())]

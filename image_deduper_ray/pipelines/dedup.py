@@ -51,6 +51,13 @@ _VERIFIED_SCHEMA = _EDGE_SCHEMA.append(pa.field("jaccard", pa.float64())).append
     pa.field("verdict", pa.string()))
 _EMPTY_EDGES = _EDGE_SCHEMA.empty_table()
 
+# every checkpointed stage, in run order; ``stats`` and ``diagnose``
+# read the same list
+STAGES = ("signatures", "edges_exact", "edges_sig", "pairs", "verified",
+          "edges_cont", "edges", "clusters", "actions")
+# the (a, b) edge and pair stages between signatures and clusters
+EDGE_STAGES = STAGES[1:-2]
+
 
 def _add_file_id(batch: pa.Table) -> pa.Table:
     fids = hashing.file_ids(batch["repo"].to_pylist(), batch["path"].to_pylist(),
@@ -75,7 +82,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                  exclude_path_prefixes: list[str] | None = None) -> dict:
     """Run (or resume) the full dedup pipeline. Returns handles to every
     stage's checkpoint Dataset plus summary counts."""
-    cfg = cfg.resolved()   # fill cluster-derived partition counts
+    cfg = cfg.resolved()   # fill the cluster-derived partition count
     metrics = MetricsSink(out_dir)
     cfg_json = cfg.to_json()
 
@@ -83,8 +90,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # store (materialized once) instead of round-tripping parquet —
     # signatures/clusters/actions keep full checkpoint+resume.
     light = cfg.checkpoint_mode == "light"
-    _light_skip = {"edges_exact", "edges_sig", "pairs", "verified",
-                   "edges_cont", "edges"}
+    _light_skip = set(EDGE_STAGES)
     _mem: dict = {}
     _mem_rows: dict = {}
 
@@ -147,9 +153,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # -- exact-dup edges (A1) --
     if not complete("edges_exact"):
         with StageTimer(metrics, "edges_exact") as t:
-            e = exact_dup_edges(sigs)
+            e = exact_dup_edges(sigs, cfg.num_partitions)
             e = persist(e, "edges_exact", schema=_EDGE_SCHEMA)
-            t.done(rows_of("edges_exact"))
+            t.done(rows_of("edges_exact"), partitions=cfg.num_partitions)
     edges_exact = load("edges_exact")
 
     # -- LSH candidate pairs (A2 part 1, salted) --
@@ -164,7 +170,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             persist(sig_edges, "edges_sig", schema=_EDGE_SCHEMA)
             p = candidate_pairs(reps, cfg)
             p = persist(p, "pairs", schema=_PAIR_SCHEMA)
-            t.done(rows_of("pairs"))
+            t.done(rows_of("pairs"), partitions=cfg.num_partitions)
     pairs = load("pairs")
     edges_sig = load("edges_sig")
 
@@ -182,7 +188,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     pairs, sigs, cfg,
                     n_sigs=ckpt.read_manifest(out_dir, "signatures")["rows"])
             v = persist(v, "verified", schema=_VERIFIED_SCHEMA)
-            t.done(rows_of("verified"))
+            t.done(rows_of("verified"), partitions=cfg.num_partitions)
     verified = load("verified")
 
     # -- containment (suffix-array substring) edges --
@@ -247,14 +253,14 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     ids_ds = partitioned_group_map(
                         flat, ["file_id"],
                         lambda df: df.drop_duplicates(["file_id"]),
-                        cfg.join_num_partitions,
+                        cfg.num_partitions,
                         out_schema=pa.schema([("file_id", pa.string())]))
                     content = hash_join(
                         raw_content, ids_ds, "file_id", "file_id",
                         pa.schema([("file_id", pa.string()),
                                    ("content", pa.string())]),
                         pa.schema([]),
-                        num_partitions=cfg.join_num_partitions)
+                        num_partitions=cfg.num_partitions)
                 # common case: candidate content fits a broadcast —
                 # collect it (streaming, byte-capped) and verify pairs
                 # in a single map_batches with no shuffle at all; fall
@@ -318,11 +324,11 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     ab = pa.schema([("a", pa.string()), ("b", pa.string())])
                     j = hash_join(cands, content_a, "a", "file_id", ab,
                                   pa.schema([("content_a", pa.string())]),
-                                  num_partitions=cfg.join_num_partitions)
+                                  num_partitions=cfg.num_partitions)
                     j = hash_join(j, content_b, "b", "file_id",
                                   ab.append(pa.field("content_a", pa.string())),
                                   pa.schema([("content_b", pa.string())]),
-                                  num_partitions=cfg.join_num_partitions)
+                                  num_partitions=cfg.num_partitions)
                     ce = j.map_batches(ContainmentVerify(),
                                        batch_format="pyarrow")
             ce = persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
@@ -330,7 +336,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             # column): candidate-id collect, pruned content scan, and
             # the remainder (verify + persist) — the data that localized
             # this stage's single-box saturation in the first place
-            t.done(rows_of("edges_cont"), cand_ids_s=round(_t_ids, 2),
+            t.done(rows_of("edges_cont"), partitions=cfg.num_partitions,
+                   cand_ids_s=round(_t_ids, 2),
                    n_cand_ids=_n_cand_ids, content_scan_s=round(_t_scan, 2))
     edges_cont = load("edges_cont")
 
@@ -374,7 +381,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             full = broadcast_attach_str(
                 meta, "file_id", lab, "node", "cluster_id", "cluster_id",
                 max_bytes=cfg.verify_broadcast_max_bytes,
-                num_partitions=cfg.join_num_partitions)
+                num_partitions=cfg.num_partitions)
 
             def fill(tb: pa.Table) -> pa.Table:
                 if tb.num_rows == 0:
@@ -387,7 +394,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
 
             full = full.map_batches(fill, batch_format="pyarrow")
             persist(full, "clusters")
-            t.done(rows_of("clusters"),
+            t.done(rows_of("clusters"), partitions=cfg.num_partitions,
                    cc_s=round(_t_cc, 2),
                    attach_write_s=round(_time.monotonic() - _t0 - _t_cc, 2))
     clusters = ckpt.read_stage(out_dir, "clusters")
@@ -397,11 +404,12 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
         with StageTimer(metrics, "actions") as t:
             acts = canonical_actions(clusters, cfg)
             persist(acts, "actions")
-            t.done(rows_of("actions"))
+            t.done(rows_of("actions"), partitions=cfg.num_partitions)
     actions = ckpt.read_stage(out_dir, "actions")
 
     return {
-        "signatures": sigs, "edges_exact": edges_exact, "pairs": pairs,
+        "signatures": sigs, "edges_exact": edges_exact,
+        "edges_sig": edges_sig, "pairs": pairs,
         "verified": verified, "edges_cont": edges_cont, "edges": edges,
         "clusters": clusters, "actions": actions, "metrics": metrics,
         "out_dir": out_dir,

@@ -257,7 +257,7 @@ def minhash_lsh_clusters(sf_dir: str, out_dir: str,
                              "cluster_id": np.repeat(mins, sizes)})
 
     return partitioned_group_map(labeled, ["cluster_key"], relabel_block,
-                                 cfg.resolved().join_num_partitions,
+                                 cfg.resolved().num_partitions,
                                  out_schema=out_schema)
 
 
@@ -442,7 +442,7 @@ def _hamming_cluster(sig: ray.data.Dataset, cfg: DedupConfig,
 
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     pairs = partitioned_group_map(banded, ["band_key"], bucket_pairs_block,
-                                  cfg.pair_partitions,
+                                  cfg.num_partitions,
                                   out_schema=pair_schema)
 
     # duplicate edges across bands are harmless to CC (union-find and

@@ -22,8 +22,10 @@ from ..functions import hashing, minhash as mh, tokenize as tok
 def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dict:
     """file_id -> dict(sig, sha256, n_bytes, meta…) — the SAME kernels
     as the distributed SignatureStage, minus the distribution. With
-    ``cfg.vectorized_signatures`` (default) it calls the identical
-    shared batch kernel (stages/signatures.compute_signature_batch), so
+    ``cfg.vectorized_signatures`` (off by default) it calls the
+    identical shared batch kernel (stages/signatures.
+    compute_signature_batch); otherwise it runs the scalar tokenizer
+    and MinHash per row, as the stage's default path does. Either way
     recall is measured at byte-identical semantics."""
     a, b = mh.make_perms(cfg.num_perms, cfg.minhash_seed)
     rows = table.to_pylist()

@@ -31,8 +31,7 @@ def _sort_key_cols(cfg: DedupConfig) -> tuple[list[str], list[bool]]:
 
 
 def canonical_actions(members: ray.data.Dataset, cfg: DedupConfig,
-                      action: str = "symlink",
-                      num_partitions: int | None = None) -> ray.data.Dataset:
+                      action: str = "symlink") -> ray.data.Dataset:
     """members: (file_id, cluster_id, repo, path, commit, n_bytes).
     -> actions(file_id, cluster_id, role, canonical_file_id, action,
     success). Per-cluster LOCAL sort only — never a global ds.sort
@@ -74,4 +73,4 @@ def canonical_actions(members: ray.data.Dataset, cfg: DedupConfig,
         ("role", pa.string()), ("canonical_file_id", pa.string()),
         ("action", pa.string()), ("success", pa.bool_())])
     return partitioned_group_map(members, ["cluster_id"], block,
-                                 num_partitions, out_schema=out_schema)
+                                 cfg.num_partitions, out_schema=out_schema)

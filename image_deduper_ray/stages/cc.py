@@ -96,7 +96,7 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
 
     from ..functions.groups import group_starts, partitioned_group_map
 
-    P = cfg.pair_partitions
+    P = cfg.num_partitions
     nt = _node_type(edges)
 
     def to_bidir(t: pa.Table) -> pa.Table:

@@ -248,7 +248,7 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig,
                          zero_copy_batch=True)
         .map_batches(PartialBucketCounts(cfg, include_containment),
                      batch_format="pyarrow", zero_copy_batch=True),
-        ["band_id", "band_key"], "partial", cfg.pair_partitions,
+        ["band_id", "band_key"], "partial", cfg.num_partitions,
         out_schema=pa.schema([("band_id", pa.int32()),
                               ("band_key", pa.int64()),
                               ("sum(partial)", pa.int64())]))
@@ -436,7 +436,7 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     raw = partitioned_group_map(
         bands, ["band_id", "band_key", "salt"],
         lambda df: _pairs_block(df, cfg.bucket_cap, cfg.salt_window),
-        cfg.pair_partitions, out_schema=raw_schema)
+        cfg.num_partitions, out_schema=raw_schema)
     # consumed twice below (cand + rep split): materialize so the
     # explode + shuffle + pair-gen lineage runs once, not twice
     raw = raw.materialize()
@@ -451,7 +451,7 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
         batch_format="pyarrow", zero_copy_batch=True)
     rep_pairs = partitioned_group_map(
         reps, ["band_id", "band_key"], _link_reps_block,
-        max(8, cfg.pair_partitions // 8), out_schema=pair_schema)
+        cfg.num_partitions, out_schema=pair_schema)
 
     all_pairs = pairs.union(rep_pairs)
 
@@ -488,7 +488,7 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
                              "is_cont": c[last][keep]})  # max = last
 
     deduped = partitioned_group_map(all_pairs, ["a", "b"], dedup_block,
-                                    cfg.pair_partitions,
+                                    cfg.num_partitions,
                                     out_schema=pair_schema)
     return _resolve_pairs(deduped, sigs, cfg, n_sigs)
 
@@ -608,12 +608,12 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
     j = hash_join(str_pairs, id_map.map_batches(
         lambda t: t.rename_columns(["k", "fa"]), batch_format="pyarrow"),
         "ka", "k", base, pa.schema([("fa", pa.string())]),
-        num_partitions=cfg.join_num_partitions, right_dup="expand")
+        num_partitions=cfg.num_partitions, right_dup="expand")
     j = hash_join(j, id_map.map_batches(
         lambda t: t.rename_columns(["k", "fb"]), batch_format="pyarrow"),
         "kb", "k", base.append(pa.field("fa", pa.string())),
         pa.schema([("fb", pa.string())]),
-        num_partitions=cfg.join_num_partitions, right_dup="expand")
+        num_partitions=cfg.num_partitions, right_dup="expand")
 
     def fin(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -1375,7 +1375,7 @@ def enhanced_phash_groups(media: ray.data.Dataset, max_hamming: int = 3,
     banded_a = sig.map_batches(band_a, batch_format="pyarrow",
                                zero_copy_batch=True)
     pairs_a = partitioned_group_map_arrow(
-        banded_a, ["band_key"], pairs_a_block, cfg.pair_partitions,
+        banded_a, ["band_key"], pairs_a_block, cfg.num_partitions,
         out_schema=pair_schema)
 
     # ---- pass B: full 1024-bit signature, enhanced x enhanced
@@ -1460,7 +1460,7 @@ def enhanced_phash_groups(media: ray.data.Dataset, max_hamming: int = 3,
     banded_b = enh_sig.map_batches(band_b, batch_format="pyarrow",
                                    zero_copy_batch=True)
     pairs_b = partitioned_group_map_arrow(
-        banded_b, ["band_key"], pairs_b_block, cfg.pair_partitions,
+        banded_b, ["band_key"], pairs_b_block, cfg.num_partitions,
         out_schema=pair_schema)
 
     labels = connected_components(pairs_a.union(pairs_b), cfg)

@@ -56,12 +56,12 @@ def attach_signatures(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
     a_fields = pa.schema([("minhash_a", pa.binary()),
                           ("simhash_a", pa.int64())])
     j = hash_join(pairs, sig_a, "a", "file_id", pair_schema, a_fields,
-                  num_partitions=cfg.join_num_partitions)
+                  num_partitions=cfg.num_partitions)
     j = hash_join(j, sig_b, "b", "file_id",
                   pa.schema(list(pair_schema) + list(a_fields)),
                   pa.schema([("minhash_b", pa.binary()),
                              ("simhash_b", pa.int64())]),
-                  num_partitions=cfg.join_num_partitions)
+                  num_partitions=cfg.num_partitions)
     return j
 
 
@@ -235,8 +235,7 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                               zero_copy_batch=True)
 
 
-def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig,
-                              num_partitions: int | None = None
+def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
                               ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     """Collapse signature-identical rows before LSH.
 
@@ -254,10 +253,9 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig,
     never merged by signature (their signature encodes identity, not
     content); 'empty' rows are dropped from both outputs (M16
     validator semantics)."""
-    from ..functions.groups import (default_partitions,
-                                    partitioned_group_map_arrow)
+    from ..functions.groups import partitioned_group_map_arrow
 
-    num_partitions = num_partitions or default_partitions()
+    num_partitions = cfg.num_partitions
 
     # --- fast path: shuffle a 128-bit FOLD of the signature, not the
     # 1 KB payload (~15x less shuffle volume; the payload shuffle was
@@ -430,10 +428,7 @@ def exact_dup_edges(sigs: ray.data.Dataset,
     Partition-level block processing (functions/groups.py): one shuffle
     on hash(sha256), then the whole partition's groups segment in one
     vectorized pass — no per-group Python overhead."""
-    from ..functions.groups import (default_partitions, group_starts,
-                                    partitioned_group_map)
-
-    num_partitions = num_partitions or default_partitions()
+    from ..functions.groups import group_starts, partitioned_group_map
 
     def block(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["sig_kind"] != "empty"]

@@ -267,3 +267,57 @@ def test_rewritten_stage_replaces_old_parts(corpus_run, tmp_path, case):
     for stage in ["signatures", "clusters", "actions"]:
         assert res[stage].count() == table.num_rows, stage
     assert _engine_clusters(res) == _engine_clusters(full)
+
+
+def test_stats_reports_every_checkpointed_stage(corpus_run, capsys):
+    """``stats`` prints the manifest row count of every stage the scan
+    checkpointed: nine stages, ``edges_sig`` among them."""
+    from image_deduper_ray.__main__ import main
+
+    _, out_dir, _, _, _ = corpus_run
+    want = {}
+    for stage in os.listdir(out_dir):
+        mpath = os.path.join(out_dir, stage, "_MANIFEST.json")
+        if os.path.exists(mpath):
+            with open(mpath) as fh:
+                want[stage] = json.load(fh)["rows"]
+    assert len(want) == 9
+    assert main(["stats", "--out", out_dir]) == 0
+    got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert got == want
+
+
+def test_num_partitions_defaults_to_cluster_cpus():
+    from image_deduper_ray.config import DedupConfig
+
+    assert DedupConfig().resolved().num_partitions == 4  # conftest num_cpus
+    assert DedupConfig(num_partitions=48).resolved().num_partitions == 48
+
+
+@pytest.mark.parametrize("num_partitions", [2, 48])
+def test_partition_count_does_not_change_result(corpus_run, tmp_path,
+                                                num_partitions):
+    """Every salted sub-bucket, rep bucket and (a, b) dedup key lands
+    whole in one partition, so the partition count changes neither the
+    pair, edge and cluster sets nor the partition; each wide stage
+    records the count it ran with in its metrics row."""
+    import ast
+
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.config import DedupConfig
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    d, out_dir, full, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    res = run_pipeline(d, out2, DedupConfig(num_partitions=num_partitions))
+    assert _engine_clusters(res) == _engine_clusters(full)
+    for stage in ["pairs", "verified", "edges"]:
+        assert (ckpt.read_manifest(out2, stage)["rows"]
+                == ckpt.read_manifest(out_dir, stage)["rows"]), stage
+    m = pq.read_table(os.path.join(out2, "metrics")).to_pydict()
+    extra = dict(zip(m["stage"], m["extra"]))
+    for stage in ["edges_exact", "pairs", "verified", "edges_cont",
+                  "clusters", "actions"]:
+        assert ast.literal_eval(extra[stage])["partitions"] \
+            == num_partitions, stage
