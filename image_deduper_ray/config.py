@@ -7,9 +7,9 @@ config.rs:105, ``prioritization`` rules at config.rs:5-23 and
 config.rs:111-115, ``batch_size`` default 100 at config.rs:120) become
 the shingle / signature / LSH / threshold / canonical-pick knobs here.
 
-A frozen dataclass: every stage receives it explicitly (actor
-constructor args) — no globals, so runs are deterministic and
-resumable (SURVEY.md §2.8, §7.4).
+A frozen dataclass: every stage receives it explicitly (task
+arguments) — no globals, so runs are deterministic and resumable
+(SURVEY.md §2.8, §7.4).
 """
 
 from __future__ import annotations
@@ -60,15 +60,12 @@ class DedupConfig:
     jaccard_threshold: float = 0.8   # analog of phash_threshold=90 (config.rs:105)
 
     # --- batch / scale knobs ---
-    sig_batch_size: int = 512        # rows per signature-actor batch
+    sig_batch_size: int = 512        # rows per signature task batch
     # reducer count of every hash shuffle (LSH pair-gen, verify and
     # containment joins, CC, canonical pick): None = one per cluster
     # CPU, filled by resolved() (functions/groups.default_partitions)
     num_partitions: int | None = None
     hot_sample_k: int = 16           # hot-bucket counting samples 1/k of rows
-    # signature actor pool size (None = an autoscaling pool of 1 to 8
-    # actors, see pipelines/dedup.compute_signatures)
-    sig_concurrency: int | tuple[int, int] | None = None
     max_content_bytes: int = 262144  # rows larger than this use the windowed signature path (M6/M7)
     cc_max_rounds: int = 50          # label-propagation round cap
     # containment-verify broadcasts the candidate contents (zero
@@ -100,30 +97,19 @@ class DedupConfig:
     # --- per-row time budget (analog of timeout_utils.rs:27-58) ---
     # the reference scales its hash timeout 5-30 s by format (JPEG/PNG
     # cheap, TIFF/RAW expensive); the code analog scales by lang —
-    # verbose/macro-heavy languages get a larger budget before the row
-    # is poisoned to the fallback signature.
+    # verbose/macro-heavy languages get a larger budget; a row whose
+    # own signing overruns it gets the fallback signature
+    # (error="over-budget") in that same call.
     row_time_budget_s: float = 5.0
     row_time_budget_by_lang: tuple[tuple[str, float], ...] = (
         ("cpp", 30.0), ("c", 20.0), ("rs", 20.0), ("java", 15.0),
         ("ts", 10.0), ("js", 10.0))
-
-    # --- vectorized batch signature kernel (functions/fastsig.py):
-    #     byte-class lexer + reduceat hashing, ~no per-row Python. The
-    #     oracle switches with it, so recall is exact either way.
-    #     Default OFF: on repetitive corpora the scalar path's
-    #     actor-local token/signature caches win; flip ON for
-    #     heterogeneous content where cache hit rates collapse. ---
-    vectorized_signatures: bool = False
 
     # --- fast-signature mode (analog of ultra_fast_phash,
     #     core.rs:158-199: strided sampling instead of the full pass) ---
     # keep every k-th shingle (post-sort): k=1 is exact; k>1 trades
     # recall resolution for k-fold less MinHash work on huge rows
     shingle_stride: int = 1
-
-    # --- actor-local signature memo (ImageCache analog, types.rs:78-113):
-    #     identical content (same sha256) is signed once per worker ---
-    sig_cache_capacity: int = 50_000
 
     def __post_init__(self) -> None:
         if self.lsh_bands * self.lsh_rows != self.num_perms:
@@ -155,8 +141,6 @@ class DedupConfig:
         if "row_time_budget_by_lang" in d:
             d["row_time_budget_by_lang"] = tuple(
                 (lang, float(t)) for lang, t in d["row_time_budget_by_lang"])
-        if isinstance(d.get("sig_concurrency"), list):
-            d["sig_concurrency"] = tuple(d["sig_concurrency"])
         return cls(**d)
 
 

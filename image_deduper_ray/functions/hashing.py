@@ -44,7 +44,7 @@ def token_hash64(token: str) -> int:
 
 
 class TokenHashCache:
-    """Actor-local token->u64 memo (the analog of ImageCache,
+    """Per-call token->u64 memo (the analog of ImageCache,
     src/processing/types.rs:78-113 — dedupe *work*, not results).
     Bounded: clears at capacity like the reference's cache."""
 

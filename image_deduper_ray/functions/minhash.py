@@ -19,8 +19,8 @@ import numpy as np
 
 
 def make_perms(num_perms: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) coefficient vectors, a forced odd. Built once per actor
-    (__init__), never per batch."""
+    """(a, b) coefficient vectors, a forced odd. Built once per
+    signature batch: 2 x num_perms seeded draws."""
     rng = np.random.default_rng(seed)
     a = rng.integers(1, 2**63, size=num_perms, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     b = rng.integers(0, 2**63, size=num_perms, dtype=np.uint64)

@@ -6,7 +6,7 @@ Discovery -> Processing -> Persistence -> DuplicateCheck -> Action) and
 of the ``ImageDeduper::run`` / ``hash_and_persist`` drivers
 (/root/reference/crates/image-deduper-core/src/lib.rs:110-243):
 
-  read files -> SignatureStage (actor pool)    [checkpoint signatures]
+  read files -> sign_batch (stateless tasks)   [checkpoint signatures]
   -> exact sha256 edges (partition blocks)     [checkpoint edges_exact]
   -> signature-identical collapse              [checkpoint edges_sig]
   -> LSH candidate pairs (salted, on reps)     [checkpoint pairs]
@@ -39,7 +39,7 @@ from ..sources.files import read_files
 from ..stages.canonical import canonical_actions
 from ..stages.cc import connected_components
 from ..stages.lsh import candidate_pairs
-from ..stages.signatures import SignatureStage
+from ..stages.signatures import sign_batch
 from ..stages.substring import ContainmentVerify
 from ..stages.verify import (exact_dup_edges, signature_representatives,
                              verify_pairs)
@@ -66,14 +66,23 @@ def _add_file_id(batch: pa.Table) -> pa.Table:
 
 
 def compute_signatures(files: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
-    kwargs = dict(batch_format="pyarrow", zero_copy_batch=True,
-                  batch_size=cfg.sig_batch_size,
-                  fn_constructor_args=(cfg,))
-    if cfg.sig_concurrency is not None:
-        kwargs["concurrency"] = cfg.sig_concurrency
-    else:
-        kwargs["concurrency"] = (1, 8)
-    return files.map_batches(SignatureStage, **kwargs)
+    # plain tasks, not an actor pool: no worker holds a CPU between
+    # batches, so the read and the next stage always find one
+    return files.map_batches(sign_batch, fn_kwargs={"cfg": cfg},
+                             batch_format="pyarrow", zero_copy_batch=True,
+                             batch_size=cfg.sig_batch_size)
+
+
+def _fallback_counts(out_dir: str) -> dict[str, int]:
+    """``fallback`` and ``over_budget`` row counts of the signatures
+    checkpoint, read from two columns of its parts (no Ray job)."""
+    counts = {"fallback": 0, "over_budget": 0}
+    for t in ckpt.part_columns(out_dir, "signatures", ["sig_kind", "error"]):
+        fb = pa.compute.equal(t["sig_kind"], "fallback")
+        ob = pa.compute.equal(t["error"], "over-budget")
+        counts["fallback"] += pa.compute.sum(fb).as_py() or 0
+        counts["over_budget"] += pa.compute.sum(ob).as_py() or 0
+    return counts
 
 
 def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
@@ -147,7 +156,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             sigs = ckpt.write_stage(compute_signatures(files, cfg), out_dir,
                                     "signatures", cfg_json)
             t.done(ckpt.read_manifest(out_dir, "signatures")["rows"],
-                   resumed_from=len(done))
+                   resumed_from=len(done), **_fallback_counts(out_dir))
     sigs = ckpt.read_stage(out_dir, "signatures")
 
     # -- exact-dup edges (A1) --

@@ -275,8 +275,8 @@ def simhash_groups(sf_dir: str, max_hamming: int = 3,
                    max_bucket: int = 4096,
                    band_window: int = 8) -> ray.data.Dataset:
     """SimHash near-dup grouping, end-to-end distributed: 64-bit SimHash
-    per doc via the SHARED SignatureStage actor pool (same tokenize /
-    shingle / simhash kernels and caches as the flagship), then the
+    per doc via the SHARED signature task (``compute_signatures``: same
+    tokenize / shingle / simhash kernels as the flagship), then the
     shared Hamming-clustering machinery (``_hamming_cluster``: pigeonhole
     banding, partitioned XOR-popcount pair-gen, connected components,
     join-based label attach) — no driver union-find, no label-dict

@@ -21,12 +21,9 @@ from ..functions import hashing, minhash as mh, tokenize as tok
 
 def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dict:
     """file_id -> dict(sig, sha256, n_bytes, meta…) — the SAME kernels
-    as the distributed SignatureStage, minus the distribution. With
-    ``cfg.vectorized_signatures`` (off by default) it calls the
-    identical shared batch kernel (stages/signatures.
-    compute_signature_batch); otherwise it runs the scalar tokenizer
-    and MinHash per row, as the stage's default path does. Either way
-    recall is measured at byte-identical semantics."""
+    as the distributed ``stages.signatures.sign_batch``, minus the
+    distribution: the scalar tokenizer and MinHash per row, so recall
+    is measured at byte-identical semantics. No time budget applies."""
     a, b = mh.make_perms(cfg.num_perms, cfg.minhash_seed)
     rows = table.to_pylist()
     repos = [r["repo"] for r in rows]
@@ -39,34 +36,28 @@ def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dic
     fids = hashing.file_ids(repos, paths, commits)
     shas = hashing.sha256_hex(contents)
 
-    if cfg.vectorized_signatures:
-        from ..stages.signatures import compute_signature_batch
-
-        sigs, _, _, _, kinds, _ = compute_signature_batch(
-            repos, paths, langs, contents, n_bytes, cfg, a, b)
-    else:
-        sigs = np.zeros((len(rows), cfg.num_perms), dtype=np.uint64)
-        kinds = []
-        for i, content in enumerate(contents):
-            if n_bytes[i] == 0:
-                kinds.append("empty")
-                continue
-            body = content[: cfg.max_content_bytes]
-            tokens = tok.tokenize(body, langs[i])
-            if not tokens:
-                sh = hashing.fallback_shingles(repos[i], paths[i],
-                                               int(n_bytes[i]))
-                sigs[i] = mh.minhash_signature(sh, a, b)
-                kinds.append("fallback")
-            else:
-                th = np.array([hashing.token_hash64(t) for t in tokens],
-                              dtype=np.uint64)
-                sh = hashing.shingle_hashes(th, cfg.shingle_k)
-                if cfg.shingle_stride > 1 and len(sh) > cfg.shingle_stride:
-                    # identical stride rule to SignatureStage._row_signature
-                    sh = sh[:: cfg.shingle_stride]
-                sigs[i] = mh.minhash_signature(sh, a, b)
-                kinds.append("ok")
+    sigs = np.zeros((len(rows), cfg.num_perms), dtype=np.uint64)
+    kinds = []
+    for i, content in enumerate(contents):
+        if n_bytes[i] == 0:
+            kinds.append("empty")
+            continue
+        body = content[: cfg.max_content_bytes]
+        tokens = tok.tokenize(body, langs[i])
+        if not tokens:
+            sh = hashing.fallback_shingles(repos[i], paths[i],
+                                           int(n_bytes[i]))
+            sigs[i] = mh.minhash_signature(sh, a, b)
+            kinds.append("fallback")
+        else:
+            th = np.array([hashing.token_hash64(t) for t in tokens],
+                          dtype=np.uint64)
+            sh = hashing.shingle_hashes(th, cfg.shingle_k)
+            if cfg.shingle_stride > 1 and len(sh) > cfg.shingle_stride:
+                # identical stride rule to signatures._row_signature
+                sh = sh[:: cfg.shingle_stride]
+            sigs[i] = mh.minhash_signature(sh, a, b)
+            kinds.append("ok")
 
     out = {}
     for i in range(len(rows)):

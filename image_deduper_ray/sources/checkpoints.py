@@ -109,16 +109,23 @@ def clear_stage(root: str, stage: str) -> None:
             os.remove(os.path.join(d, f))
 
 
-def done_key_set(root: str, stage: str, key_col: str = "file_id") -> set[str]:
-    """Read only the key column of a (possibly partial) checkpoint —
-    column pruning means this touches one column's pages, not the data."""
+def part_columns(root: str, stage: str, columns: list[str]):
+    """Yield ``columns`` of each Parquet part of a (possibly partial)
+    checkpoint, read on the driver — column pruning means this touches
+    those columns' pages, not the data, and runs no Ray job."""
     d = stage_dir(root, stage)
-    keys: set[str] = set()
     if not os.path.isdir(d):
-        return keys
+        return
     for f in sorted(os.listdir(d)):
         if f.endswith(".parquet"):
-            keys.update(pq.read_table(os.path.join(d, f), columns=[key_col])[key_col].to_pylist())
+            yield pq.read_table(os.path.join(d, f), columns=columns)
+
+
+def done_key_set(root: str, stage: str, key_col: str = "file_id") -> set[str]:
+    """The key column of a (possibly partial) checkpoint, as a set."""
+    keys: set[str] = set()
+    for t in part_columns(root, stage, [key_col]):
+        keys.update(t[key_col].to_pylist())
     return keys
 
 

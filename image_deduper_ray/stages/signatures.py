@@ -1,28 +1,29 @@
-"""Signature stage: the flagship stateful actor-pool map_batches stage.
+"""Signature stage: one stateless ``map_batches`` task function.
 
 Analog of ``process_single_image`` composition (validate -> crypto hash
 -> perceptual hash, with timeouts and fallbacks) at
-/root/reference/crates/image-deduper-core/src/processing/utils/image_processor.rs:12-72,
-run per batch by ``process_image_batch``
-(src/processing/utils/batch_processor.rs:30-69). Here it is one
-``map_batches(SignatureStage, batch_format="pyarrow", concurrency=N)``:
+crates/image-deduper-core/src/processing/utils/image_processor.rs:12-72
+of the reference, run per batch by ``process_image_batch``
+(src/processing/utils/batch_processor.rs:30-69). Here it is
+``map_batches(sign_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow")``
+over plain Ray tasks: nothing outlives one call, so a batch's output
+depends only on the batch and the config.
 
-  __init__ (once per actor): MinHash permutation coefficients, token
-  hash cache, compiled regexes — the reference rebuilds none of this
-  per file either (ST1 in SURVEY.md §2.3).
-  __call__ (per batch): validate (M16/M17) -> sha256 (M1) -> tokenize
-  via lang registry (M5) -> MinHash 128 (M3) + SimHash 64 (M2), with
-  the windowed path for oversized rows (M6/M7, file_processing.rs:44-179),
-  fallback signature for binary/unparseable rows (M8,
-  file_processing.rs:182-200), junk-prefix recovery (M9, jpeg.rs:8-66),
-  and a cooperative per-row time budget with poison memo (ST2/ST4,
-  hash_computation_with_timeout.rs:19-42, timeout_utils.rs:63-153) —
-  rows never throw; failures become the ``sig_kind``/``error`` columns.
+Per batch: MinHash permutation coefficients and a token hash memo, then
+per row validate (M16/M17) -> sha256 (M1) -> tokenize via lang registry
+(M5) -> MinHash 128 (M3) + SimHash 64 (M2), with the windowed path for
+oversized rows (M6/M7, file_processing.rs:44-179), fallback signature
+for binary/unparseable rows (M8, file_processing.rs:182-200),
+junk-prefix recovery (M9, jpeg.rs:8-66), and a cooperative per-row time
+budget (ST4, hash_computation_with_timeout.rs:19-42,
+timeout_utils.rs:63-153): a row whose own signing overruns its lang
+budget gets the fallback signature in that same call. Rows never throw;
+failures become the ``sig_kind``/``error`` columns.
 
 Output schema (content is DROPPED here — SURVEY.md §7.4 'wide rows'):
   repo, path, commit, lang, file_id, sha256, n_bytes, n_tokens,
-  n_shingles, simhash: uint64, minhash: binary (P packed u64s),
-  sig_kind: {ok, fallback, empty}, error
+  n_shingles, simhash: int64 bit-view, minhash: fixed_size_binary
+  (P packed u64s), sig_kind: {ok, fallback, empty}, error
 """
 
 from __future__ import annotations
@@ -33,212 +34,102 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DedupConfig
-from ..functions import fastsig, hashing, minhash as mh, tokenize as tok
-
-_U64_MAX = np.iinfo(np.uint64).max
+from ..functions import hashing, minhash as mh, tokenize as tok
 
 
-def compute_signature_batch(repos, paths, langs, contents, n_bytes,
-                            cfg: DedupConfig, a: np.ndarray, b: np.ndarray,
-                            poison: set[str] | None = None):
-    """Vectorized batch signature kernel — shared verbatim by the
-    distributed SignatureStage and the single-process oracle (so the
-    recall comparison runs at byte-identical semantics).
+def _fallback(repo: str, path: str, n_bytes: int, a: np.ndarray,
+              b: np.ndarray, error: str) -> tuple:
+    """Deterministic identity signature (M8): resume-safe, never merges
+    on content."""
+    sh = hashing.fallback_shingles(repo, path, n_bytes)
+    return (mh.minhash_signature(sh, a, b), mh.simhash64(sh), 0, 1,
+            "fallback", error)
 
-    Returns (sigs (n, P) uint64, simhash uint64[n], n_tokens[n],
-    n_shingles[n], kinds list[str], errors list[str])."""
-    n = len(contents)
-    P = cfg.num_perms
-    sigs = np.zeros((n, P), dtype=np.uint64)
-    simh = np.zeros(n, dtype=np.uint64)
-    n_tokens = np.zeros(n, dtype=np.int64)
-    n_shingles = np.zeros(n, dtype=np.int64)
-    kinds = ["ok"] * n
-    errors = [""] * n
 
-    ok_rows: list[int] = []
-    norm_texts: list[str] = []
-    fallback_rows: list[tuple[int, str]] = []
+def _row_signature(repo: str, path: str, lang: str, content: str,
+                   n_bytes: int, cfg: DedupConfig, a: np.ndarray,
+                   b: np.ndarray, token_cache: hashing.TokenHashCache,
+                   budget_s: float) -> tuple:
+    """(sig, simhash, n_tokens, n_shingles, sig_kind, error) of one row.
+    Strings force a row loop; the arithmetic inside is vectorized numpy
+    over the row's shingles."""
+    if n_bytes == 0:
+        return (np.zeros(cfg.num_perms, np.uint64), 0, 0, 0, "empty", "")
+    t0 = time.monotonic()
+    if len(content) > cfg.max_content_bytes:
+        # windowed path (M6/M7): signature over the deterministic
+        # prefix window instead of the full body.
+        content = content[: cfg.max_content_bytes]
+    tokens = tok.tokenize(content, lang)
+    if not tokens:
+        return _fallback(repo, path, n_bytes, a, b,
+                         "binary-or-empty-after-normalize")
+    th = token_cache.hash_tokens(tokens)
+    shingles = hashing.shingle_hashes(th, cfg.shingle_k)
+    if cfg.shingle_stride > 1 and len(shingles) > cfg.shingle_stride:
+        # fast mode (ultra_fast_phash analog, core.rs:158-199):
+        # strided sample of the sorted shingle set
+        shingles = shingles[:: cfg.shingle_stride]
+    sig = mh.minhash_signature(shingles, a, b)
+    simh = mh.simhash64(shingles)
+    if time.monotonic() - t0 > budget_s:
+        return _fallback(repo, path, n_bytes, a, b, "over-budget")
+    return (sig, simh, len(tokens), len(shingles), "ok", "")
+
+
+def sign_batch(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """Signature rows of one files batch (content dropped)."""
+    a, b = mh.make_perms(cfg.num_perms, cfg.minhash_seed)
+    token_cache = hashing.TokenHashCache()
+    # per-lang budget table (timeout_utils.rs:27-58 analog)
+    budget = dict(cfg.row_time_budget_by_lang)
+    repos = batch["repo"].to_pylist()
+    paths = batch["path"].to_pylist()
+    commits = batch["commit"].to_pylist()
+    langs = batch["lang"].to_pylist()
+    contents = batch["content"].to_pylist()
+    n = len(repos)
+
+    sha = hashing.sha256_hex(contents)
+    fids = hashing.file_ids(repos, paths, commits)
+    n_bytes = np.array([len(c.encode("utf-8", "surrogatepass")) for c in contents],
+                       dtype=np.int64)
+
+    sigs = np.empty((n, cfg.num_perms), dtype=np.uint64)
+    simhashes = np.empty(n, dtype=np.uint64)
+    n_tokens = np.empty(n, dtype=np.int64)
+    n_shingles = np.empty(n, dtype=np.int64)
+    kinds = []
+    errors = []
     for i in range(n):
-        c = contents[i]
-        if n_bytes[i] == 0:
-            kinds[i] = "empty"
-            continue
-        key = f"{repos[i]}\x1f{paths[i]}"
-        if poison is not None and key in poison:
-            kinds[i] = "fallback"
-            fallback_rows.append((i, "poisoned"))
-            continue
-        if tok.is_binary(c):
-            kinds[i] = "fallback"
-            fallback_rows.append((i, "binary-or-empty-after-normalize"))
-            continue
-        if len(c) > cfg.max_content_bytes:
-            c = c[: cfg.max_content_bytes]  # windowed path (M6/M7)
-        ok_rows.append(i)
-        norm_texts.append(tok.normalize(c, langs[i]))
+        sig, simh, nt, ns, kind, err = _row_signature(
+            repos[i], paths[i], langs[i], contents[i], int(n_bytes[i]),
+            cfg, a, b, token_cache,
+            budget.get(langs[i], cfg.row_time_budget_s))
+        sigs[i] = sig
+        simhashes[i] = np.uint64(simh)
+        n_tokens[i] = nt
+        n_shingles[i] = ns
+        kinds.append(kind)
+        errors.append(err)
 
-    if ok_rows:
-        th, tok_row = fastsig.token_hashes_batch(norm_texts)
-        tcounts = np.bincount(tok_row, minlength=len(ok_rows)) \
-            if len(th) else np.zeros(len(ok_rows), dtype=np.int64)
-        # rows that lexed to zero tokens fall back (M8 semantics)
-        zero = np.flatnonzero(tcounts == 0)
-        for z in zero:
-            i = ok_rows[z]
-            kinds[i] = "fallback"
-            fallback_rows.append((i, "binary-or-empty-after-normalize"))
-        sh, sh_row = fastsig.shingles_batch(th, tok_row, len(ok_rows),
-                                            cfg.shingle_k)
-        if cfg.shingle_stride > 1 and len(sh):
-            # identical semantics to the scalar path: stride ONLY rows
-            # with more than `stride` shingles; tiny rows keep all.
-            seg = np.ones(len(sh_row), dtype=bool)
-            seg[1:] = sh_row[1:] != sh_row[:-1]
-            starts = np.flatnonzero(seg)
-            base = starts[np.cumsum(seg, dtype=np.int32) - 1]
-            row_counts = np.bincount(sh_row, minlength=len(ok_rows))
-            keep = (((np.arange(len(sh)) - base) % cfg.shingle_stride) == 0) \
-                | (row_counts[sh_row] <= cfg.shingle_stride)
-            sh, sh_row = sh[keep], sh_row[keep]
-        sig_ok, simh_ok = fastsig.minhash_simhash_batch(
-            sh, sh_row, len(ok_rows), a, b)
-        scounts = np.bincount(sh_row, minlength=len(ok_rows)) \
-            if len(sh) else np.zeros(len(ok_rows), dtype=np.int64)
-        for j, i in enumerate(ok_rows):
-            if kinds[i] != "ok":
-                continue
-            sigs[i] = sig_ok[j]
-            simh[i] = simh_ok[j]
-            n_tokens[i] = tcounts[j]
-            n_shingles[i] = scounts[j]
-
-    for i, err in fallback_rows:
-        fsh = hashing.fallback_shingles(repos[i], paths[i], int(n_bytes[i]))
-        sigs[i] = mh.minhash_signature(fsh, a, b)
-        simh[i] = np.uint64(mh.simhash64(fsh))
-        n_shingles[i] = 1
-        errors[i] = err
-    return sigs, simh, n_tokens, n_shingles, kinds, errors
-
-
-class SignatureStage:
-    def __init__(self, config: DedupConfig):
-        self.cfg = config
-        self.a, self.b = mh.make_perms(config.num_perms, config.minhash_seed)
-        self.token_cache = hashing.TokenHashCache()
-        self.poison: set[str] = set()  # ST2: per-actor skip memo
-        # per-lang budget table (timeout_utils.rs:27-58 analog)
-        self.budget = dict(config.row_time_budget_by_lang)
-        # ST3 (ImageCache analog, types.rs:78-113): identical content is
-        # signed once per worker — keyed by sha256, bounded, cleared at
-        # capacity like the reference's cache
-        self.sig_cache: dict[str, tuple] = {}
-
-    # -- per-row kernel (strings force a row loop; all arithmetic inside
-    #    is vectorized numpy over the row's shingles) --
-    def _row_signature(self, repo: str, path: str, lang: str, content: str,
-                       n_bytes: int) -> tuple[np.ndarray, int, int, int, str, str]:
-        cfg = self.cfg
-        if n_bytes == 0:
-            return (np.zeros(cfg.num_perms, np.uint64), 0, 0, 0, "empty", "")
-        key = f"{repo}\x1f{path}"
-        if key in self.poison:
-            sh = hashing.fallback_shingles(repo, path, n_bytes)
-            sig = mh.minhash_signature(sh, self.a, self.b)
-            return (sig, mh.simhash64(sh), 0, 1, "fallback", "poisoned")
-        t0 = time.monotonic()
-        if len(content) > cfg.max_content_bytes:
-            # windowed path (M6/M7): signature over the deterministic
-            # prefix window instead of the full body.
-            content = content[: cfg.max_content_bytes]
-        tokens = tok.tokenize(content, lang)
-        if not tokens:
-            sh = hashing.fallback_shingles(repo, path, n_bytes)
-            sig = mh.minhash_signature(sh, self.a, self.b)
-            return (sig, mh.simhash64(sh), 0, 1, "fallback",
-                    "binary-or-empty-after-normalize")
-        th = self.token_cache.hash_tokens(tokens)
-        shingles = hashing.shingle_hashes(th, cfg.shingle_k)
-        if cfg.shingle_stride > 1 and len(shingles) > cfg.shingle_stride:
-            # fast mode (ultra_fast_phash analog, core.rs:158-199):
-            # strided sample of the sorted shingle set
-            shingles = shingles[:: cfg.shingle_stride]
-        sig = mh.minhash_signature(shingles, self.a, self.b)
-        simh = mh.simhash64(shingles)
-        if time.monotonic() - t0 > self.budget.get(lang,
-                                                   cfg.row_time_budget_s):
-            # cooperative budget exceeded: poison the key so a retry of
-            # this task (or a later batch) falls back instantly.
-            self.poison.add(key)
-        return (sig, simh, len(tokens), len(shingles), "ok", "")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        repos = batch["repo"].to_pylist()
-        paths = batch["path"].to_pylist()
-        commits = batch["commit"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        contents = batch["content"].to_pylist()
-        n = len(repos)
-
-        sha = hashing.sha256_hex(contents)
-        fids = hashing.file_ids(repos, paths, commits)
-        n_bytes = np.array([len(c.encode("utf-8", "surrogatepass")) for c in contents],
-                           dtype=np.int64)
-
-        if cfg.vectorized_signatures:
-            sigs, simhashes, n_tokens, n_shingles, kinds, errors = \
-                compute_signature_batch(repos, paths, langs, contents,
-                                        n_bytes, cfg, self.a, self.b,
-                                        poison=self.poison)
-        else:
-            sigs = np.empty((n, cfg.num_perms), dtype=np.uint64)
-            simhashes = np.empty(n, dtype=np.uint64)
-            n_tokens = np.empty(n, dtype=np.int64)
-            n_shingles = np.empty(n, dtype=np.int64)
-            kinds = []
-            errors = []
-            cache = self.sig_cache
-            for i in range(n):
-                # keyed (sha256, lang): normalization is lang-dependent, so
-                # identical bytes under two langs must not share a signature
-                ck = (sha[i], langs[i])
-                hit = cache.get(ck)
-                if hit is not None and hit[4] == "ok":
-                    sig, simh, nt, ns, kind, err = hit
-                else:
-                    sig, simh, nt, ns, kind, err = self._row_signature(
-                        repos[i], paths[i], langs[i], contents[i],
-                        int(n_bytes[i]))
-                    if kind == "ok":  # fallback/poison results are identity-specific
-                        if len(cache) > self.cfg.sig_cache_capacity:
-                            cache.clear()
-                        cache[ck] = (sig, simh, nt, ns, kind, err)
-                sigs[i] = sig
-                simhashes[i] = np.uint64(simh)
-                n_tokens[i] = nt
-                n_shingles[i] = ns
-                kinds.append(kind)
-                errors.append(err)
-
-        # packed little-endian u64s (the analog of the reference's packed
-        # u64 phash serialization, db.rs:287-331) as fixed_size_binary:
-        # downstream signature-matrix readers reshape the Arrow buffer
-        # zero-copy instead of joining per-row Python bytes.
-        minhash_col = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(cfg.num_perms * 8), n,
-            [None, pa.py_buffer(np.ascontiguousarray(sigs).tobytes())])
-        return pa.table({
-            "repo": batch["repo"], "path": batch["path"],
-            "commit": batch["commit"], "lang": batch["lang"],
-            "file_id": pa.array(fids, pa.string()),
-            "sha256": pa.array(sha, pa.string()),
-            "n_bytes": pa.array(n_bytes),
-            "n_tokens": pa.array(n_tokens),
-            "n_shingles": pa.array(n_shingles),
-            "simhash": pa.array(simhashes.view(np.int64)),  # int64 bit-view: Ray groupby chokes on uint64
-            "minhash": minhash_col,
-            "sig_kind": pa.array(kinds, pa.string()),
-            "error": pa.array(errors, pa.string()),
-        })
+    # packed little-endian u64s (the analog of the reference's packed
+    # u64 phash serialization, db.rs:287-331) as fixed_size_binary:
+    # downstream signature-matrix readers reshape the Arrow buffer
+    # zero-copy instead of joining per-row Python bytes.
+    minhash_col = pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(cfg.num_perms * 8), n,
+        [None, pa.py_buffer(np.ascontiguousarray(sigs).tobytes())])
+    return pa.table({
+        "repo": batch["repo"], "path": batch["path"],
+        "commit": batch["commit"], "lang": batch["lang"],
+        "file_id": pa.array(fids, pa.string()),
+        "sha256": pa.array(sha, pa.string()),
+        "n_bytes": pa.array(n_bytes),
+        "n_tokens": pa.array(n_tokens),
+        "n_shingles": pa.array(n_shingles),
+        "simhash": pa.array(simhashes.view(np.int64)),  # int64 bit-view: Ray groupby chokes on uint64
+        "minhash": minhash_col,
+        "sig_kind": pa.array(kinds, pa.string()),
+        "error": pa.array(errors, pa.string()),
+    })

@@ -1181,7 +1181,7 @@ def test_entry_smoke():
 
 
 def test_simhash_groups_matches_scalar_reference():
-    """The distributed rebuild (shared SignatureStage kernel, partitioned
+    """The distributed rebuild (shared signature task kernel, partitioned
     pair-gen, connected_components, join-based label attach) must produce
     the SAME partition as the straightforward scalar reference:
     per-doc simhash -> 4x16-bit bands -> Hamming<=3 pairs -> union-find."""
@@ -1264,39 +1264,6 @@ def test_media_external_probe_matches_hashlib():
     assert (out["tool_rc"] == 0).all()
     got = dict(zip(out.media_id, out.ext_sha256))
     assert got == expect
-
-
-def test_signature_poison_path_completes():
-    """ST2/ST4: a row that blows its per-lang budget is poisoned — the
-    NEXT encounter of the same key falls back instantly and the run
-    completes (rows never throw)."""
-    import pyarrow as pa
-    from image_deduper_ray.config import DedupConfig
-    from image_deduper_ray.stages.signatures import SignatureStage
-
-    batch = pa.table({
-        "repo": ["r1", "r1"], "path": ["a.py", "b.cpp"],
-        "commit": ["c", "c"], "lang": ["py", "cpp"],
-        "content": ["x = 1\n" * 50, "int x = 1;\n" * 50]})
-
-    # zero budget for py only: the py row poisons after its first (still
-    # successful) signature; cpp keeps its generous per-lang budget
-    cfg = DedupConfig(row_time_budget_s=0.0, sig_cache_capacity=0)
-    stage = SignatureStage(cfg)
-    first = stage(batch)
-    assert first["sig_kind"].to_pylist() == ["ok", "ok"]
-    assert "r1\x1fa.py" in stage.poison          # poisoned cooperatively
-    assert "r1\x1fb.cpp" not in stage.poison     # cpp budget = 20 s
-    second = stage(batch)
-    kinds = dict(zip(second["path"].to_pylist(),
-                     second["sig_kind"].to_pylist()))
-    errs = dict(zip(second["path"].to_pylist(),
-                    second["error"].to_pylist()))
-    assert kinds["a.py"] == "fallback" and errs["a.py"] == "poisoned"
-    assert kinds["b.cpp"] == "ok"
-    # fallback signature is deterministic (resume-safe)
-    third = stage(batch)
-    assert second["minhash"].to_pylist() == third["minhash"].to_pylist()
 
 
 def test_hopping_degenerates_to_tumbling():
