@@ -146,8 +146,7 @@ def cmd_diagnose(args) -> int:
     accounting, one-keep-per-cluster, canonical self-consistency, and
     edge/pair endpoints contained in signatures). Vectorized numpy
     membership on fixed-width keys, not Python sets. Stages absent on
-    disk (light checkpoint mode skips the edge stages) are reported
-    'absent' and skipped, not failed."""
+    disk are reported 'absent' and skipped, not failed."""
     import os
 
     import numpy as np

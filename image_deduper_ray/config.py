@@ -80,13 +80,6 @@ class DedupConfig:
     # signature matrix while it fits; partitioned hash joins past it
     verify_broadcast_max_bytes: int = 4_000_000_000
     cc_driver_max_edges: int = 2_000_000  # below this, union-find on the driver is allowed
-    # checkpoint granularity: "all" writes every stage (resume from any
-    # point); "light" checkpoints only signatures/clusters/actions and
-    # keeps the cheap edge stages in the object store — ~5 fewer parquet
-    # round-trips + executor spin-ups per run (the fixed costs that
-    # dominate small-corpus walls). Resume granularity in light mode is
-    # signatures -> clusters.
-    checkpoint_mode: str = "all"
 
     # --- canonical pick (analog of PriorityRule list, config.rs:111-115:
     #     HighestResolution -> LargestFileSize -> OldestCreationDate) ---

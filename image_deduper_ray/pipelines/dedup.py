@@ -18,7 +18,12 @@ of the ``ImageDeduper::run`` / ``hash_and_persist`` drivers
 
 Every stage writes Parquet + a manifest; a rerun skips completed stages
 and anti-joins partially-done signature work (the find_new_images
-discipline, db.rs:132-164). The ``content`` column never crosses a
+discipline, db.rs:132-164). The checkpoints are written, never read
+back by the run that wrote them: each stage after signatures is
+materialized once, its blocks are written by plain tasks, and the next
+stage reads it from the object store. Only signatures (streamed to
+disk, so a killed run keeps its parts) and stages an earlier run
+completed are read from Parquet. The ``content`` column never crosses a
 shuffle: it is dropped inside the signature stage and re-read from the
 source only for the (small) containment-candidate set.
 """
@@ -29,10 +34,12 @@ import time as _time
 
 import pyarrow as pa
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions import hashing
 from ..functions.arrow_utils import ensure_schema
+from ..functions.groups import default_partitions
 from ..functions.joins import broadcast_attach_str, hash_join
 from ..sources import checkpoints as ckpt
 from ..sources.files import read_files
@@ -89,55 +96,43 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                  resume: bool = True, cc_mode: str = "auto",
                  langs: list[str] | None = None,
                  exclude_path_prefixes: list[str] | None = None) -> dict:
-    """Run (or resume) the full dedup pipeline. Returns handles to every
-    stage's checkpoint Dataset plus summary counts."""
+    """Run (or resume) the full dedup pipeline. Returns every stage's
+    Dataset (in memory if this run computed it, else its checkpoint),
+    the metrics sink and the out dir."""
     cfg = cfg.resolved()   # fill the cluster-derived partition count
     metrics = MetricsSink(out_dir)
     cfg_json = cfg.to_json()
 
-    # light checkpointing: the cheap edge stages stay in the object
-    # store (materialized once) instead of round-tripping parquet —
-    # signatures/clusters/actions keep full checkpoint+resume.
-    light = cfg.checkpoint_mode == "light"
-    _light_skip = set(EDGE_STAGES)
-    _mem: dict = {}
-    _mem_rows: dict = {}
+    # stages computed in this run: each is materialized once, written
+    # from its blocks and handed to the next stage from the object
+    # store; only a stage an earlier run completed is read from Parquet
+    mem: dict[str, MaterializedDataset] = {}
 
     def persist(ds_, name, schema=None):
-        if light and name in _light_skip:
-            m = ds_.materialize()
-            # coalesce: shuffle stages leave num_partitions(+union)
-            # small blocks; a parquet round-trip would re-block them,
-            # in-memory mode must do it explicitly or every downstream
-            # consumer pays per-tiny-block task overhead
-            import ray as _ray
-            cap = 2 * int(_ray.cluster_resources().get("CPU", 8))
-            if m.num_blocks() > cap:
-                m = m.repartition(cap).materialize()
-            _mem[name] = m
-            _mem_rows[name] = m.count()
-            return m
-        # write_parquet appends: drop a torn or stale earlier write first
+        # clear first: a torn or stale earlier write must not mix in
         ckpt.clear_stage(out_dir, name)
-        return ckpt.write_stage(ds_, out_dir, name, cfg_json, schema=schema)
+        m = ds_.materialize()
+        # shuffle stages leave one small block per partition (plus one
+        # per union input): coalesce, or every downstream consumer and
+        # the write pay a task per tiny block
+        cap = 2 * default_partitions()
+        if m.num_blocks() > cap:
+            m = m.repartition(cap).materialize()
+        ckpt.write_stage(m, out_dir, name, cfg_json, schema=schema)
+        mem[name] = m
+        return m
 
     def rows_of(name):
-        if light and name in _light_skip:
-            return _mem_rows[name]
         return ckpt.read_manifest(out_dir, name)["rows"]
 
     def load(name):
-        if light and name in _light_skip:
-            return _mem[name]
-        return ckpt.read_stage(out_dir, name)
+        return mem[name] if name in mem else ckpt.read_stage(out_dir, name)
 
     def complete(name):
-        if light and name in _light_skip:
-            return False
         return resume and ckpt.is_complete(out_dir, name)
 
     # -- signatures (the expensive stage: resumable mid-stage) --
-    if not (resume and ckpt.is_complete(out_dir, "signatures")):
+    if not complete("signatures"):
         with StageTimer(metrics, "signatures") as t:
             files = read_files(input_paths, langs=langs,
                                exclude_path_prefixes=exclude_path_prefixes)
@@ -153,8 +148,10 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     files, done, lambda b: b["file_id"])
                 files = files.map_batches(lambda b: b.drop_columns(["file_id"]),
                                           batch_format="pyarrow")
-            sigs = ckpt.write_stage(compute_signatures(files, cfg), out_dir,
-                                    "signatures", cfg_json)
+            # streamed, not materialized: a killed scan keeps the parts
+            # written so far for the anti-join above
+            ckpt.write_stage(compute_signatures(files, cfg), out_dir,
+                             "signatures", cfg_json)
             t.done(ckpt.read_manifest(out_dir, "signatures")["rows"],
                    resumed_from=len(done), **_fallback_counts(out_dir))
     sigs = ckpt.read_stage(out_dir, "signatures")
@@ -365,7 +362,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     edges = load("edges")
 
     # -- connected components (A2 part 2) --
-    if not (resume and ckpt.is_complete(out_dir, "clusters")):
+    if not complete("clusters"):
         with StageTimer(metrics, "clusters") as t:
             _t0 = _time.monotonic()
             labels = connected_components(edges, cfg, mode=cc_mode)
@@ -406,15 +403,15 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             t.done(rows_of("clusters"), partitions=cfg.num_partitions,
                    cc_s=round(_t_cc, 2),
                    attach_write_s=round(_time.monotonic() - _t0 - _t_cc, 2))
-    clusters = ckpt.read_stage(out_dir, "clusters")
+    clusters = load("clusters")
 
     # -- canonical pick + actions lineage (A4) --
-    if not (resume and ckpt.is_complete(out_dir, "actions")):
+    if not complete("actions"):
         with StageTimer(metrics, "actions") as t:
             acts = canonical_actions(clusters, cfg)
             persist(acts, "actions")
             t.done(rows_of("actions"), partitions=cfg.num_partitions)
-    actions = ckpt.read_stage(out_dir, "actions")
+    actions = load("actions")
 
     return {
         "signatures": sigs, "edges_exact": edges_exact,

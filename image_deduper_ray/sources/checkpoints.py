@@ -25,6 +25,7 @@ import os
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 MANIFEST = "_MANIFEST.json"
 
@@ -61,21 +62,53 @@ def is_complete(root: str, stage: str) -> bool:
     return os.path.exists(os.path.join(stage_dir(root, stage), MANIFEST))
 
 
+@ray.remote
+def _write_part(block, path: str, schema) -> None:
+    """Write one block as one Parquet part, cast to the stage schema."""
+    from ray.data.block import BlockAccessor
+
+    from ..functions.arrow_utils import ensure_schema
+
+    t = ensure_schema(BlockAccessor.for_block(block).to_arrow(), schema)
+    pq.write_table(t.replace_schema_metadata(None), path)
+
+
+def _write_blocks(ds: MaterializedDataset, d: str, schema) -> None:
+    """One plain Ray task per non-empty block writes ``part-NNNNN``;
+    a stage whose every block is empty gets one schema-only part."""
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not refs:
+        refs = [ray.put(schema.empty_table())]
+    ray.get([_write_part.remote(ref, os.path.join(d, f"part-{i:05d}.parquet"),
+                                schema)
+             for i, ref in enumerate(refs)])
+
+
 def write_stage(ds: ray.data.Dataset, root: str, stage: str,
                 config_json: str = "", extra: dict | None = None,
-                schema=None) -> ray.data.Dataset:
-    """Write a stage checkpoint and its manifest; returns a fresh reader
-    over the checkpoint (so downstream stages re-read from Parquet
-    instead of recomputing the lineage)."""
+                schema=None) -> dict:
+    """Write a stage checkpoint, then its manifest; returns the manifest.
+
+    A materialized Dataset is written block by block with plain tasks,
+    no Ray Data job: the caller keeps it and feeds the next stage from
+    memory, so nothing re-reads the parts in the run that wrote them. A
+    lazy Dataset streams through ``write_parquet``, so the parts land as
+    they are produced (a killed ``signatures`` stage keeps them for the
+    resume anti-join). ``schema`` is the caller-declared schema, used
+    when the Dataset reports none (an executed-empty Dataset in Ray
+    2.49)."""
     d = stage_dir(root, stage)
     os.makedirs(d, exist_ok=True)
-    ds.write_parquet(d)
-    if not any(f.endswith(".parquet") for f in os.listdir(d)):
-        # zero-row dataset: persist the schema so readers still work
-        # (prefer the caller-declared schema; an executed-empty Dataset
-        # reports schema() = None in Ray 2.49)
-        pq.write_table((schema or _arrow_schema_of(ds)).empty_table(),
-                       os.path.join(d, "empty-0.parquet"))
+    if isinstance(ds, MaterializedDataset):
+        target = schema if ds.schema() is None else _arrow_schema_of(ds)
+        _write_blocks(ds, d, target.remove_metadata())
+    else:
+        ds.write_parquet(d)
+        if not any(f.endswith(".parquet") for f in os.listdir(d)):
+            # zero-row dataset: persist the schema so readers still work
+            pq.write_table((schema or _arrow_schema_of(ds)).empty_table(),
+                           os.path.join(d, "empty-0.parquet"))
     per_part = {f: int(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows)
                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
     n = sum(per_part.values())
@@ -88,7 +121,7 @@ def write_stage(ds: ray.data.Dataset, root: str, stage: str,
     with open(tmp, "w") as fh:
         json.dump(manifest, fh)
     os.replace(tmp, os.path.join(d, MANIFEST))  # atomic 'done' marker
-    return read_stage(root, stage)
+    return manifest
 
 
 def read_stage(root: str, stage: str, columns: list[str] | None = None) -> ray.data.Dataset:

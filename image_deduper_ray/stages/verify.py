@@ -22,6 +22,11 @@ import ray.data
 
 from ..config import DedupConfig
 
+# pair rows per scoring batch: each batch gathers two (n, num_perms)
+# uint64 signature matrices, so whole materialized blocks (~70k pairs)
+# would cost ~150 MB per worker
+SCORE_BATCH_ROWS = 4096
+
 
 def _sig_of(batch_col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray:
     """(n, P) uint64 view of a packed-minhash column. fixed_size_binary
@@ -228,7 +233,8 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                                                  pa.string())})
 
         return pairs.map_batches(score, batch_format="pyarrow",
-                                 zero_copy_batch=True)
+                                 zero_copy_batch=True,
+                                 batch_size=SCORE_BATCH_ROWS)
 
     joined = attach_signatures(pairs, sigs, cfg)
     return joined.map_batches(ScorePairs(cfg), batch_format="pyarrow",

@@ -16,7 +16,7 @@ import shutil
 import pytest
 
 from image_deduper_ray.corpus import generate_corpus, write_corpus
-from image_deduper_ray.pipelines.dedup import run_pipeline
+from image_deduper_ray.pipelines.dedup import STAGES, run_pipeline
 from image_deduper_ray.pipelines.oracle import (dup_pair_recall, oracle_pairs,
                                                 oracle_signatures)
 
@@ -233,23 +233,6 @@ def test_join_verify_path_recall(tmp_path):
     assert dup_pair_recall(engine, ref_pairs) >= 0.99
 
 
-def test_light_checkpoint_mode_same_clusters(tmp_path, corpus_run):
-    """checkpoint_mode='light' (edge stages stay in the object store)
-    must produce exactly the clusters of the full-checkpoint run; only
-    signatures/clusters/actions appear on disk."""
-    from image_deduper_ray.config import DedupConfig
-
-    cfg = DedupConfig(checkpoint_mode="light")
-    data_dir, _out_dir, full, _table, _exp = corpus_run
-    out2 = str(tmp_path / "light_out")
-    res = run_pipeline(data_dir, out2, cfg)
-    light_clusters = _engine_clusters(res)
-    assert light_clusters == _engine_clusters(full)
-    present = set(os.listdir(out2))
-    assert {"signatures", "clusters", "actions"} <= present
-    assert not ({"pairs", "verified", "edges"} & present)
-
-
 @pytest.mark.parametrize("case", ["torn_clusters", "force_rescan"])
 def test_rewritten_stage_replaces_old_parts(corpus_run, tmp_path, case):
     """A stage written again must replace its earlier parts, not append
@@ -268,6 +251,100 @@ def test_rewritten_stage_replaces_old_parts(corpus_run, tmp_path, case):
     for stage in ["signatures", "clusters", "actions"]:
         assert res[stage].count() == table.num_rows, stage
     assert _engine_clusters(res) == _engine_clusters(full)
+
+
+def test_fresh_scan_reads_back_only_signatures(corpus_run, tmp_path,
+                                               monkeypatch):
+    """Every stage after ``signatures`` is fed to the next one from
+    memory: a fresh scan reads one checkpoint back, the streamed
+    ``signatures`` stage, although it writes all nine."""
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    read = []
+    real = ckpt.read_stage
+
+    def counting(root, stage, *args, **kwargs):
+        read.append(stage)
+        return real(root, stage, *args, **kwargs)
+
+    monkeypatch.setattr(ckpt, "read_stage", counting)
+    d, _, _, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    run_pipeline(d, out2)
+    assert read == ["signatures"]
+    assert all(ckpt.is_complete(out2, stage) for stage in STAGES)
+
+
+@pytest.mark.parametrize("stage", STAGES[1:])
+def test_resume_from_each_kill_point(corpus_run, tmp_path, stage):
+    """A scan killed before ``stage`` completed (its manifest and every
+    later one missing, their parts left behind) resumes to the fresh
+    partition and the same manifest rows: the stages before it load
+    from Parquet, the rest run again and stay in memory."""
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    d, out_dir, full, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out_dir, out2)
+    for later in STAGES[STAGES.index(stage):]:
+        os.remove(os.path.join(out2, later, ckpt.MANIFEST))
+    res = run_pipeline(d, out2)
+    assert _engine_clusters(res) == _engine_clusters(full)
+    for s in STAGES:
+        assert (ckpt.read_manifest(out2, s)["rows"]
+                == ckpt.read_manifest(out_dir, s)["rows"]), s
+
+
+def _check_manifest_matches_parts(out_dir: str) -> dict[str, int]:
+    """Assert that each stage's manifest ``rows`` and ``partitions``
+    equal its parts' row counts and that its parts share one schema;
+    returns the rows per stage."""
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    rows = {}
+    for stage in STAGES:
+        d = os.path.join(out_dir, stage)
+        m = ckpt.read_manifest(out_dir, stage)
+        parts = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+        counts = {f: pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
+                  for f in parts}
+        assert m["partitions"] == counts, stage
+        assert m["rows"] == sum(counts.values()), stage
+        schemas = [pq.read_schema(os.path.join(d, f)).remove_metadata()
+                   for f in parts]
+        assert all(sch.equals(schemas[0]) for sch in schemas), stage
+        rows[stage] = m["rows"]
+    return rows
+
+
+def test_manifest_matches_parts(corpus_run):
+    _, out_dir, _, _, _ = corpus_run
+    assert all(_check_manifest_matches_parts(out_dir).values())
+
+
+def test_zero_row_stage_has_a_readable_part(tmp_path):
+    """Three unrelated files give empty edge stages; each still holds
+    one part with its schema, readable by a Ray read."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    table, _ = generate_corpus(N_CLUSTERS)
+    solo = table.filter(pc.starts_with(table["repo"], "solo")).slice(0, 3)
+    os.makedirs(tmp_path / "corpus")
+    pq.write_table(solo, str(tmp_path / "corpus" / "part-00000.parquet"))
+    out2 = str(tmp_path / "out")
+    run_pipeline(str(tmp_path / "corpus"), out2)
+    rows = _check_manifest_matches_parts(out2)
+    assert rows["clusters"] == 3 and rows["edges"] == 0
+    for stage in (s for s, n in rows.items() if n == 0):
+        assert len(ckpt.read_manifest(out2, stage)["partitions"]) == 1, stage
+        ds = ckpt.read_stage(out2, stage)
+        assert ds.count() == 0, stage
+        assert {"a", "b"} <= set(ds.schema().names), stage
 
 
 def test_stats_reports_every_checkpointed_stage(corpus_run, capsys):
@@ -411,7 +488,7 @@ try:
     from ray.data import DataContext
 
     from image_deduper_ray.corpus import write_corpus
-    from image_deduper_ray.pipelines.dedup import run_pipeline
+    from image_deduper_ray.pipelines.dedup import STAGES, run_pipeline
 
     DataContext.get_current().enable_progress_bars = False
     d, _ = write_corpus(sys.argv[1], n_clusters=10)
