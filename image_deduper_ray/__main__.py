@@ -34,39 +34,29 @@ def _load_config(args) -> "DedupConfig":
 
 
 def cmd_scan(args) -> int:
+    import pyarrow.compute as pc
     import ray
 
+    cfg = _load_config(args)        # a bad config fails before Ray starts
     started = False
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
                  include_dashboard=False, logging_level="ERROR")
         started = True
     from .pipelines.dedup import run_pipeline
+    from .sources import checkpoints as ckpt
 
-    cfg = _load_config(args)
-    res = run_pipeline(args.input, args.out, cfg,
-                       resume=not args.force_rescan,
-                       langs=args.langs.split(",") if args.langs else None,
-                       exclude_path_prefixes=(args.exclude.split(",")
-                                              if args.exclude else None))
-    # distinct-cluster count stays distributed (hash-partitioned
-    # drop_duplicates, then a count of the tiny result) — a full
-    # to_pandas() here would materialize the whole clusters table on
-    # the driver, an OOM at 10^9 files on a pure reporting path
-    import pyarrow as pa
-
-    from .functions.groups import partitioned_group_map
-
-    distinct = partitioned_group_map(
-        res["clusters"].map_batches(
-            lambda t: t.select(["cluster_id"]), batch_format="pyarrow",
-            zero_copy_batch=True),
-        ["cluster_id"],
-        lambda df: df.drop_duplicates(["cluster_id"]),
-        None, out_schema=pa.schema([("cluster_id", pa.string())]))
-    n_clusters = distinct.count()
-    n_files = res["clusters"].count()
-    print(json.dumps({"files": n_files, "clusters": int(n_clusters),
+    run_pipeline(args.input, args.out, cfg,
+                 resume=not args.force_rescan,
+                 langs=args.langs.split(",") if args.langs else None,
+                 exclude_path_prefixes=(args.exclude.split(",")
+                                        if args.exclude else None))
+    # the summary runs no Ray job: files from the clusters manifest,
+    # clusters as the keep rows of the actions parts (one per cluster)
+    n_files = ckpt.read_manifest(args.out, "clusters")["rows"]
+    n_clusters = sum(pc.sum(pc.equal(t["role"], "keep")).as_py() or 0
+                     for t in ckpt.part_columns(args.out, "actions", ["role"]))
+    print(json.dumps({"files": n_files, "clusters": n_clusters,
                       "out": args.out}))
     if started:                     # never tear down a caller's session
         ray.shutdown()

@@ -10,6 +10,16 @@ the shingle / signature / LSH / threshold / canonical-pick knobs here.
 A frozen dataclass: every stage receives it explicitly (task
 arguments) — no globals, so runs are deterministic and resumable
 (SURVEY.md §2.8, §7.4).
+
+Every field is set by a Tier-1 test or a CLI flag. Tuning values that
+nothing varies are module constants next to their only reader:
+``stages/lsh.CONTAINMENT_PERMS``, ``CONTAINMENT_ROWS``,
+``CONTAINMENT_MIN_BAND_HITS`` and ``HOT_SAMPLE_K``,
+``stages/verify.CONTAINMENT_EST_JACCARD_MIN`` and
+``stages/signatures.MAX_CONTENT_BYTES``. Each stage manifest stores
+``to_json()``, so adding or removing a field changes that JSON; a
+config dict (or ``scan --config`` file) naming an unknown field raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -32,30 +42,6 @@ class DedupConfig:
     bucket_cap: int = 64        # max members per bucket before salting kicks in
     salt_window: int = 8        # pair window inside oversized sub-buckets
 
-    # --- containment (suffix-array substring pass) candidate bands ---
-    # first containment_perms perms grouped into r=containment_rows
-    # bands: per-band collision prob for a pair at Jaccard J is J^r, so
-    # r=2 suppresses low-J boilerplate noise ~J-fold while catching
-    # moderate containment (J >= ~0.4 at 16 bands w.h.p.)
-    containment_perms: int = 32
-    containment_rows: int = 2
-    # containment candidates must clear this estimated Jaccard before
-    # the (content-joining) substring pass: real containment of ratio r
-    # has J ~= r, while shared-boilerplate noise sits near 0. Pairs
-    # below it are rejects. NOTE the effective reach: this floor is the
-    # verification gate, but the BAND-HIT gate below dominates — with 16
-    # r=2 bands a pair at J=0.15 collides in >=2 bands w.p. only ~0.6%
-    # (per-band hit ~J^2), so containment is reliably surfaced from
-    # J >~ 0.4-0.5 downward-tapering, NOT from 0.15. Tiny-in-huge
-    # containment (J below the band-hit reach) is out of signature
-    # reach by construction — documented limitation; lower
-    # containment_min_band_hits to 1 (and accept the noise) or raise
-    # containment_perms if low-J reach is required.
-    containment_est_jaccard_min: float = 0.15
-    # containment-only pairs must agree in this many bands (noise hits
-    # one band w.p. ~16*J^2, two w.p. ~120*J^4 — a 50x gate at J~0.05)
-    containment_min_band_hits: int = 2
-
     # --- verification ---
     jaccard_threshold: float = 0.8   # analog of phash_threshold=90 (config.rs:105)
 
@@ -65,9 +51,6 @@ class DedupConfig:
     # containment joins, CC, canonical pick): None = one per cluster
     # CPU, filled by resolved() (functions/groups.default_partitions)
     num_partitions: int | None = None
-    hot_sample_k: int = 16           # hot-bucket counting samples 1/k of rows
-    max_content_bytes: int = 262144  # rows larger than this use the windowed signature path (M6/M7)
-    cc_max_rounds: int = 50          # label-propagation round cap
     # containment-verify broadcasts the candidate contents (zero
     # shuffles) while their total size stays under this; partitioned
     # joins past it
@@ -98,21 +81,11 @@ class DedupConfig:
         ("cpp", 30.0), ("c", 20.0), ("rs", 20.0), ("java", 15.0),
         ("ts", 10.0), ("js", 10.0))
 
-    # --- fast-signature mode (analog of ultra_fast_phash,
-    #     core.rs:158-199: strided sampling instead of the full pass) ---
-    # keep every k-th shingle (post-sort): k=1 is exact; k>1 trades
-    # recall resolution for k-fold less MinHash work on huge rows
-    shingle_stride: int = 1
-
     def __post_init__(self) -> None:
         if self.lsh_bands * self.lsh_rows != self.num_perms:
             raise ValueError(
                 f"lsh_bands*lsh_rows ({self.lsh_bands}*{self.lsh_rows}) != num_perms ({self.num_perms})"
             )
-        if self.containment_perms > self.num_perms:
-            raise ValueError("containment_perms > num_perms")
-        if self.containment_perms % self.containment_rows != 0:
-            raise ValueError("containment_perms % containment_rows != 0")
 
     def resolved(self) -> "DedupConfig":
         """Fill the cluster-derived partition count — called at pipeline

@@ -12,7 +12,7 @@ resize_*, rotate_5/10). Families map per FIXTURES.md:
   rotate    -> identifier rename 5%/10% of tokens     (monotone distance)
   corrupted -> junk-prefix twin (BOM/NULs)            (normalizer recovers)
   zero-size -> empty content                          (validator drop)
-  oversized -> >> max_content_bytes                   (windowed path)
+  oversized -> >> MAX_CONTENT_BYTES                   (windowed path)
   contain   -> file A verbatim inside larger file B   (substring pass)
   singleton -> unique content                         (precision guard)
   binary    -> NUL-laden content                      (fallback signature)

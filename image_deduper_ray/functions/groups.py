@@ -20,8 +20,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-_PK = "__pk"
-
 
 def _cluster_cpus() -> int:
     import ray
@@ -137,47 +135,30 @@ def _manual_shuffle(ds: ray.data.Dataset, key_cols: list[str], block_fn,
 
 def partitioned_group_map(ds: ray.data.Dataset, key_cols: list[str],
                           block_fn, num_partitions: int | None,
-                          out_schema: pa.Schema | None = None) -> ray.data.Dataset:
+                          out_schema: pa.Schema) -> ray.data.Dataset:
     """Hash-partition ``ds`` on ``key_cols`` and apply ``block_fn``
     (pandas DataFrame -> pandas DataFrame) once per partition. The block
     function sees every row of every key assigned to its partition and
     is responsible for its own group segmentation (sort + boundaries).
     ``num_partitions=None`` derives from cluster CPU count.
 
-    With ``out_schema`` given (every hot path) the shuffle runs on raw
-    Ray tasks (``_manual_shuffle``) — Ray Data's sort-based groupby
-    costs ~9 s serial overhead per shuffle at bench scale. Without a
-    schema the legacy groupby path is kept (output schema of an empty
-    partition would be unknowable)."""
+    The shuffle runs on raw Ray tasks (``_manual_shuffle``) — Ray
+    Data's sort-based groupby costs ~9 s serial overhead per shuffle at
+    bench scale. ``out_schema`` types every partition's output, an
+    empty one included."""
     num_partitions = max(2, num_partitions or default_partitions())
-
-    if out_schema is not None:
-        return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
-                               out_schema, as_pandas=True)
-
-    def add_pk(t: pa.Table) -> pa.Table:
-        pk = (_key_hash(t, key_cols) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column(_PK, pa.array(pk))
-
-    def run_block(df: pd.DataFrame) -> pd.DataFrame:
-        return block_fn(df.drop(columns=[_PK]))
-
-    return (ds.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(_PK).map_groups(run_block, batch_format="pandas"))
+    return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
+                           out_schema, as_pandas=True)
 
 
 def partitioned_group_map_arrow(ds: ray.data.Dataset, key_cols: list[str],
                                 block_fn, num_partitions: int | None,
-                                out_schema: pa.Schema | None = None
-                                ) -> ray.data.Dataset:
+                                out_schema: pa.Schema) -> ray.data.Dataset:
     """``partitioned_group_map`` with an Arrow block function
     (pa.Table -> pa.Table). Use when the payload carries binary/string
     columns (e.g. 1 KB minhash signatures): the pandas path would turn
     every value into a Python object on both sides of the block call,
-    while Arrow blocks keep them as C buffers end to end. Requires
-    ``out_schema`` (the raw-task shuffle must type empty partitions)."""
-    if out_schema is None:
-        raise ValueError("partitioned_group_map_arrow requires out_schema")
+    while Arrow blocks keep them as C buffers end to end."""
     num_partitions = max(2, num_partitions or default_partitions())
     return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
                            out_schema, as_pandas=False)

@@ -75,23 +75,3 @@ def hamming64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     XOR+count_ones at processing/types.rs:22-31)."""
     v = np.bitwise_xor(x, y)
     return np.unpackbits(v.view(np.uint8)).reshape(len(v), 8 * 8).sum(axis=1)
-
-
-def cross_variant_similarity(sig_a: np.ndarray | None, sig_b: np.ndarray | None,
-                             simhash_a: int, simhash_b: int,
-                             num_perms: int) -> tuple[float, str]:
-    """Cross-variant comparison rule — the analog of the reference's
-    Enhanced<->Standard downgrade (PHash::distance compares only the
-    SHARED 64 bits when the variants differ,
-    /root/reference/crates/image-deduper-core/src/processing/types.rs:34-43).
-
-    Two full MinHash signatures compare at full width (est-Jaccard);
-    if EITHER side carries only the Standard 64-bit SimHash (rows
-    resumed from an older checkpoint schema, or a fallback variant),
-    the comparison downgrades to the shared 64 bits:
-    similarity = 1 - hamming/64. Returns (similarity, basis)."""
-    if sig_a is not None and sig_b is not None \
-            and len(sig_a) == num_perms and len(sig_b) == num_perms:
-        return float(np.mean(sig_a == sig_b)), "minhash"
-    d = bin(int(simhash_a) ^ int(simhash_b)).count("1")
-    return 1.0 - d / 64.0, "simhash64"

@@ -93,7 +93,7 @@ def _fallback_counts(out_dir: str) -> dict[str, int]:
 
 
 def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
-                 resume: bool = True, cc_mode: str = "auto",
+                 resume: bool = True,
                  langs: list[str] | None = None,
                  exclude_path_prefixes: list[str] | None = None) -> dict:
     """Run (or resume) the full dedup pipeline. Returns every stage's
@@ -184,11 +184,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("verified"):
         with StageTimer(metrics, "verified") as t:
             if rows_of("pairs") == 0:
-                v = ray.data.from_arrow(pa.table({
-                    "a": pa.array([], pa.string()),
-                    "b": pa.array([], pa.string()),
-                    "jaccard": pa.array([], pa.float64()),
-                    "verdict": pa.array([], pa.string())}))
+                v = ray.data.from_arrow(_VERIFIED_SCHEMA.empty_table())
             else:
                 v = verify_pairs(
                     pairs, sigs, cfg,
@@ -365,7 +361,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("clusters"):
         with StageTimer(metrics, "clusters") as t:
             _t0 = _time.monotonic()
-            labels = connected_components(edges, cfg, mode=cc_mode)
+            labels = connected_components(edges, cfg)
             _t_cc = _time.monotonic() - _t0
             meta = sigs.select_columns(
                 ["file_id", "repo", "path", "commit", "n_bytes"])

@@ -17,6 +17,7 @@ import pyarrow as pa
 
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions import hashing, minhash as mh, tokenize as tok
+from ..stages.signatures import MAX_CONTENT_BYTES
 
 
 def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dict:
@@ -42,7 +43,7 @@ def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dic
         if n_bytes[i] == 0:
             kinds.append("empty")
             continue
-        body = content[: cfg.max_content_bytes]
+        body = content[:MAX_CONTENT_BYTES]
         tokens = tok.tokenize(body, langs[i])
         if not tokens:
             sh = hashing.fallback_shingles(repos[i], paths[i],
@@ -53,9 +54,6 @@ def oracle_signatures(table: pa.Table, cfg: DedupConfig = DEFAULT_CONFIG) -> dic
             th = np.array([hashing.token_hash64(t) for t in tokens],
                           dtype=np.uint64)
             sh = hashing.shingle_hashes(th, cfg.shingle_k)
-            if cfg.shingle_stride > 1 and len(sh) > cfg.shingle_stride:
-                # identical stride rule to signatures._row_signature
-                sh = sh[:: cfg.shingle_stride]
             sigs[i] = mh.minhash_signature(sh, a, b)
             kinds.append("ok")
 

@@ -10,11 +10,10 @@ only after the data lands — the atomic 'stage done' marker — and resume
 anti-joins the done ``file_id`` set before the expensive signature
 stage.
 
-Scale note: the broadcast anti-join ships the done-key set once via
-``ray.put`` and filters inside ``map_batches`` (no shuffle) — right
-whenever done-keys fit in worker memory (hundreds of millions of 16-byte
-keys). Past that, flip to the partitioned variant: hash-partition both
-sides on ``file_id`` and set-difference per partition (SURVEY.md §2.4 J1).
+Scale note: the anti-join ships the done-key set once via ``ray.put``
+and filters inside ``map_batches`` (no shuffle); it needs the done keys
+to fit in driver and worker memory (hundreds of millions of 32-char
+keys).
 """
 
 from __future__ import annotations
@@ -186,49 +185,3 @@ def anti_join_done(ds: ray.data.Dataset, done_keys: set,
         return batch.filter(keep)
 
     return ds.map_batches(_filter, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def anti_join_done_partitioned(ds: ray.data.Dataset, done: ray.data.Dataset,
-                               key_col: str,
-                               num_partitions: int = 64) -> ray.data.Dataset:
-    """J1 at huge scale: when the done-key set no longer fits in worker
-    memory, hash-partition BOTH sides on the key and set-difference per
-    partition (SURVEY.md §2.4). One shuffle; no broadcast."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-
-    from ..functions.groups import partitioned_group_map
-
-    schema = None
-    try:
-        s = ds.schema()
-        if isinstance(getattr(s, "base_schema", s), pa.Schema):
-            schema = getattr(s, "base_schema", s)
-    except Exception:
-        pass
-
-    left = ds.map_batches(
-        lambda t: t.append_column("__done", pa.array(
-            np.zeros(t.num_rows, dtype=np.int8))),
-        batch_format="pyarrow", zero_copy_batch=True)
-    cols = [f.name for f in schema] if schema else None
-
-    def conform_done(t: pa.Table) -> pa.Table:
-        out = {key_col: t[key_col]}
-        if cols:
-            for c in cols:
-                if c != key_col:
-                    out[c] = pa.nulls(t.num_rows, schema.field(c).type)
-        out["__done"] = pa.array(np.ones(t.num_rows, dtype=np.int8))
-        return pa.table(out)
-
-    right = done.map_batches(conform_done, batch_format="pyarrow")
-
-    def block(df: pd.DataFrame) -> pd.DataFrame:
-        done_keys = set(df.loc[df["__done"] == 1, key_col])
-        keep = df[(df["__done"] == 0) & ~df[key_col].isin(done_keys)]
-        return keep.drop(columns=["__done"])
-
-    return partitioned_group_map(left.union(right), [key_col], block,
-                                 num_partitions, out_schema=schema)

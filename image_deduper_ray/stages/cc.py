@@ -7,17 +7,19 @@ become a ``clusters(file_id, cluster_id)`` table with
 ``cluster_id = min(file_id)`` per component (deterministic, so reruns
 and resumes agree — SURVEY.md §7.4).
 
-Two execution paths:
-  - driver union-find when the edge count is provably small
-    (<= cfg.cc_driver_max_edges): the candidate graph after
+Two execution paths, picked by the edge count alone:
+  - driver union-find when the edge count is at most
+    ``cfg.cc_driver_max_edges``: the candidate graph after
     verification is tiny relative to the input, so this is the common
     fast path; edges stream to the driver via iter_batches.
-  - distributed min-label propagation (repeated groupby rounds, cf.
-    PAPERS.md 'connected components in map-reduce in logarithmic
-    rounds'): per round, each node sends its current label to its
-    neighbors (one groupby on node to attach labels to edges), then
-    each node takes the min of incoming labels (second groupby);
-    terminates when a changed-count aggregate hits zero.
+  - distributed min-label propagation past it (repeated shuffle
+    rounds, cf. PAPERS.md 'connected components in map-reduce in
+    logarithmic rounds'): per round, each node sends its current label
+    to its neighbors (one shuffle on node to attach labels to edges),
+    then each node takes the min of incoming labels (second shuffle).
+    A label moves one hop per round, so a component needs up to as
+    many rounds as its diameter; the loop runs until no label changes,
+    with no round cap.
 """
 
 from __future__ import annotations
@@ -89,9 +91,10 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
     """Min-label propagation with partition-level blocks: per round, one
     shuffle keyed on node to attach labels to outgoing edges (pandas
     C-speed merge per partition), one shuffle keyed on receiving node to
-    take the min (vectorized segment-min per partition). Terminates on a
-    changed-count aggregate of zero; log-rounds expected (PAPERS.md
-    map-reduce CC). Node type (string/int64) follows the edge schema."""
+    take the min (vectorized segment-min per partition). Runs until a
+    round changes no label (one round per hop from each node to its
+    component's min node), so it never stops on a split component. Node type
+    (string/int64) follows the edge schema."""
     import pyarrow as pa
 
     from ..functions.groups import group_starts, partitioned_group_map
@@ -155,7 +158,7 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
             "key": node[new], "label": best,
             "changed": (best != old).astype(np.int64)})
 
-    for _round in range(cfg.cc_max_rounds):
+    while True:
         lab_rows = labels.map_batches(
             lambda t: pa.table({"key": t["key"], "label": t["label"],
                                 "neigh": pa.nulls(t.num_rows, nt)}),
@@ -169,25 +172,24 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
                                      block_msgs, P, out_schema=msg_schema)
         new_labels = partitioned_group_map(msgs, ["node"], block_reduce, P,
                                            out_schema=lab_schema).materialize()
+        # None on an empty graph: nothing to change either
         changed = new_labels.sum("changed")
         labels = new_labels.select_columns(["key", "label"])
-        if changed == 0:
+        if not changed:
             break
     return labels.map_batches(
         lambda t: t.rename_columns(["file_id", "cluster_id"]),
         batch_format="pyarrow")
 
 
-def connected_components(edges: ray.data.Dataset, cfg: DedupConfig,
-                         mode: str = "auto") -> ray.data.Dataset:
+def connected_components(edges: ray.data.Dataset,
+                         cfg: DedupConfig) -> ray.data.Dataset:
     """-> clusters(file_id, cluster_id) covering every node that appears
     in an edge. Nodes with no edges are absent (the pipeline assigns
-    them singleton clusters via a left join)."""
+    them singleton clusters via a left join). Union-find on the driver
+    up to ``cfg.cc_driver_max_edges`` edges, label propagation past it."""
     cfg = cfg.resolved()
-    if mode == "auto":
-        n_edges = edges.count()
-        mode = "driver" if n_edges <= cfg.cc_driver_max_edges else "distributed"
-    if mode == "driver":
+    if edges.count() <= cfg.cc_driver_max_edges:
         df = _driver_union_find(
             edges.select_columns(["a", "b"]).iter_batches(
                 batch_size=65536, batch_format="pyarrow"))

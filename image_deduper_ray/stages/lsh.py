@@ -17,7 +17,7 @@ Skew (vendored/boilerplate code — the north rule's explicit case):
 buckets are Zipf-skewed, and pair-gen is quadratic in bucket size. Two
 passes make the salting explicit and bounded:
 
-  pass 1: SAMPLED partial bucket counts (1/hot_sample_k of rows) ->
+  pass 1: SAMPLED partial bucket counts (1/HOT_SAMPLE_K of rows) ->
           small groupby-sum -> keys estimated over bucket_cap become
           the HOT set {key: n_sub}, broadcast once via ray.put.
           Mega-buckets are found w.h.p.; a marginal miss is harmless
@@ -34,19 +34,23 @@ rows are collapsed to one representative upstream
 (stages/verify.signature_representatives).
 
 Containment candidates (for the suffix-array substring pass) ride the
-same machinery as r=``containment_rows`` bands over the first
-``containment_perms`` permutation values: if file A is contained in
+same machinery as r=``CONTAINMENT_ROWS`` bands over the first
+``CONTAINMENT_PERMS`` permutation values: if file A is contained in
 file B, each perm's min over B's shingles equals A's with probability
 |A|/|B∪A| = J, so a band of r perms collides with probability J^r.
-r=2 (default) trades the lowest-J reach for ~J-fold suppression of
+r=2 trades the lowest-J reach for ~J-fold suppression of
 shared-boilerplate noise; hot containment buckets are additionally
-dropped outright (df-pruning), and candidates must clear
-``containment_est_jaccard_min`` in verification before the
-content-joining substring pass.
+dropped outright (df-pruning), a pair seen only by containment bands
+must hit ``CONTAINMENT_MIN_BAND_HITS`` of them, and candidates must
+clear ``verify.CONTAINMENT_EST_JACCARD_MIN`` in verification before
+the content-joining substring pass. Reach: with 16 r=2 bands a pair at
+J=0.15 collides in two bands w.p. only ~0.6% (per-band hit ~J^2), so
+containment is reliably surfaced from J >~ 0.4-0.5 downward-tapering;
+tiny-in-huge containment below that is out of signature reach by
+construction.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 import pandas as pd
@@ -58,6 +62,15 @@ from ..config import DedupConfig
 
 _BAND_MULT = np.uint64(0x9E3779B97F4A7C15)
 CONTAINMENT_BAND_BASE = 1000  # band_ids >= this are containment bands
+# containment bands: the first CONTAINMENT_PERMS perms in bands of
+# CONTAINMENT_ROWS rows (16 bands)
+CONTAINMENT_PERMS = 32
+CONTAINMENT_ROWS = 2
+# a pair seen only by containment bands must agree in this many (noise
+# hits one band w.p. ~16*J^2, two w.p. ~120*J^4: a 50x gate at J~0.05)
+CONTAINMENT_MIN_BAND_HITS = 2
+# the hot-bucket counting pass samples 1/HOT_SAMPLE_K of the rows
+HOT_SAMPLE_K = 16
 
 
 def _combo(band_id: np.ndarray, band_key_i64: np.ndarray) -> np.ndarray:
@@ -129,9 +142,11 @@ class ExplodeBands:
     (never a ray.put dict, which is stored pickled and re-unpickled by
     every worker)."""
 
-    def __init__(self, config: DedupConfig, hot_ref=None, include_containment: bool = True):
+    def __init__(self, config: DedupConfig, hot_ref=None):
+        if config.num_perms < CONTAINMENT_PERMS:
+            raise ValueError(f"num_perms ({config.num_perms}) < "
+                             f"CONTAINMENT_PERMS ({CONTAINMENT_PERMS})")
         self.cfg = config
-        self.include_containment = include_containment
         if hot_ref is not None:
             self._hot_combos, self._hot_nsub = ray.get(hot_ref)
         else:
@@ -155,17 +170,15 @@ class ExplodeBands:
         simhash = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.int64)
 
         bk = _band_keys(sigs, cfg.lsh_bands, cfg.lsh_rows)          # (n, b)
-        band_ids = [np.repeat(np.arange(cfg.lsh_bands, dtype=np.int32)[None, :], n, axis=0)]
-        band_keys = [bk]
-        if self.include_containment and cfg.containment_perms > 0:
-            cp, cr = cfg.containment_perms, cfg.containment_rows
-            ncb = cp // cr
-            cb = _band_keys(sigs[:, :cp].copy(), ncb, cr)            # (n, ncb)
-            band_ids.append(np.repeat(
-                (CONTAINMENT_BAND_BASE + np.arange(ncb, dtype=np.int32))[None, :], n, axis=0))
-            band_keys.append(cb)
-        bid = np.concatenate(band_ids, axis=1)                       # (n, B)
-        bkey = np.concatenate(band_keys, axis=1)
+        ncb = CONTAINMENT_PERMS // CONTAINMENT_ROWS
+        cb = _band_keys(sigs[:, :CONTAINMENT_PERMS].copy(), ncb,
+                        CONTAINMENT_ROWS)                            # (n, ncb)
+        bid = np.concatenate([
+            np.repeat(np.arange(cfg.lsh_bands, dtype=np.int32)[None, :], n, axis=0),
+            np.repeat((CONTAINMENT_BAND_BASE
+                       + np.arange(ncb, dtype=np.int32))[None, :], n, axis=0)],
+            axis=1)                                                  # (n, B)
+        bkey = np.concatenate([bk, cb], axis=1)
         B = bid.shape[1]
         flat_bid = bid.reshape(-1)
         flat_bkey = bkey.reshape(-1)
@@ -199,8 +212,8 @@ class PartialBucketCounts:
     groupby-sum shuffles one row per distinct key per batch, not one row
     per (file, band)."""
 
-    def __init__(self, config: DedupConfig, include_containment: bool = True):
-        self.explode = ExplodeBands(config, None, include_containment)
+    def __init__(self, config: DedupConfig):
+        self.explode = ExplodeBands(config)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = self.explode(batch)
@@ -215,24 +228,21 @@ class PartialBucketCounts:
                          "partial": pa.array(counts.astype(np.int64))})
 
 
-def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig,
-                     include_containment: bool = True):
+def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
     """Pass 1: returns a ray.put ObjectRef of the hot-bucket table —
     a pre-sorted (combo uint64 array, n_sub int64 array) pair for
     buckets whose total count exceeds bucket_cap (numpy broadcasts
     zero-copy through plasma; a dict would re-unpickle per worker).
 
-    Counts on a deterministic 1/sample_k row sample (hash(file_id)
+    Counts on a deterministic 1/HOT_SAMPLE_K row sample (hash(file_id)
     selector): mega-buckets — the ones salting exists for — are found
     w.h.p., and a marginally-hot bucket that slips through is harmless
     because the pair-gen block windows any over-cap sub-bucket anyway.
-    This keeps the counting shuffle at 1/sample_k of the band volume."""
-    k = max(1, cfg.hot_sample_k)
+    This keeps the counting shuffle at 1/HOT_SAMPLE_K of the band volume."""
+    k = HOT_SAMPLE_K
     threshold = max(2.0, cfg.bucket_cap / k)
 
     def sample(t: pa.Table) -> pa.Table:
-        if k == 1:
-            return t
         # vectorized deterministic selector (same fixed-width hex trick
         # as _salt_for) — no per-row int(f[-4:], 16)
         sel = _salt_for(t["file_id"].to_pylist(),
@@ -246,7 +256,7 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig,
     counts = partitioned_sum(
         sigs.map_batches(sample, batch_format="pyarrow",
                          zero_copy_batch=True)
-        .map_batches(PartialBucketCounts(cfg, include_containment),
+        .map_batches(PartialBucketCounts(cfg),
                      batch_format="pyarrow", zero_copy_batch=True),
         ["band_id", "band_key"], "partial", cfg.num_partitions,
         out_schema=pa.schema([("band_id", pa.int32()),
@@ -405,9 +415,7 @@ def _link_reps_block(df: pd.DataFrame) -> pd.DataFrame:
                          "is_cont": np.concatenate(c_out)})
 
 
-def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
-                    include_containment: bool = True,
-                    n_sigs: int | None = None) -> ray.data.Dataset:
+def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     """Full LSH candidate generation: counting pass, salted explode,
     partition-block pair-gen (reducers bounded by salt), representative
     linking (tiny second shuffle), pair dedup, then fid64 -> file_id
@@ -416,16 +424,14 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
 
     Returns distinct pairs (a, b, is_cont) with a < b; ``is_cont`` is
     the max over generating bands, so a pair seen only by containment
-    bands is routed to the substring pass if Jaccard rejects it.
-    ``n_sigs``: known signature row count (skips a counting pass when
-    sizing the resolution broadcast)."""
+    bands is routed to the substring pass if Jaccard rejects it."""
     import pyarrow.compute as pc
 
     from ..functions.groups import partitioned_group_map
 
     cfg = cfg.resolved()
-    hot_ref = find_hot_buckets(sigs, cfg, include_containment)
-    bands = sigs.map_batches(ExplodeBands(cfg, hot_ref, include_containment),
+    hot_ref = find_hot_buckets(sigs, cfg)
+    bands = sigs.map_batches(ExplodeBands(cfg, hot_ref),
                              batch_format="pyarrow", zero_copy_batch=True)
 
     raw_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
@@ -459,11 +465,10 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     # routes a Jaccard-rejected pair to the substring pass. Partitioned
     # block dedup (sort + segment scan) — measurably faster than the
     # generic sort-based aggregate on string pair keys. Pairs seen ONLY
-    # by containment bands must agree in >= containment_min_band_hits
+    # by containment bands must agree in >= CONTAINMENT_MIN_BAND_HITS
     # bands: at band collision prob J^r a real containment pair (J >=
     # ~0.5) hits many bands, while a boilerplate-noise pair almost never
     # hits twice — the cheap pre-verify noise gate.
-    min_hits = cfg.containment_min_band_hits
 
     def dedup_block(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -483,18 +488,18 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
         group_idx = np.cumsum(first, dtype=np.int32) - 1
         counts = np.bincount(group_idx)
         cont_only = c[first] == 1        # min is_cont (sort asc) == 1
-        keep = ~cont_only | (counts >= min_hits)
+        keep = ~cont_only | (counts >= CONTAINMENT_MIN_BAND_HITS)
         return pd.DataFrame({"a": a[last][keep], "b": b[last][keep],
                              "is_cont": c[last][keep]})  # max = last
 
     deduped = partitioned_group_map(all_pairs, ["a", "b"], dedup_block,
                                     cfg.num_partitions,
                                     out_schema=pair_schema)
-    return _resolve_pairs(deduped, sigs, cfg, n_sigs)
+    return _resolve_pairs(deduped, sigs, cfg)
 
 
 def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
-                   cfg: DedupConfig, n_sigs: int | None) -> ray.data.Dataset:
+                   cfg: DedupConfig) -> ray.data.Dataset:
     """fid64 pairs -> file_id pairs.
 
     Broadcast path (fits cfg.verify_broadcast_max_bytes at 40 B/row):
@@ -512,9 +517,7 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
 
     from ..functions.joins import hash_join
 
-    if n_sigs is None:
-        n_sigs = sigs.count()
-    if n_sigs * 48 <= cfg.verify_broadcast_max_bytes:
+    if sigs.count() * 48 <= cfg.verify_broadcast_max_bytes:
         @ray.remote
         def _pack(block):
             t = block if isinstance(block, pa.Table) \

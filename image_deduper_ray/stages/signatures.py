@@ -36,6 +36,11 @@ import pyarrow as pa
 from ..config import DedupConfig
 from ..functions import hashing, minhash as mh, tokenize as tok
 
+# rows longer than this (in characters) are signed over their first
+# MAX_CONTENT_BYTES characters only: the windowed path (M6/M7); the
+# oracle applies the same window
+MAX_CONTENT_BYTES = 262144
+
 
 def _fallback(repo: str, path: str, n_bytes: int, a: np.ndarray,
               b: np.ndarray, error: str) -> tuple:
@@ -56,20 +61,13 @@ def _row_signature(repo: str, path: str, lang: str, content: str,
     if n_bytes == 0:
         return (np.zeros(cfg.num_perms, np.uint64), 0, 0, 0, "empty", "")
     t0 = time.monotonic()
-    if len(content) > cfg.max_content_bytes:
-        # windowed path (M6/M7): signature over the deterministic
-        # prefix window instead of the full body.
-        content = content[: cfg.max_content_bytes]
+    content = content[:MAX_CONTENT_BYTES]
     tokens = tok.tokenize(content, lang)
     if not tokens:
         return _fallback(repo, path, n_bytes, a, b,
                          "binary-or-empty-after-normalize")
     th = token_cache.hash_tokens(tokens)
     shingles = hashing.shingle_hashes(th, cfg.shingle_k)
-    if cfg.shingle_stride > 1 and len(shingles) > cfg.shingle_stride:
-        # fast mode (ultra_fast_phash analog, core.rs:158-199):
-        # strided sample of the sorted shingle set
-        shingles = shingles[:: cfg.shingle_stride]
     sig = mh.minhash_signature(shingles, a, b)
     simh = mh.simhash64(shingles)
     if time.monotonic() - t0 > budget_s:

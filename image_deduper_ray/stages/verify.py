@@ -3,10 +3,14 @@
 J4 in SURVEY.md §2.4: the reference's intended pair check is
 ``PHash::is_similar`` distance <= threshold
 (/root/reference/crates/image-deduper-core/src/processing/types.rs:47-58).
-Here: candidate pairs (a, b) are hash-joined with the signatures table
-twice (``Dataset.join``, hash-partitioned on the key — the scale-safe
-alternative to broadcasting every signature), then estimated Jaccard =
-mean(sig_a == sig_b) is computed vectorized per batch and thresholded.
+Here: estimated Jaccard = mean(sig_a == sig_b), computed vectorized
+per batch of candidate pairs (a, b). The signature matrix is broadcast
+once while it fits ``verify_broadcast_max_bytes``; past it the pairs
+are hash-joined with the signatures table twice
+(``score_joined_pairs``). Both scorers share one verdict rule
+(``_verdicts``): ``near_dup`` at ``jaccard_threshold``, else
+``containment_cand`` for a containment-band pair at or above
+``CONTAINMENT_EST_JACCARD_MIN``, else ``reject``.
 
 Exact dedup (A1, the commented-out ``_find_duplicate_images`` at
 src/deduplication/mod.rs:8-32): groupby(sha256), emit (first, other)
@@ -21,6 +25,16 @@ import pyarrow as pa
 import ray.data
 
 from ..config import DedupConfig
+
+# containment candidates must clear this estimated Jaccard before the
+# (content-joining) substring pass: real containment of ratio r has
+# J ~= r, while shared-boilerplate noise sits near 0. The band-hit gate
+# in stages/lsh dominates the reach (see its module docstring).
+CONTAINMENT_EST_JACCARD_MIN = 0.15
+
+_VERIFIED_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string()),
+                              ("jaccard", pa.float64()),
+                              ("verdict", pa.string())])
 
 # pair rows per scoring batch: each batch gathers two (n, num_perms)
 # uint64 signature matrices, so whole materialized blocks (~70k pairs)
@@ -46,81 +60,54 @@ def _sig_of(batch_col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray
 
 def attach_signatures(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                       cfg: DedupConfig) -> ray.data.Dataset:
-    """pairs(a, b, ...) -> + minhash_a, minhash_b via two partitioned
-    hash joins (functions/joins.py)."""
+    """pairs(a, b, is_cont) -> + minhash_a, minhash_b via two
+    partitioned hash joins (functions/joins.py). Both joins are inner
+    and ``sign_batch`` writes every ``minhash`` non-null, so each
+    joined row carries both signatures."""
     from ..functions.joins import hash_join
 
-    sig_a = sigs.select_columns(["file_id", "minhash", "simhash"]).map_batches(
-        lambda t: t.rename_columns(["file_id", "minhash_a", "simhash_a"]),
+    sig_a = sigs.select_columns(["file_id", "minhash"]).map_batches(
+        lambda t: t.rename_columns(["file_id", "minhash_a"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    sig_b = sigs.select_columns(["file_id", "minhash", "simhash"]).map_batches(
-        lambda t: t.rename_columns(["file_id", "minhash_b", "simhash_b"]),
+    sig_b = sigs.select_columns(["file_id", "minhash"]).map_batches(
+        lambda t: t.rename_columns(["file_id", "minhash_b"]),
         batch_format="pyarrow", zero_copy_batch=True)
     pair_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
                              ("is_cont", pa.int8())])
-    a_fields = pa.schema([("minhash_a", pa.binary()),
-                          ("simhash_a", pa.int64())])
+    a_fields = pa.schema([("minhash_a", pa.binary())])
     j = hash_join(pairs, sig_a, "a", "file_id", pair_schema, a_fields,
                   num_partitions=cfg.num_partitions)
     j = hash_join(j, sig_b, "b", "file_id",
                   pa.schema(list(pair_schema) + list(a_fields)),
-                  pa.schema([("minhash_b", pa.binary()),
-                             ("simhash_b", pa.int64())]),
+                  pa.schema([("minhash_b", pa.binary())]),
                   num_partitions=cfg.num_partitions)
     return j
 
 
-class ScorePairs:
-    """Vectorized est-Jaccard per batch; splits verified near-dup edges
-    from containment candidates that still need the substring pass.
+def _verdicts(batch: pa.Table, jac: np.ndarray,
+              cfg: DedupConfig) -> pa.Table:
+    """(a, b, jaccard, verdict) of one scored pair batch, shared by the
+    broadcast and the join scorer: ``near_dup`` at est-Jaccard >=
+    ``jaccard_threshold``; else ``containment_cand`` for a pair a
+    containment band produced that clears CONTAINMENT_EST_JACCARD_MIN;
+    else ``reject``."""
+    is_cont = batch["is_cont"].to_numpy(zero_copy_only=False)
+    cont_ok = (is_cont == 1) & (jac >= CONTAINMENT_EST_JACCARD_MIN)
+    verdict = np.where(jac >= cfg.jaccard_threshold, "near_dup",
+                       np.where(cont_ok, "containment_cand", "reject"))
+    return pa.table({"a": batch["a"], "b": batch["b"],
+                     "jaccard": pa.array(jac, pa.float64()),
+                     "verdict": pa.array(verdict.tolist(), pa.string())})
 
-    Cross-variant rule (Enhanced<->Standard downgrade,
-    src/processing/types.rs:34-43 analog): a pair where EITHER side is
-    missing its full MinHash (rows resumed from an older checkpoint
-    schema) is compared on the shared 64-bit SimHash instead —
-    similarity = 1 - hamming/64 against the same thresholds."""
 
-    def __init__(self, cfg: DedupConfig):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string()),
-                             "jaccard": pa.array([], pa.float64()),
-                             "verdict": pa.array([], pa.string())})
-        ma, mb = batch["minhash_a"], batch["minhash_b"]
-        have_both = np.asarray(pa.compute.and_(ma.is_valid(), mb.is_valid()))
-        jac = np.zeros(n, dtype=np.float64)
-        if have_both.all():
-            sa = _sig_of(ma, self.cfg.num_perms)
-            sb = _sig_of(mb, self.cfg.num_perms)
-            jac = (sa == sb).mean(axis=1)
-        else:
-            idx = np.flatnonzero(have_both)
-            if len(idx):
-                keep = pa.array(have_both)
-                sa = _sig_of(ma.filter(keep), self.cfg.num_perms)
-                sb = _sig_of(mb.filter(keep), self.cfg.num_perms)
-                jac[idx] = (sa == sb).mean(axis=1)
-            down = np.flatnonzero(~have_both)
-            if len(down):
-                sha = batch["simhash_a"].to_numpy(zero_copy_only=False)
-                shb = batch["simhash_b"].to_numpy(zero_copy_only=False)
-                from ..functions.minhash import hamming64
-                d = hamming64(sha[down].astype(np.int64).view(np.uint64),
-                              shb[down].astype(np.int64).view(np.uint64))
-                jac[down] = 1.0 - d / 64.0
-        is_cont = batch["is_cont"].to_numpy(zero_copy_only=False)
-        # containment candidates must clear a signature floor before the
-        # (content-joining) substring pass — see config.containment_est_jaccard_min
-        cont_ok = (is_cont == 1) & (jac >= self.cfg.containment_est_jaccard_min)
-        verdict = np.where(jac >= self.cfg.jaccard_threshold, "near_dup",
-                           np.where(cont_ok, "containment_cand", "reject"))
-        return pa.table({"a": batch["a"], "b": batch["b"],
-                         "jaccard": pa.array(jac),
-                         "verdict": pa.array(verdict.tolist(), pa.string())})
+def score_joined_pairs(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """``map_batches`` fn of the join path: est-Jaccard of each pair
+    from its two attached signatures, then the shared verdicts."""
+    if batch.num_rows == 0:
+        return _VERIFIED_SCHEMA.empty_table()
+    sa = _sig_of(batch["minhash_a"], cfg.num_perms)
+    sb = _sig_of(batch["minhash_b"], cfg.num_perms)
+    return _verdicts(batch, (sa == sb).mean(axis=1), cfg)
 
 
 def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
@@ -189,7 +176,6 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
         packed = [_pack.remote(r) for r in refs]
         mat_refs = [m for _, m in packed]
         index_ref = _index.remote(*[i for i, _ in packed])
-        tau, cont_min = cfg.jaccard_threshold, cfg.containment_est_jaccard_min
 
         def _gather(parts, part_of, row_of, pos):
             out = np.empty((len(pos), P), np.uint64)
@@ -202,10 +188,7 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
 
         def score(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
-                return pa.table({"a": pa.array([], pa.string()),
-                                 "b": pa.array([], pa.string()),
-                                 "jaccard": pa.array([], pa.float64()),
-                                 "verdict": pa.array([], pa.string())})
+                return _VERIFIED_SCHEMA.empty_table()
             sids, part_of, row_of = ray.get(index_ref)
             parts = ray.get(mat_refs)   # plasma views, zero-copy local
             # direct fixed-width buffer view — no per-value Python str
@@ -222,23 +205,15 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                 sa = _gather(parts, part_of, row_of, pa_)
                 sb = _gather(parts, part_of, row_of, pb_)
                 jac = np.where(ok, (sa == sb).mean(axis=1), 0.0)
-            is_cont = batch["is_cont"].to_numpy(zero_copy_only=False)
-            cont_ok = (is_cont == 1) & (jac >= cont_min)
-            verdict = np.where(jac >= tau, "near_dup",
-                               np.where(cont_ok, "containment_cand",
-                                        "reject"))
-            return pa.table({"a": batch["a"], "b": batch["b"],
-                             "jaccard": pa.array(jac),
-                             "verdict": pa.array(verdict.tolist(),
-                                                 pa.string())})
+            return _verdicts(batch, jac, cfg)
 
         return pairs.map_batches(score, batch_format="pyarrow",
                                  zero_copy_batch=True,
                                  batch_size=SCORE_BATCH_ROWS)
 
     joined = attach_signatures(pairs, sigs, cfg)
-    return joined.map_batches(ScorePairs(cfg), batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return joined.map_batches(score_joined_pairs, fn_kwargs={"cfg": cfg},
+                              batch_format="pyarrow", zero_copy_batch=True)
 
 
 def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig

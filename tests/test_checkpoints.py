@@ -5,8 +5,7 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from image_deduper_ray.sources.checkpoints import (anti_join_done,
-                                                    anti_join_done_partitioned)
+from image_deduper_ray.sources.checkpoints import anti_join_done
 
 
 def _files_ds(n=100):
@@ -21,19 +20,6 @@ def test_broadcast_anti_join():
                          lambda b: b["file_id"].to_pylist()).to_pandas()
     assert len(out) == 50
     assert set(out.file_id).isdisjoint(done)
-
-
-def test_partitioned_anti_join_matches_broadcast():
-    ds = _files_ds(200)
-    done_ids = [f"id{i:04d}" for i in range(0, 200, 3)]
-    done_ds = ray.data.from_arrow(pa.table({
-        "file_id": pa.array(done_ids, pa.string())}))
-    part = anti_join_done_partitioned(ds, done_ds, "file_id",
-                                      num_partitions=8).to_pandas()
-    bc = anti_join_done(_files_ds(200), set(done_ids),
-                        lambda b: b["file_id"].to_pylist()).to_pandas()
-    assert sorted(part.file_id) == sorted(bc.file_id)
-    assert sorted(part.columns) == sorted(bc.columns)
 
 
 def test_manifest_per_partition_lineage(tmp_path):

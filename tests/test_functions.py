@@ -141,37 +141,36 @@ class TestConfig:
         assert DedupConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_cross_variant_downgrade():
-    """Enhanced<->Standard interop (types.rs:34-43 analog): pairs missing
-    a full MinHash on either side compare on the shared 64 SimHash bits,
-    both in the kernel and through ScorePairs."""
+def test_score_joined_pairs_verdicts():
+    """The join-path scorer applies the shared verdict rule: near_dup at
+    est-Jaccard >= jaccard_threshold, containment_cand for a
+    containment-band pair at or above CONTAINMENT_EST_JACCARD_MIN,
+    reject otherwise."""
     import numpy as np
     import pyarrow as pa
     from image_deduper_ray.config import DedupConfig
-    from image_deduper_ray.functions.minhash import cross_variant_similarity
-    from image_deduper_ray.stages.verify import ScorePairs
-
-    sig = np.arange(128, dtype=np.uint64)
-    sim, basis = cross_variant_similarity(sig, sig.copy(), 1, 2, 128)
-    assert (sim, basis) == (1.0, "minhash")
-    sim, basis = cross_variant_similarity(None, sig, 0b1011, 0b0011, 128)
-    assert basis == "simhash64" and abs(sim - (1 - 1 / 64)) < 1e-12
+    from image_deduper_ray.stages.verify import (
+        CONTAINMENT_EST_JACCARD_MIN, score_joined_pairs)
 
     cfg = DedupConfig()
-    full = sig.tobytes()
+    base = np.arange(128, dtype=np.uint64)
+    half = base.copy()
+    half[64:] += np.uint64(1000)          # est-Jaccard 0.5
+    low = base + np.uint64(1000)
+    low[:8] = base[:8]                    # est-Jaccard 1/16
+    assert 1 / 16 < CONTAINMENT_EST_JACCARD_MIN < 0.5
     batch = pa.table({
-        "a": ["x", "x"], "b": ["y", "z"],
-        "is_cont": pa.array([0, 0], pa.int8()),
-        "minhash_a": pa.array([full, None], pa.binary()),
-        "minhash_b": pa.array([full, full], pa.binary()),
-        "simhash_a": pa.array([7, 0b111], pa.int64()),
-        "simhash_b": pa.array([7, 0b101], pa.int64())})
-    out = ScorePairs(cfg)(batch)
-    jac = out["jaccard"].to_pylist()
-    verd = out["verdict"].to_pylist()
-    assert jac[0] == 1.0 and verd[0] == "near_dup"     # full-width match
-    assert abs(jac[1] - (1 - 1 / 64)) < 1e-12          # downgraded pair
-    assert verd[1] == "near_dup"                       # 63/64 >= 0.8
+        "a": ["p", "q", "r", "s"], "b": ["w", "x", "y", "z"],
+        "is_cont": pa.array([0, 1, 0, 1], pa.int8()),
+        "minhash_a": pa.array([base.tobytes()] * 4, pa.binary()),
+        "minhash_b": pa.array([base.tobytes(), half.tobytes(),
+                               half.tobytes(), low.tobytes()], pa.binary())})
+    out = score_joined_pairs(batch, cfg)
+    assert out.column_names == ["a", "b", "jaccard", "verdict"]
+    assert out["jaccard"].to_pylist() == [1.0, 0.5, 0.5, 1 / 16]
+    assert out["verdict"].to_pylist() == [
+        "near_dup", "containment_cand", "reject", "reject"]
+    assert score_joined_pairs(batch.slice(0, 0), cfg).num_rows == 0
 
 
 def test_fid64_collision_expansion():
@@ -198,8 +197,7 @@ def test_fid64_collision_expansion():
 
     for cap in (10**9, 0):   # broadcast path and join path
         cfg = DedupConfig(verify_broadcast_max_bytes=cap)
-        out = _resolve_pairs(pairs64, sigs, cfg.resolved(), n_sigs=3) \
-            .to_pandas()
+        out = _resolve_pairs(pairs64, sigs, cfg.resolved()).to_pandas()
         got = set(zip(out.a, out.b))
         # BOTH routes expand the colliding endpoint to all member ids
         # (the join route via hash_join right_dup="expand") and neither

@@ -157,21 +157,37 @@ def test_salting_preserves_recall(tmp_path):
 
 
 def test_distributed_cc_matches_driver(corpus_run):
-    """Label propagation (distributed path) must produce exactly the
-    driver union-find components."""
-    import ray.data
-
+    """Label propagation (``cc_driver_max_edges=0`` forces it) must
+    produce exactly the driver union-find components."""
     from image_deduper_ray.config import DedupConfig
     from image_deduper_ray.stages.cc import connected_components
 
     _, out_dir, res, _, _ = corpus_run
     edges = res["edges"]
-    cfg = DedupConfig()
-    drv = connected_components(edges, cfg, mode="driver").to_pandas()
-    dist = connected_components(edges, cfg, mode="distributed").to_pandas()
+    drv = connected_components(edges, DedupConfig()).to_pandas()
+    dist = connected_components(
+        edges, DedupConfig(cc_driver_max_edges=0)).to_pandas()
     a = drv.sort_values("file_id").reset_index(drop=True)
     b = dist.sort_values("file_id").reset_index(drop=True)
     assert a.equals(b[["file_id", "cluster_id"]].reset_index(drop=True))
+
+
+def test_label_propagation_runs_until_no_label_changes():
+    """A label moves one hop per round, so a 60-node path needs about
+    60 rounds: label propagation must run until no label changes, not
+    stop at a round cap with the path split into pieces."""
+    import pyarrow as pa
+    import ray.data
+
+    from image_deduper_ray.config import DedupConfig
+    from image_deduper_ray.stages.cc import connected_components
+
+    nodes = [f"n{i:03d}" for i in range(60)]
+    edges = ray.data.from_arrow(pa.table({"a": nodes[:-1], "b": nodes[1:]}))
+    out = connected_components(
+        edges, DedupConfig(cc_driver_max_edges=0)).to_pandas()
+    assert sorted(out.file_id) == nodes
+    assert set(out.cluster_id) == {"n000"}
 
 
 def test_signature_antijoin_resume(corpus_run, tmp_path):
@@ -189,48 +205,35 @@ def test_signature_antijoin_resume(corpus_run, tmp_path):
     assert res2["signatures"].count() == n_before
 
 
-def test_containment_semijoin_fallback_recall(tmp_path):
-    """With cont_max_broadcast_ids=0 the candidate-id prune must flip to
-    the distributed hash semi-join (no driver id set) and still reach
-    full recall."""
+_CAPS = {"verify_broadcast_max_bytes": 0, "cont_broadcast_max_bytes": 0,
+         "cont_max_broadcast_ids": 0, "cc_driver_max_edges": 0}
+
+
+@pytest.mark.parametrize("caps", [{k: v} for k, v in _CAPS.items()]
+                         + [_CAPS], ids=list(_CAPS) + ["all"])
+def test_forced_fallback_gives_fresh_partition(corpus_run, tmp_path, caps):
+    """Each cap at 0 forces its fallback path: the partitioned hash
+    joins of the signature collapse, pair resolution, verification
+    (the join scorer) and the label attach; the partitioned content
+    joins and the hash semi-join of containment; label propagation in
+    place of the driver union-find. Each path, and all four together,
+    must give the fresh scan's partition and the same pair, verdict
+    and edge rows."""
+    import pyarrow.parquet as pq
+
     from image_deduper_ray.config import DedupConfig
 
-    cfg = DedupConfig(cont_max_broadcast_ids=0)
-    d, _ = write_corpus(str(tmp_path / "corpus"), n_clusters=8)
-    res = run_pipeline(d, str(tmp_path / "out"), cfg)
-    engine = _engine_clusters(res)
-    table, _ = generate_corpus(8)
-    ref_pairs = oracle_pairs(oracle_signatures(table, cfg), cfg)
-    assert dup_pair_recall(engine, ref_pairs) >= 0.99
+    d, out_dir, full, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    res = run_pipeline(d, out2, DedupConfig(**caps))
+    assert _engine_clusters(res) == _engine_clusters(full)
 
+    def rows(root, stage):
+        t = pq.read_table(os.path.join(root, stage))
+        return sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
 
-def test_containment_content_join_fallback_recall(tmp_path):
-    """With cont_broadcast_max_bytes=0 the candidate-content broadcast
-    (Arrow-table fast path) must flip to the partitioned content joins
-    and still reach full recall."""
-    from image_deduper_ray.config import DedupConfig
-
-    cfg = DedupConfig(cont_broadcast_max_bytes=0)
-    d, _ = write_corpus(str(tmp_path / "corpus"), n_clusters=8)
-    res = run_pipeline(d, str(tmp_path / "out"), cfg)
-    engine = _engine_clusters(res)
-    table, _ = generate_corpus(8)
-    ref_pairs = oracle_pairs(oracle_signatures(table, cfg), cfg)
-    assert dup_pair_recall(engine, ref_pairs) >= 0.99
-
-
-def test_join_verify_path_recall(tmp_path):
-    """verify_broadcast_max_bytes=0 forces the partitioned hash-join +
-    ScorePairs path (the beyond-broadcast regime) — recall must hold."""
-    from image_deduper_ray.config import DedupConfig
-
-    cfg = DedupConfig(verify_broadcast_max_bytes=0)
-    d, _ = write_corpus(str(tmp_path / "corpus"), n_clusters=8)
-    res = run_pipeline(d, str(tmp_path / "out"), cfg)
-    engine = _engine_clusters(res)
-    table, _ = generate_corpus(8)
-    ref_pairs = oracle_pairs(oracle_signatures(table, cfg), cfg)
-    assert dup_pair_recall(engine, ref_pairs) >= 0.99
+    for stage in ["edges_sig", "pairs", "verified", "edges_cont", "edges"]:
+        assert rows(out2, stage) == rows(out_dir, stage), stage
 
 
 @pytest.mark.parametrize("case", ["torn_clusters", "force_rescan"])
@@ -365,6 +368,87 @@ def test_stats_reports_every_checkpointed_stage(corpus_run, capsys):
     assert got == want
 
 
+def test_metrics_rows_of_each_run_stay_apart(corpus_run, tmp_path):
+    """Every ``run_pipeline`` call writes its metrics rows under its own
+    run_id, and the file names sort in run order: after a resume from
+    the ``clusters`` kill point there are two run_ids, one row per
+    (run_id, stage), and the resumed run's rows sort last."""
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    d, out_dir, _, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out_dir, out2)
+    for stage in ("clusters", "actions"):
+        os.remove(os.path.join(out2, stage, ckpt.MANIFEST))
+    run_pipeline(d, out2)
+    mdir = os.path.join(out2, "metrics")
+    rows = [pq.read_table(os.path.join(mdir, f)).to_pylist()[0]
+            for f in sorted(os.listdir(mdir))]
+    keys = [(r["run_id"], r["stage"]) for r in rows]
+    assert len(keys) == len(set(keys))
+    first, resumed = sorted({r["run_id"] for r in rows})
+    assert keys[-2:] == [(resumed, "clusters"), (resumed, "actions")]
+    # the ``pairs`` row also times ``edges_sig``
+    assert keys[:-2] == [(first, s) for s in STAGES if s != "edges_sig"]
+
+
+def test_canonical_order_picks_the_keep_row():
+    """The default ``canonical_order`` keeps the largest file; the order
+    ("path", "repo", "commit") keeps the first path."""
+    import pyarrow as pa
+    import ray.data
+
+    from image_deduper_ray.config import DedupConfig
+    from image_deduper_ray.stages.canonical import canonical_actions
+
+    members = ray.data.from_arrow(pa.table({
+        "file_id": ["f1", "f2", "f3"], "cluster_id": ["c", "c", "c"],
+        "repo": ["r", "r", "r"], "path": ["b.py", "a.py", "c.py"],
+        "commit": ["x", "x", "x"],
+        "n_bytes": pa.array([10, 20, 30], pa.int64())}))
+
+    def keep(cfg):
+        acts = canonical_actions(members, cfg).to_pandas()
+        assert set(acts.canonical_file_id) == set(acts.file_id[acts.role == "keep"])
+        return acts.file_id[acts.role == "keep"].tolist()
+
+    assert keep(DedupConfig()) == ["f3"]
+    assert keep(DedupConfig(canonical_order=("path", "repo", "commit"))) \
+        == ["f2"]
+
+
+def test_scan_cli_summary_and_config(corpus_run, tmp_path, capsys):
+    """``scan`` passes --threshold and --batch-size into the config the
+    manifests record, and prints ``files`` and ``clusters`` as the
+    checkpoints hold them. A --config file naming an unknown field (a
+    removed one, ``shingle_stride``) fails before any scan."""
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.__main__ import main
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    d, _, full, table, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    assert main(["scan", "--input", d, "--out", out2, "--threshold", "0.8",
+                 "--batch-size", "64"]) == 0
+    got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    clusters = pq.read_table(os.path.join(out2, "clusters"))
+    assert got["files"] == clusters.num_rows == table.num_rows
+    assert got["clusters"] == len(set(clusters["cluster_id"].to_pylist()))
+    assert got["clusters"] == len(set(_engine_clusters(full).values()))
+    cfg = json.loads(ckpt.read_manifest(out2, "signatures")["config"])
+    assert (cfg["sig_batch_size"], cfg["jaccard_threshold"]) == (64, 0.8)
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"shingle_stride": 2}))
+    with pytest.raises(TypeError, match="shingle_stride"):
+        main(["scan", "--input", d, "--out", str(tmp_path / "out_bad"),
+              "--config", str(bad)])
+    assert not os.path.exists(tmp_path / "out_bad")
+
+
 def test_num_partitions_defaults_to_cluster_cpus():
     from image_deduper_ray.config import DedupConfig
 
@@ -431,16 +515,20 @@ def test_row_over_budget_falls_back_in_the_same_call():
 _NO_BUDGET = dict(row_time_budget_s=1e9, row_time_budget_by_lang=())
 
 
-def test_sign_batch_matches_oracle_signatures():
+@pytest.mark.parametrize("sig_cfg", [
+    {}, dict(shingle_k=3, num_perms=64, lsh_bands=16, lsh_rows=4,
+             minhash_seed=7)], ids=["default", "k3-p64-seed7"])
+def test_sign_batch_matches_oracle_signatures(sig_cfg):
     """The task kernel and the oracle sign every row the same: equal
     MinHash, sha256, n_bytes and sig_kind per file_id, so recall is
-    measured at byte-identical semantics."""
+    measured at byte-identical semantics, under the default and a
+    non-default signature config."""
     import numpy as np
 
     from image_deduper_ray.config import DedupConfig
     from image_deduper_ray.stages.signatures import sign_batch
 
-    cfg = DedupConfig(**_NO_BUDGET)
+    cfg = DedupConfig(**_NO_BUDGET, **sig_cfg)
     table, _ = generate_corpus(N_CLUSTERS)
     out = sign_batch(table, cfg)
     ref = oracle_signatures(table, cfg)
