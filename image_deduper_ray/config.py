@@ -16,7 +16,10 @@ nothing varies are module constants next to their only reader:
 ``stages/lsh.CONTAINMENT_PERMS``, ``CONTAINMENT_ROWS``,
 ``CONTAINMENT_MIN_BAND_HITS`` and ``HOT_SAMPLE_K``,
 ``stages/verify.CONTAINMENT_EST_JACCARD_MIN`` and
-``stages/signatures.MAX_CONTENT_BYTES``. Each stage manifest stores
+``stages/signatures.MAX_CONTENT_BYTES``. One byte cap,
+``broadcast_max_bytes``, picks the route of every small-side lookup
+(broadcast or partitioned hash join) and ``cc_driver_max_edges`` the
+CC path. Each stage manifest stores
 ``to_json()``, so adding or removing a field changes that JSON; a
 config dict (or ``scan --config`` file) naming an unknown field raises
 ``TypeError``.
@@ -47,21 +50,14 @@ class DedupConfig:
 
     # --- batch / scale knobs ---
     sig_batch_size: int = 512        # rows per signature task batch
-    # reducer count of every hash shuffle (LSH pair-gen, verify and
-    # containment joins, CC, canonical pick): None = one per cluster
+    # reducer count of every hash shuffle (LSH pair-gen, the join route
+    # of every broadcast, CC, canonical pick): None = one per cluster
     # CPU, filled by resolved() (functions/groups.default_partitions)
     num_partitions: int | None = None
-    # containment-verify broadcasts the candidate contents (zero
-    # shuffles) while their total size stays under this; partitioned
-    # joins past it
-    cont_broadcast_max_bytes: int = 2_000_000_000
-    # the containment candidate-id SET is broadcast for the semi-join
-    # prune only while it stays under this many ids; past it the prune
-    # flips to a distributed hash semi-join (no driver set)
-    cont_max_broadcast_ids: int = 2_000_000
-    # pair verification broadcasts the (collapsed-representative)
-    # signature matrix while it fits; partitioned hash joins past it
-    verify_broadcast_max_bytes: int = 4_000_000_000
+    # byte cap of every small-side broadcast (functions/joins.
+    # broadcast_join, verify_pairs' signature matrix): past it each
+    # lookup flips to a partitioned hash join
+    broadcast_max_bytes: int = 2_000_000_000
     cc_driver_max_edges: int = 2_000_000  # below this, union-find on the driver is allowed
 
     # --- canonical pick (analog of PriorityRule list, config.rs:111-115:

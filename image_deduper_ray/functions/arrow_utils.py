@@ -18,6 +18,32 @@ def ensure_schema(tb: pa.Table, schema: pa.Schema) -> pa.Table:
     return tb
 
 
+def arrow_schema_of(ds) -> pa.Schema | None:
+    """Arrow schema of a Dataset even when its blocks are pandas
+    (PandasBlockSchema): numpy dtypes map via pandas; ``object`` columns
+    in this engine are always strings. ``None`` while the schema is
+    unknown (an executed-empty Dataset in Ray 2.49)."""
+    import numpy as np
+
+    schema = ds.schema()
+    if schema is None:
+        return None
+    if isinstance(schema, pa.Schema):
+        return schema
+    base = getattr(schema, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    fields = []
+    for name, typ in zip(schema.names, schema.types):
+        if isinstance(typ, pa.DataType):
+            fields.append(pa.field(name, typ))
+        elif isinstance(typ, np.dtype) and typ != np.dtype("O"):
+            fields.append(pa.field(name, pa.from_numpy_dtype(typ)))
+        else:
+            fields.append(pa.field(name, pa.string()))
+    return pa.schema(fields)
+
+
 def collect_arrow(ds, schema: pa.Schema) -> pa.Table:
     """Materialize a (small) Dataset result as one Arrow table with a
     guaranteed schema. Ray 2.49's ``Dataset.to_pandas()`` returns a

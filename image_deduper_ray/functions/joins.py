@@ -1,26 +1,35 @@
-"""Explicit partitioned hash join (hash shuffle -> per-partition merge).
+"""Joins: one broadcast-or-join helper over a partitioned hash join.
 
-Ray 2.49's ``Dataset.join`` (Acero-backed) intermittently loses block
-schemas for empty partitions, which poisons chained joins. This module
-implements the portable pattern instead: conform both sides to one
-superset schema (tagged with a side column), union, ONE raw-task hash
-shuffle on the key (``partitioned_group_map_arrow`` — Ray's sort-based
-groupby costs seconds of serial overhead per shuffle at bench scale),
-and a C-speed ``pd.merge`` per partition. ``num_partitions`` bounds
-reducer memory; skewed keys can be salted by raising it. Each side is
-converted to pandas separately inside the reducer so the null padding
-of the other side's columns never upcasts real values.
+``broadcast_join`` is the engine's one small-side lookup (the J4
+pair-signature attach, containment id prune and content attach,
+cluster label attach and signature-member filter; SURVEY.md §2.4). It
+stream-collects the right side under a byte cap (``collect_under_cap``)
+into ONE Arrow table, ``ray.put``s it once (zero-copy through plasma)
+and probes it per left batch with Acero's ``pa.Table.join``, so the big
+side never shuffles. Past the cap it calls ``hash_join`` with the same
+``how``; both routes keep every matching right row.
 
-This is the J4 pair-signature attach / containment content attach /
-cluster left-outer assign primitive (SURVEY.md §2.4).
+``hash_join`` is the partitioned route. Ray 2.49's ``Dataset.join``
+(Acero-backed) intermittently loses block schemas for empty partitions,
+which poisons chained joins, so this module implements the portable
+pattern instead: conform both sides to one superset schema (tagged with
+a side column), union, ONE raw-task hash shuffle on the key
+(``partitioned_group_map_arrow`` — Ray's sort-based groupby costs
+seconds of serial overhead per shuffle at bench scale), and a C-speed
+``pd.merge`` (or an ``is_in`` mask for semi/anti) per partition.
+``num_partitions`` bounds reducer memory; skewed keys can be salted by
+raising it. Each side is converted to pandas separately inside the
+reducer so the null padding of the other side's columns never upcasts
+real values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
+
+from .arrow_utils import arrow_schema_of
 
 _KEY = "__jk"
 _SIDE = "__side"
@@ -31,12 +40,13 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               left_schema: pa.Schema, right_schema: pa.Schema,
               how: str = "inner", num_partitions: int | None = None,
               right_dup: str = "unique") -> ray.data.Dataset:
-    """Join two datasets on string keys.
+    """Join two datasets on keys compared as strings.
 
     ``left_schema`` / ``right_schema``: the exact output columns taken
     from each side (right_schema must EXCLUDE its key column; its values
     are attached to matching left rows). Column names must be disjoint.
-    how: "inner" or "left".
+    how: "inner", "left", or "semi"/"anti" (left rows with / without a
+    matching right key, each at most once; right_schema is then empty).
     right_dup: "unique" (default) keeps ONE right row per key (supply
     semantics — duplicates dropped with a logged warning); "expand"
     keeps every right row, so a left row matching k right rows emits k
@@ -81,6 +91,12 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     def merge_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return out_schema.empty_table()
+        if how in ("semi", "anti"):
+            lt = t.filter(pc.equal(t[_SIDE], 0))
+            rkeys = t.filter(pc.equal(t[_SIDE], 1))[_KEY].combine_chunks()
+            hit = pc.is_in(lt[_KEY], value_set=rkeys)
+            keep = hit if how == "semi" else pc.invert(hit)
+            return lt.filter(keep).select(lcols).cast(out_schema)
         # sides pandas-ified SEPARATELY: the other side's null padding
         # never touches a side's real columns, so int64 stays int64
         ldf = t.filter(pc.equal(t[_SIDE], 0)) \
@@ -99,8 +115,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
                     "hash_join: dropped %d duplicate right-side key rows "
                     "(supply-unique semantics)", n_dup)
         # right_dup == "expand": keep every right row; pd.merge expands
-        # many-to-many (fid64-collision resolution parity with the
-        # broadcast path's expansion)
+        # many-to-many, as the broadcast route's Acero join does
         m = ldf.merge(rdf, on=_KEY, how="left" if how == "left" else "inner",
                       suffixes=(False, False))
         cols = {}
@@ -115,170 +130,81 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
                                        out_schema=out_schema)
 
 
-def collect_i64_under_cap(ds: ray.data.Dataset, cols: list[str],
-                          max_bytes: int) -> list[np.ndarray] | None:
-    """Stream-collect int64 columns of a (presumed-small) dataset onto
-    the driver under a byte budget. Returns the concatenated arrays, or
-    ``None`` the moment the budget is exceeded — the caller falls back
-    to a distributed route. The shared guard for every
-    broadcast-small-side optimization (label attach, semi-join prune)."""
-    parts: list[list[np.ndarray]] = [[] for _ in cols]
+_JOIN_TYPES = {"inner": "inner", "left": "left outer",
+               "semi": "left semi", "anti": "left anti"}
+
+
+def collect_under_cap(ds: ray.data.Dataset,
+                      max_bytes: int) -> pa.Table | None:
+    """Stream-collect a (presumed-small) dataset onto the driver as ONE
+    Arrow table, or ``None`` the moment it outgrows ``max_bytes``.
+    Empty batches are skipped (Ray 2.49's can arrive schema-less); an
+    all-empty dataset gives its schema's empty table."""
+    parts: list[pa.Table] = []
+    schema = None
     total = 0
     for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        if b.num_rows == 0:
-            # Ray 2.49 empty partitions can arrive schema-less; a
-            # NON-empty batch missing a column must still raise below
-            # (silently dropping rows would corrupt both call sites)
-            continue
-        for i, c in enumerate(cols):
-            a = b[c].to_numpy(zero_copy_only=False).astype(np.int64)
-            parts[i].append(a)
-            total += a.nbytes
-        if total > max_bytes:
-            return None
-    return [np.concatenate(p) if p else np.empty(0, np.int64)
-            for p in parts]
-
-
-def broadcast_attach_str(left: ray.data.Dataset, key_left: str,
-                         right: ray.data.Dataset, key_right: str,
-                         val_col: str, out_col: str,
-                         max_bytes: int = 256 << 20,
-                         num_partitions: int | None = None
-                         ) -> ray.data.Dataset:
-    """Left-attach ONE string value column by STRING key — the
-    cluster-label attach shape (labels cover only the nodes that appear
-    in an edge; the full file stream is the big side). The right side
-    is collected streaming under ``max_bytes`` into ONE Arrow table and
-    broadcast via ``ray.put`` (Arrow is zero-copy through plasma —
-    never a Python dict, which is stored pickled and re-unpickled per
-    worker); each batch probes with ``index_in``/``take`` C kernels, so
-    the big side never shuffles at all. Past the byte cap it falls back
-    to the partitioned ``hash_join``. Right keys must be UNIQUE (labels
-    are); unmatched left keys get null ``out_col``."""
-    import pyarrow.compute as pc
-    import ray as _ray
-
-    parts: list[pa.Table] | None = []
-    total = 0
-    for b in right.iter_batches(batch_size=65536, batch_format="pyarrow"):
+        if b.num_columns and schema is None:
+            schema = b.schema
         if b.num_rows == 0:
             continue
         total += b.nbytes
         if total > max_bytes:
-            parts = None
-            break
-        parts.append(b.select([key_right, val_col]))
-
-    out_field = pa.field(out_col, pa.string())
-
-    if parts is None:
-        key_str = "__battach_k"
-        l2 = left.map_batches(
-            lambda t: t.append_column(key_str,
-                                      t[key_left].cast(pa.string())),
-            batch_format="pyarrow", zero_copy_batch=True)
-        r2 = right.map_batches(
-            lambda t: pa.table({
-                "__battach_rk": t[key_right].cast(pa.string()),
-                out_col: t[val_col].cast(pa.string())}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        s = left.schema(fetch_if_missing=True)
-        lschema = pa.schema(list(zip(s.names, s.types))
-                            + [(key_str, pa.string())])
-        j = hash_join(l2, r2, key_str, "__battach_rk", lschema,
-                      pa.schema([out_field]), how="left",
-                      num_partitions=num_partitions)
-        return j.map_batches(lambda t: t.drop_columns([key_str]),
-                             batch_format="pyarrow")
-
-    rtbl = pa.concat_tables(parts).combine_chunks() if parts \
-        else pa.table({key_right: pa.array([], pa.string()),
-                       val_col: pa.array([], pa.string())})
-    ref = _ray.put(rtbl)
-
-    def attach(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.string()))
-        rt = _ray.get(ref)
-        keys = rt[key_right].combine_chunks() \
-            if isinstance(rt[key_right], pa.ChunkedArray) \
-            else rt[key_right]
-        idx = pc.index_in(t[key_left], value_set=keys)
-        vals = pc.take(rt[val_col], idx)    # null idx -> null value
-        if isinstance(vals, pa.ChunkedArray):
-            vals = vals.combine_chunks()
-        return t.append_column(out_col, vals.cast(pa.string()))
-
-    return left.map_batches(attach, batch_format="pyarrow",
-                            zero_copy_batch=True)
+            return None
+        parts.append(b)
+    if parts:
+        return pa.concat_tables(parts).combine_chunks()
+    schema = schema or arrow_schema_of(ds)
+    return pa.table({}) if schema is None else schema.empty_table()
 
 
-def broadcast_attach_i64(left: ray.data.Dataset, key_left: str,
-                         right: ray.data.Dataset, key_right: str,
-                         val_col: str, out_col: str,
-                         max_bytes: int = 64 << 20,
-                         num_partitions: int | None = None
-                         ) -> ray.data.Dataset:
-    """Left-attach ONE int64 value column by int64 key. The common
-    dedup shape — attach cluster labels (small: only nodes that appear
-    in an edge) to the full id stream — does not need a shuffle at all:
-    the right side is collected streaming under ``max_bytes``, sorted
-    once, broadcast once via ``ray.put``, and every batch resolves with
-    a vectorized searchsorted. Past the byte cap it falls back to the
-    partitioned ``hash_join``.
+def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
+                   key_left: str, key_right: str, how: str = "inner",
+                   max_bytes: int = 2_000_000_000,
+                   num_partitions: int | None = None) -> ray.data.Dataset:
+    """Join ``left`` with a presumed-small ``right`` on one key.
 
-    Right keys are expected UNIQUE (cluster labels are): left-join
-    semantics then match on both routes (``out_col`` null where the key
-    has no match). With duplicate right keys the two routes pick one
-    value differently (broadcast: first in stream order; fallback:
-    arbitrary shuffle-arrival order) — don't rely on it."""
-    import ray as _ray
+    ``how``: "inner", "left" (unmatched left rows get null right
+    columns), "semi" or "anti" (left rows with / without a match, each
+    at most once). Output: the left columns, then for inner/left the
+    right columns without ``key_right`` (names must not clash). Key
+    types must match. A left row matching k right rows gives k rows on
+    both routes.
 
-    collected = collect_i64_under_cap(right, [key_right, val_col],
-                                      max_bytes)
-    fits = collected is not None
+    Broadcast route: ``right`` is collected under ``max_bytes`` into one
+    Arrow table, ``ray.put`` once, and joined with each left batch by
+    Acero (``use_threads=False``: the map task already owns its CPU).
+    Past the cap: the partitioned ``hash_join``. Row order is not
+    kept. A right side with no rows yields no columns to attach, except
+    for "left", which takes them from ``right.schema()`` — Ray 2.49
+    reports the schema from BEFORE a transform of an executed-empty
+    dataset, so pass an empty right side untransformed."""
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}, "
+                         f"got {how!r}")
+    filtering = how in ("semi", "anti")     # right keys only
+    rtbl = collect_under_cap(right, max_bytes)
+    if rtbl is None:
+        rs = pa.schema([] if filtering else
+                       [f for f in arrow_schema_of(right)
+                        if f.name != key_right])
+        return hash_join(left, right, key_left, key_right,
+                         arrow_schema_of(left), rs, how=how,
+                         num_partitions=num_partitions, right_dup="expand")
+    if filtering and rtbl.num_rows:
+        rtbl = rtbl.select([key_right])
 
-    out_field = pa.field(out_col, pa.int64())
+    ref = ray.put(rtbl)
+    join_type = _JOIN_TYPES[how]
 
-    if not fits:
-        key_str = "__battach_k"
-        l2 = left.map_batches(
-            lambda t: t.append_column(
-                key_str, t[key_left].cast(pa.string())),
-            batch_format="pyarrow", zero_copy_batch=True)
-        r2 = right.map_batches(
-            lambda t: pa.table({
-                "__battach_rk": t[key_right].cast(pa.string()),
-                out_col: t[val_col].cast(pa.int64())}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        s = left.schema(fetch_if_missing=True)
-        lschema = pa.schema(list(zip(s.names, s.types))
-                            + [(key_str, pa.string())])
-        j = hash_join(l2, r2, key_str, "__battach_rk", lschema,
-                      pa.schema([out_field]), how="left",
-                      num_partitions=num_partitions)
-        return j.map_batches(lambda t: t.drop_columns([key_str]),
-                             batch_format="pyarrow")
+    def probe(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:      # schema-less empty block
+            return t
+        rt = ray.get(ref)
+        if rt.num_rows == 0 and how != "left":
+            return t if how == "anti" else t.slice(0, 0)
+        return t.join(rt, keys=key_left, right_keys=key_right,
+                      join_type=join_type, use_threads=False)
 
-    ks, vs = collected
-    order = np.argsort(ks, kind="stable")
-    ks, vs = ks[order], vs[order]
-    ref = _ray.put((ks, vs))
-
-    def attach(t: pa.Table) -> pa.Table:
-        ks_, vs_ = _ray.get(ref)
-        n = t.num_rows
-        if n == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        ids = t[key_left].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(ks_) == 0:
-            return t.append_column(out_col, pa.nulls(n, pa.int64()))
-        pos = np.searchsorted(ks_, ids).clip(0, len(ks_) - 1)
-        hit = ks_[pos] == ids
-        return t.append_column(
-            out_col, pa.array(vs_[pos], pa.int64(),
-                              mask=~hit))
-
-    return left.map_batches(attach, batch_format="pyarrow",
+    return left.map_batches(probe, batch_format="pyarrow",
                             zero_copy_batch=True)

@@ -392,7 +392,7 @@ def dedup_canonical(sf_dir: str, tau: float = 0.35,
     full dataset never materializes on the driver. Exact at current
     scale, so it hash-matches the DuckDB recursive-CTE oracle."""
     from ..config import DedupConfig
-    from ..functions.joins import broadcast_attach_i64
+    from ..functions.joins import broadcast_join
     from ..stages.cc import connected_components
 
     cfg = DedupConfig().resolved()
@@ -401,15 +401,14 @@ def dedup_canonical(sf_dir: str, tau: float = 0.35,
 
     ids = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                 columns=["vec_id"])
-    j = broadcast_attach_i64(ids, "vec_id", labels, "file_id",
-                             "cluster_id", "canonical_id")
+    j = broadcast_join(ids, labels, "vec_id", "file_id", "left")
 
     def fin(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
                              "canonical_id": pa.array([], pa.int64())})
         from ..functions.arrow_utils import safe_coalesce
-        canon = safe_coalesce(t["canonical_id"], t["vec_id"])
+        canon = safe_coalesce(t["cluster_id"], t["vec_id"])
         return pa.table({"vec_id": t["vec_id"],
                          "canonical_id": pc.cast(canon, pa.int64())})
 

@@ -23,9 +23,16 @@ back by the run that wrote them: each stage after signatures is
 materialized once, its blocks are written by plain tasks, and the next
 stage reads it from the object store. Only signatures (streamed to
 disk, so a killed run keeps its parts) and stages an earlier run
-completed are read from Parquet. The ``content`` column never crosses a
-shuffle: it is dropped inside the signature stage and re-read from the
-source only for the (small) containment-candidate set.
+completed are read from Parquet; a signatures part left without a
+Parquet footer by a killed scan is dropped before the resume.
+
+Every small-side lookup (signature-member filter, pair resolution,
+containment id prune and content attach, cluster label attach) is one
+``functions/joins.broadcast_join``: one byte cap,
+``cfg.broadcast_max_bytes``, picks a broadcast or a partitioned hash
+join. The ``content`` column is dropped inside the signature stage and
+re-read from the source only for the (small) containment-candidate
+set; below the cap it never crosses a shuffle.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions import hashing
 from ..functions.arrow_utils import ensure_schema
 from ..functions.groups import default_partitions
-from ..functions.joins import broadcast_attach_str, hash_join
+from ..functions.joins import broadcast_join
 from ..sources import checkpoints as ckpt
 from ..sources.files import read_files
 from ..stages.canonical import canonical_actions
@@ -57,6 +64,10 @@ _PAIR_SCHEMA = _EDGE_SCHEMA.append(pa.field("is_cont", pa.int8()))
 _VERIFIED_SCHEMA = _EDGE_SCHEMA.append(pa.field("jaccard", pa.float64())).append(
     pa.field("verdict", pa.string()))
 _EMPTY_EDGES = _EDGE_SCHEMA.empty_table()
+
+# perfbench/tracing.py times the label attach under this name; drop the
+# alias with ROADMAP item 5
+broadcast_attach_str = broadcast_join
 
 # every checkpointed stage, in run order; ``stats`` and ``diagnose``
 # read the same list
@@ -140,6 +151,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             # the files they lack; a forced rescan starts from nothing
             if not resume:
                 ckpt.clear_stage(out_dir, "signatures")
+            # a part a killed scan left without a footer is signed again
+            ckpt.drop_torn_parts(out_dir, "signatures")
             done = ckpt.done_key_set(out_dir, "signatures") if resume else set()
             if done:
                 files = files.map_batches(_add_file_id, batch_format="pyarrow",
@@ -196,28 +209,19 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # -- containment (suffix-array substring) edges --
     if not complete("edges_cont"):
         with StageTimer(metrics, "edges_cont") as t:
-
             _t0 = _time.monotonic()
             cands = verified.map_batches(
                 lambda tb: tb.filter(
                     pa.compute.equal(tb["verdict"], "containment_cand"))
                 .select(["a", "b"]),
                 batch_format="pyarrow", zero_copy_batch=True)
-            # candidate-id collection is CAPPED: past
-            # cfg.cont_max_broadcast_ids the prune flips to a distributed
-            # hash semi-join instead of a driver-resident set
-            cand_ids: set | None = set()
-            for b in cands.iter_batches(batch_size=65536,
-                                        batch_format="pyarrow"):
-                cand_ids.update(b["a"].to_pylist())
-                cand_ids.update(b["b"].to_pylist())
-                if len(cand_ids) > cfg.cont_max_broadcast_ids:
-                    cand_ids = None
-                    break
-            _t_ids = _time.monotonic() - _t0
-            _n_cand_ids = len(cand_ids) if cand_ids is not None else -1
-            _t_scan = -1.0
-            if cand_ids is not None and not cand_ids:
+            ids = cands.map_batches(
+                lambda tb: pa.table({"file_id": pa.concat_arrays(
+                    [tb["a"].combine_chunks(), tb["b"].combine_chunks()])}),
+                batch_format="pyarrow", zero_copy_batch=True).materialize()
+            _t_ids = _t_scan = 0.0
+            n_cand_ids = 0
+            if ids.count() == 0:
                 ce = ray.data.from_arrow(_EMPTY_EDGES)
             else:
                 raw_content = (read_files(input_paths, langs=langs,
@@ -225,122 +229,35 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                                .map_batches(_add_file_id, batch_format="pyarrow",
                                             zero_copy_batch=True)
                                .select_columns(["file_id", "content"]))
-                if cand_ids is not None:
-                    # semi-join prune: broadcast the (small) candidate id
-                    # set once as an Arrow value set and filter content
-                    # BEFORE anything shuffles — only the candidates'
-                    # content is ever touched again. is_in is a C hash
-                    # probe per batch, not a per-row Python test.
-                    ids_ref = ray.put(pa.array(list(cand_ids), pa.string()))
-
-                    def _only_cands(tb: pa.Table) -> pa.Table:
-                        wanted = ray.get(ids_ref)
-                        keep = pa.compute.is_in(tb["file_id"],
-                                                value_set=wanted)
-                        return tb.filter(keep)
-
-                    content = raw_content.map_batches(
-                        _only_cands, batch_format="pyarrow",
-                        zero_copy_batch=True)
-                else:
-                    # over-cap: distinct candidate ids stay a Dataset and
-                    # the prune is a partitioned hash semi-join
-                    from ..functions.groups import partitioned_group_map
-
-                    flat = cands.map_batches(
-                        lambda tb: pa.table({"file_id": pa.concat_arrays(
-                            [tb["a"].combine_chunks(),
-                             tb["b"].combine_chunks()])}),
-                        batch_format="pyarrow", zero_copy_batch=True)
-                    ids_ds = partitioned_group_map(
-                        flat, ["file_id"],
-                        lambda df: df.drop_duplicates(["file_id"]),
-                        cfg.num_partitions,
-                        out_schema=pa.schema([("file_id", pa.string())]))
-                    content = hash_join(
-                        raw_content, ids_ds, "file_id", "file_id",
-                        pa.schema([("file_id", pa.string()),
-                                   ("content", pa.string())]),
-                        pa.schema([]),
-                        num_partitions=cfg.num_partitions)
-                # common case: candidate content fits a broadcast —
-                # collect it (streaming, byte-capped) and verify pairs
-                # in a single map_batches with no shuffle at all; fall
-                # back to partitioned joins only past the byte cap.
-                # materialize() BEFORE the driver loop: iter_batches on
-                # the lazy scan would throttle the whole full-corpus
-                # read to the driver's single-threaded consumption
-                # (measured: this stage INVERTED 8->32 cpus, 8.7->21 s,
-                # until the scan was decoupled from the collect) — the
-                # materialized result is only the candidates' content
+                # semi-join prune BEFORE anything shuffles: only the
+                # candidates' content is touched again. Materialized so
+                # the full-corpus read runs in parallel, not throttled
+                # to the driver's collect of the attach below
+                content = broadcast_join(
+                    raw_content, ids, "file_id", "file_id", "semi",
+                    cfg.broadcast_max_bytes, cfg.num_partitions)
+                _t_ids = _time.monotonic() - _t0
                 content = content.materialize()
                 _t_scan = _time.monotonic() - _t0 - _t_ids
-                # broadcast the candidate content as ONE Arrow table,
-                # not a Python dict: an Arrow table is zero-copy
-                # through plasma, while a ray.put dict of ~10^5 texts
-                # is re-UNPICKLED by every worker (measured ~12 s of
-                # this stage's wall at 32 cpus before the change);
-                # lookups become index_in/take C kernels per batch
-                parts: list[pa.Table] | None = []
-                lookup_bytes = 0
-                for b in content.iter_batches(batch_size=4096,
-                                              batch_format="pyarrow"):
-                    lookup_bytes += b.nbytes
-                    if lookup_bytes > cfg.cont_broadcast_max_bytes:
-                        parts = None
-                        break
-                    if b.num_rows:
-                        parts.append(b)
-                if parts is not None:
-                    ctbl = pa.concat_tables(parts).combine_chunks() \
-                        if parts else pa.table(
-                            {"file_id": pa.array([], pa.string()),
-                             "content": pa.array([], pa.string())})
-                    content_ref = ray.put(ctbl)
-
-                    def _attach(tb: pa.Table) -> pa.Table:
-                        ct = ray.get(content_ref)
-                        keys = ct["file_id"].combine_chunks() \
-                            if isinstance(ct["file_id"], pa.ChunkedArray) \
-                            else ct["file_id"]
-                        ia = pa.compute.index_in(tb["a"], value_set=keys)
-                        ib = pa.compute.index_in(tb["b"], value_set=keys)
-                        # null index -> null content (take propagates)
-                        ca = pa.compute.take(ct["content"], ia)
-                        cb = pa.compute.take(ct["content"], ib)
-                        return tb.append_column("content_a", ca) \
-                            .append_column("content_b", cb)
-
-                    ce = (cands.map_batches(_attach, batch_format="pyarrow")
-                          .map_batches(ContainmentVerify(),
-                                       batch_format="pyarrow"))
-                else:
-                    # candidate content too large to broadcast:
-                    # partitioned joins (scale path)
-                    content_a = content.map_batches(
-                        lambda tb: tb.rename_columns(["file_id", "content_a"]),
+                n_cand_ids = content.count()
+                j = cands
+                for side in ("a", "b"):
+                    j = broadcast_join(
+                        j, content, side, "file_id", "inner",
+                        cfg.broadcast_max_bytes, cfg.num_partitions,
+                    ).map_batches(
+                        lambda tb, c=f"content_{side}": tb.rename_columns(
+                            [c if n == "content" else n
+                             for n in tb.column_names]),
                         batch_format="pyarrow", zero_copy_batch=True)
-                    content_b = content.map_batches(
-                        lambda tb: tb.rename_columns(["file_id", "content_b"]),
-                        batch_format="pyarrow", zero_copy_batch=True)
-                    ab = pa.schema([("a", pa.string()), ("b", pa.string())])
-                    j = hash_join(cands, content_a, "a", "file_id", ab,
-                                  pa.schema([("content_a", pa.string())]),
-                                  num_partitions=cfg.num_partitions)
-                    j = hash_join(j, content_b, "b", "file_id",
-                                  ab.append(pa.field("content_a", pa.string())),
-                                  pa.schema([("content_b", pa.string())]),
-                                  num_partitions=cfg.num_partitions)
-                    ce = j.map_batches(ContainmentVerify(),
-                                       batch_format="pyarrow")
+                ce = j.map_batches(ContainmentVerify(), batch_format="pyarrow")
             ce = persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
-            # sub-step attribution (shows up in the metrics 'extra'
-            # column): candidate-id collect, pruned content scan, and
-            # the remainder (verify + persist) — the data that localized
-            # this stage's single-box saturation in the first place
+            # sub-step attribution (the metrics 'extra' column):
+            # candidate-id collect, pruned content scan, and the
+            # remainder (attach + verify + persist)
             t.done(rows_of("edges_cont"), partitions=cfg.num_partitions,
                    cand_ids_s=round(_t_ids, 2),
-                   n_cand_ids=_n_cand_ids, content_scan_s=round(_t_scan, 2))
+                   n_cand_ids=n_cand_ids, content_scan_s=round(_t_scan, 2))
     edges_cont = load("edges_cont")
 
     # -- edge union --
@@ -370,20 +287,14 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                 ("path", pa.string()), ("commit", pa.string()),
                 ("n_bytes", pa.int64())])
             cl_schema = meta_schema.append(pa.field("cluster_id", pa.string()))
-            lab = labels.map_batches(
-                lambda tb: tb.rename_columns(["node", "cluster_id"]),
-                batch_format="pyarrow")
             # label attach: the labels cover only edge-touched nodes
             # (small), the meta stream is every file (big) — a
-            # byte-capped zero-copy Arrow broadcast probed per batch
-            # beats shuffling the full 5-column meta table through a
-            # partitioned join (measured: clusters stage 24.5 -> ~8 s
-            # at 1M files / 32 cpus); past the cap the helper falls
-            # back to that join
+            # broadcast beats shuffling the full 5-column meta table
+            # through a partitioned join (measured: clusters stage
+            # 24.5 -> ~8 s at 1M files / 32 cpus)
             full = broadcast_attach_str(
-                meta, "file_id", lab, "node", "cluster_id", "cluster_id",
-                max_bytes=cfg.verify_broadcast_max_bytes,
-                num_partitions=cfg.num_partitions)
+                meta, labels, "file_id", "file_id", "left",
+                cfg.broadcast_max_bytes, cfg.num_partitions)
 
             def fill(tb: pa.Table) -> pa.Table:
                 if tb.num_rows == 0:

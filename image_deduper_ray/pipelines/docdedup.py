@@ -366,7 +366,7 @@ def _hamming_cluster(sig: ray.data.Dataset, cfg: DedupConfig,
     attached back with a byte-capped broadcast (partitioned-join
     fallback). Returns (doc_id, group_id = min doc_id)."""
     from ..functions.groups import group_starts, partitioned_group_map
-    from ..functions.joins import broadcast_attach_i64
+    from ..functions.joins import broadcast_join
     from ..stages.cc import connected_components
 
     # 16 bytes/row: materializing the narrow signature table (consumed
@@ -452,15 +452,14 @@ def _hamming_cluster(sig: ray.data.Dataset, cfg: DedupConfig,
     left = sig.map_batches(
         lambda t: pa.table({"doc_id": t["doc_id"]}),
         batch_format="pyarrow")
-    j = broadcast_attach_i64(left, "doc_id", labels, "file_id",
-                             "cluster_id", "group_id")
+    j = broadcast_join(left, labels, "doc_id", "file_id", "left")
 
     def fin(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "group_id": pa.array([], pa.int64())})
         from ..functions.arrow_utils import safe_coalesce
-        gid = safe_coalesce(t["group_id"], t["doc_id"])
+        gid = safe_coalesce(t["cluster_id"], t["doc_id"])
         return pa.table({"doc_id": t["doc_id"],
                          "group_id": pc.cast(gid, pa.int64())})
 
@@ -903,105 +902,94 @@ def containment_pairs(sf_dir: str, n: int = 3, min_len: int = 64,
 
     # candidate pairs are tiny (full-cover intersections only) —
     # materialize them so the id-prune scan below doesn't re-run the
-    # gram shuffle, then semi-join prune the text table: broadcast the
-    # candidate-id set and filter, so full texts only ever ship for
-    # candidates (not the whole corpus through two join shuffles).
-    # Past the byte cap the prune is skipped — identical result, the
-    # joins just carry more.
+    # gram shuffle, then semi-join prune the text table
+    # (functions/joins.broadcast_join), so full texts only ever ship
+    # for candidates (not the whole corpus through two join shuffles).
     cand = inter.map_batches(cands, batch_format="pyarrow",
                              zero_copy_batch=True).materialize()
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
 
-    from ..functions.joins import collect_i64_under_cap
+    from ..functions.joins import broadcast_join
 
     out_schema = pa.schema([("inner_doc_id", pa.int64()),
                             ("host_doc_id", pa.int64())])
 
-    collected = collect_i64_under_cap(cand, ["inner_id", "host_id"],
-                                      max_bytes=cand_broadcast_bytes)
-    if collected is not None:
-        uniq = np.unique(np.concatenate(collected))
-        ids_ref = ray.put(uniq)
+    ids = cand.map_batches(
+        lambda t: pa.table({"doc_id": pa.concat_arrays(
+            [t["inner_id"].combine_chunks(), t["host_id"].combine_chunks()])}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    docs = broadcast_join(docs, ids, "doc_id", "doc_id", "semi",
+                          cand_broadcast_bytes, num_partitions)
+    # materialize the PRUNED (candidates-only) table before any
+    # driver-side collection: iter_batches on the lazy scan would
+    # throttle the full-corpus read to single-threaded driver
+    # consumption, and the join fallback would otherwise re-run
+    # the scan once per side
+    docs = docs.materialize()
 
-        def prune(t: pa.Table) -> pa.Table:
-            u = ray.get(ids_ref)
-            if t.num_rows == 0 or len(u) == 0:
-                return t.slice(0, 0)
-            d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(u, d).clip(0, len(u) - 1)
-            return t.filter(pa.array(u[pos] == d))
+    # common case: the candidates' texts fit a broadcast — verify
+    # with ONE stateless map over the pair stream (the flagship
+    # containment stage's pattern, pipelines/dedup.py) instead of
+    # two partitioned hash joins; past the byte cap fall through to
+    # the join route below. The broadcast is ONE Arrow table
+    # (zero-copy through plasma, probed with index_in/take C
+    # kernels per batch), NOT a Python dict: a ray.put dict is
+    # stored pickled, so every worker re-unpickles the whole
+    # payload on first get — a per-worker fixed cost that grows
+    # with worker count and inverts scaling (measured on the
+    # flagship's equivalent stage: ~12 s of a 15 s stage wall at
+    # 32 cpus, see pipelines/dedup.py and BASELINE.md 8->32).
+    parts: list[pa.Table] | None = []
+    lookup_bytes = 0
+    for b in docs.iter_batches(batch_size=4096,
+                               batch_format="pyarrow"):
+        if b.num_rows == 0:
+            continue
+        lookup_bytes += b.nbytes
+        if lookup_bytes > text_broadcast_bytes:
+            parts = None
+            break
+        parts.append(b.select(["doc_id", "text"]))
+    if parts is not None:
+        ttbl = pa.concat_tables(parts).combine_chunks() if parts \
+            else pa.table({"doc_id": pa.array([], pa.int64()),
+                           "text": pa.array([], pa.string())})
+        texts_ref = ray.put(ttbl)
 
-        # materialize the PRUNED (candidates-only) table before any
-        # driver-side collection: iter_batches on the lazy scan would
-        # throttle the full-corpus read to single-threaded driver
-        # consumption, and the join fallback would otherwise re-run
-        # the scan once per side
-        docs = docs.map_batches(prune, batch_format="pyarrow",
-                                zero_copy_batch=True).materialize()
+        def verify_bcast(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return out_schema.empty_table()
+            tt = ray.get(texts_ref)
+            keys = tt["doc_id"].combine_chunks() \
+                if isinstance(tt["doc_id"], pa.ChunkedArray) \
+                else tt["doc_id"]
+            # null index -> null text (take propagates); pairs with
+            # either side un-broadcast are dropped by the validity
+            # check inside the keep mask
+            xa = pc.take(tt["text"],
+                         pc.index_in(t["inner_id"], value_set=keys)) \
+                .to_pylist()
+            xb = pc.take(tt["text"],
+                         pc.index_in(t["host_id"], value_set=keys)) \
+                .to_pylist()
+            ii = t["inner_id"].to_numpy(zero_copy_only=False)
+            hh = t["host_id"].to_numpy(zero_copy_only=False)
+            keep = np.fromiter(
+                (x is not None and y is not None
+                 and len(x) >= min_len and len(x) < len(y) and x in y
+                 for x, y in zip(xa, xb)),
+                dtype=bool, count=len(ii))
+            return pa.table({
+                "inner_doc_id": pa.array(ii[keep].astype(np.int64)),
+                "host_doc_id": pa.array(hh[keep].astype(np.int64))})
 
-        # common case: the candidates' texts fit a broadcast — verify
-        # with ONE stateless map over the pair stream (the flagship
-        # containment stage's pattern, pipelines/dedup.py) instead of
-        # two partitioned hash joins; past the byte cap fall through to
-        # the join route below. The broadcast is ONE Arrow table
-        # (zero-copy through plasma, probed with index_in/take C
-        # kernels per batch), NOT a Python dict: a ray.put dict is
-        # stored pickled, so every worker re-unpickles the whole
-        # payload on first get — a per-worker fixed cost that grows
-        # with worker count and inverts scaling (measured on the
-        # flagship's equivalent stage: ~12 s of a 15 s stage wall at
-        # 32 cpus, see pipelines/dedup.py and BASELINE.md 8->32).
-        parts: list[pa.Table] | None = []
-        lookup_bytes = 0
-        for b in docs.iter_batches(batch_size=4096,
-                                   batch_format="pyarrow"):
-            if b.num_rows == 0:
-                continue
-            lookup_bytes += b.nbytes
-            if lookup_bytes > text_broadcast_bytes:
-                parts = None
-                break
-            parts.append(b.select(["doc_id", "text"]))
-        if parts is not None:
-            ttbl = pa.concat_tables(parts).combine_chunks() if parts \
-                else pa.table({"doc_id": pa.array([], pa.int64()),
-                               "text": pa.array([], pa.string())})
-            texts_ref = ray.put(ttbl)
-
-            def verify_bcast(t: pa.Table) -> pa.Table:
-                if t.num_rows == 0:
-                    return out_schema.empty_table()
-                tt = ray.get(texts_ref)
-                keys = tt["doc_id"].combine_chunks() \
-                    if isinstance(tt["doc_id"], pa.ChunkedArray) \
-                    else tt["doc_id"]
-                # null index -> null text (take propagates); pairs with
-                # either side un-broadcast are dropped by the validity
-                # check inside the keep mask
-                xa = pc.take(tt["text"],
-                             pc.index_in(t["inner_id"], value_set=keys)) \
-                    .to_pylist()
-                xb = pc.take(tt["text"],
-                             pc.index_in(t["host_id"], value_set=keys)) \
-                    .to_pylist()
-                ii = t["inner_id"].to_numpy(zero_copy_only=False)
-                hh = t["host_id"].to_numpy(zero_copy_only=False)
-                keep = np.fromiter(
-                    (x is not None and y is not None
-                     and len(x) >= min_len and len(x) < len(y) and x in y
-                     for x, y in zip(xa, xb)),
-                    dtype=bool, count=len(ii))
-                return pa.table({
-                    "inner_doc_id": pa.array(ii[keep].astype(np.int64)),
-                    "host_doc_id": pa.array(hh[keep].astype(np.int64))})
-
-            verified = cand.map_batches(verify_bcast,
-                                        batch_format="pyarrow",
-                                        zero_copy_batch=True)
-            return ray.data.from_arrow(out_schema.empty_table()) \
-                .union(verified)
+        verified = cand.map_batches(verify_bcast,
+                                    batch_format="pyarrow",
+                                    zero_copy_batch=True)
+        return ray.data.from_arrow(out_schema.empty_table()) \
+            .union(verified)
     inner_txt = docs.map_batches(
         lambda t: pa.table({"node": pc.cast(t["doc_id"], pa.string()),
                             "inner_text": t["text"]}),

@@ -27,6 +27,20 @@ import ray.data
 
 from ..functions.groups import group_starts, partitioned_group_map
 
+
+def _collect_i64(ds: ray.data.Dataset, cols: list[str],
+                 max_bytes: int) -> list[np.ndarray] | None:
+    """``cols`` of a small dimension as driver-side int64 arrays, or
+    ``None`` past ``max_bytes`` (``functions/joins.collect_under_cap``)."""
+    from ..functions.joins import collect_under_cap
+
+    t = collect_under_cap(ds.select_columns(cols), max_bytes)
+    if t is None:
+        return None
+    if t.num_rows == 0:
+        return [np.empty(0, np.int64) for _ in cols]
+    return [t[c].to_numpy().astype(np.int64) for c in cols]
+
 PRICING_CUTOFF = "1998-09-02"
 
 
@@ -127,11 +141,11 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
     capped, loud failure past the cap); the orders stream filters
     against it and its (orderkey -> epoch-day) pairs attach to the big
     lineitem stream via the byte-capped zero-copy broadcast with the
-    partitioned hash-join fallback (``broadcast_attach_i64``) — the
+    partitioned hash-join fallback (``broadcast_join``) — the
     fact table never shuffles below the cap."""
     import datetime
 
-    from ..functions.joins import broadcast_attach_i64, collect_i64_under_cap
+    from ..functions.joins import broadcast_join
 
     cut = datetime.datetime.fromisoformat(cutoff)
 
@@ -145,7 +159,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         lambda t: t.filter(pc.equal(t["c_mktsegment"],
                                     segment).combine_chunks()),
         batch_format="pyarrow", zero_copy_batch=True)
-    collected = collect_i64_under_cap(cust, ["c_custkey"],
+    collected = _collect_i64(cust, ["c_custkey"],
                                       cust_broadcast_bytes := cust_broadcast_max)
     if collected is None:
         raise ValueError(
@@ -218,8 +232,8 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     partials = line.map_batches(line_partial, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    attached = broadcast_attach_i64(partials, "l_orderkey", okeys,
-                                    "o_orderkey", "odays", "odays")
+    attached = broadcast_join(partials, okeys, "l_orderkey", "o_orderkey",
+                              "left")
 
     sum_schema = pa.schema([("l_orderkey", pa.int64()),
                             ("odays", pa.int64()),
@@ -310,7 +324,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
       in-region nationkey set + the nationkey -> name map;
     - customer and supplier are BROADCAST dimensions: their
       (key, nationkey) pairs stream-collect under a byte cap
-      (``collect_i64_under_cap`` — loud failure past it), sort once,
+      (``_collect_i64`` — loud failure past it), sort once,
       ship once via ``ray.put``, and every fact batch resolves
       membership with a vectorized searchsorted — no shuffle;
     - orders (big) streams: date-pruned at the Parquet read, probes
@@ -319,7 +333,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
       pre-reduces to integer cents per (l_orderkey, s_nat), then the
       order side attaches via the byte-capped zero-copy broadcast
       with the partitioned hash-join fallback
-      (``broadcast_attach_i64``) — the fact table never shuffles
+      (``broadcast_join``) — the fact table never shuffles
       below the cap, and the same-nation predicate (c_nat == s_nat)
       applies right at the attach;
     - per-block partial sums collapse to O(25 nations) rows before
@@ -331,7 +345,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
 
     import ray as _ray
 
-    from ..functions.joins import broadcast_attach_i64, collect_i64_under_cap
+    from ..functions.joins import broadcast_join
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
@@ -355,7 +369,7 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
         nations, sorted by key, broadcast once."""
         ds = ray.data.read_parquet(f"{sf_dir}/{path}",
                                    columns=[key, nat])
-        got = collect_i64_under_cap(ds, [key, nat], dim_broadcast_max)
+        got = _collect_i64(ds, [key, nat], dim_broadcast_max)
         if got is None:
             raise ValueError(
                 f"{path} exceeds the dimension broadcast budget "
@@ -443,8 +457,8 @@ def local_supplier_volume(sf_dir: str, region: str = Q5_REGION,
 
     partials = line.map_batches(line_partial, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    attached = broadcast_attach_i64(partials, "l_orderkey", okeys,
-                                    "o_orderkey", "c_nat", "c_nat")
+    attached = broadcast_join(partials, okeys, "l_orderkey", "o_orderkey",
+                              "left")
 
     nat_schema = pa.schema([("n_nationkey", pa.int64()),
                             ("cents", pa.int64())])
@@ -525,7 +539,7 @@ def large_orders(sf_dir: str, min_qty: int = Q18_MIN_QTY,
     Money is exact integer cents; quantities are exact int64 sums."""
     import ray as _ray
 
-    from ..functions.joins import broadcast_attach_str, collect_i64_under_cap
+    from ..functions.joins import broadcast_join
 
     line = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                  columns=["l_orderkey", "l_quantity"])
@@ -561,7 +575,7 @@ def large_orders(sf_dir: str, min_qty: int = Q18_MIN_QTY,
         line.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
         ["l_orderkey"], having, None, out_schema=pre_schema)
 
-    got = collect_i64_under_cap(hot, ["l_orderkey", "qty"],
+    got = _collect_i64(hot, ["l_orderkey", "qty"],
                                 hot_broadcast_max)
     if got is None:
         raise ValueError(
@@ -612,8 +626,7 @@ def large_orders(sf_dir: str, min_qty: int = Q18_MIN_QTY,
 
     cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                                  columns=["c_custkey", "c_name"])
-    named = broadcast_attach_str(picked, "o_custkey", cust, "c_custkey",
-                                 "c_name", "c_name")
+    named = broadcast_join(picked, cust, "o_custkey", "c_custkey", "left")
 
     out_schema = pa.schema([
         ("c_name", pa.string()), ("o_custkey", pa.int64()),
@@ -661,7 +674,6 @@ def part_type_revenue(sf_dir: str, date_lo: str = Q14_MONTH_LO,
 
     import ray as _ray
 
-    from ..functions.joins import collect_i64_under_cap
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
@@ -676,7 +688,7 @@ def part_type_revenue(sf_dir: str, date_lo: str = Q14_MONTH_LO,
         types_set.update(pc.unique(b["p_type"]).to_pylist())
     types = sorted(types_set)
     type_code = {t: i for i, t in enumerate(types)}
-    got = collect_i64_under_cap(part.map_batches(
+    got = _collect_i64(part.map_batches(
         lambda t: pa.table({
             "p_partkey": t["p_partkey"].cast(pa.int64()),
             "code": pa.array(
@@ -790,7 +802,7 @@ def returned_item_report(sf_dir: str, date_lo: str = Q10_DATE_LO,
 
     - the quarter's orders project to an (orderkey -> custkey) map
       that attaches to the returned-lineitem stream via the
-      byte-capped zero-copy broadcast (``broadcast_attach_i64``,
+      byte-capped zero-copy broadcast (``broadcast_join``,
       partitioned hash-join fallback past the cap) — the fact table
       never shuffles below the cap;
     - revenue pre-reduces per block by orderkey before the attach and
@@ -809,7 +821,7 @@ def returned_item_report(sf_dir: str, date_lo: str = Q10_DATE_LO,
     import pyarrow.parquet as pq
     import ray as _ray
 
-    from ..functions.joins import broadcast_attach_i64
+    from ..functions.joins import broadcast_join
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
@@ -865,10 +877,11 @@ def returned_item_report(sf_dir: str, date_lo: str = Q10_DATE_LO,
 
     partials = line.map_batches(line_partial, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    attached = broadcast_attach_i64(partials, "l_orderkey", okeys,
-                                    "o_orderkey", "o_custkey",
-                                    "c_custkey",
-                                    max_bytes=orders_broadcast_max)
+    attached = broadcast_join(
+        partials, okeys.map_batches(
+            lambda t: t.rename_columns(["o_orderkey", "c_custkey"]),
+            batch_format="pyarrow"),
+        "l_orderkey", "o_orderkey", "left", orders_broadcast_max)
 
     sum_schema = pa.schema([("c_custkey", pa.int64()),
                             ("cents", pa.int64())])
@@ -1394,7 +1407,7 @@ def top_supplier(sf_dir: str, date_lo: str = Q15_DATE_LO,
     import datetime
 
     from ..functions.groups import partitioned_sum
-    from ..functions.joins import broadcast_attach_str
+    from ..functions.joins import broadcast_join
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
@@ -1448,11 +1461,11 @@ def top_supplier(sf_dir: str, date_lo: str = Q15_DATE_LO,
     winners = per_supp.filter(
         expr=f"total_revenue_cents == {int(mx)}")
 
-    res = broadcast_attach_str(
-        winners, "s_suppkey",
+    res = broadcast_join(
+        winners,
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_name"]),
-        "s_suppkey", "s_name", "s_name")
+        "s_suppkey", "s_suppkey", "left")
     return res.map_batches(lambda t: t.select(out_schema.names)
                            .cast(out_schema), batch_format="pyarrow")
 
@@ -2043,14 +2056,13 @@ def nation_pair_volume(sf_dir: str, nation_a: str | None = None,
 
     from ..functions.groups import (default_partitions, group_starts,
                                     partitioned_group_map_arrow)
-    from ..functions.joins import collect_i64_under_cap
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
 
     # tiny dims, driver-side: supplier skey->nationkey and the nation
     # names (25 rows)
-    sup = collect_i64_under_cap(
+    sup = _collect_i64(
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_nationkey"]),
         ["s_suppkey", "s_nationkey"], 64 << 20)
@@ -2086,7 +2098,7 @@ def nation_pair_volume(sf_dir: str, nation_a: str | None = None,
     # customer nationkey map — O(customers) ints under the byte cap
     # (falls back to a partitioned attach only past it; the synthetic
     # and 100-TB-design case both keep customer keys far under 64 MB)
-    cust = collect_i64_under_cap(
+    cust = _collect_i64(
         ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                               columns=["c_custkey", "c_nationkey"]),
         ["c_custkey", "c_nationkey"], 256 << 20)
@@ -2261,7 +2273,7 @@ def min_unit_cost_supplier(sf_dir: str,
     attach to the tiny result only."""
     from ..functions.groups import (partitioned_group_map_arrow,
                                     segmented_rank)
-    from ..functions.joins import broadcast_attach_str
+    from ..functions.joins import broadcast_join
 
     sup_schema = pa.schema([("pkey", pa.int64()), ("unit", pa.int64()),
                             ("skey", pa.int64())])
@@ -2337,11 +2349,11 @@ def min_unit_cost_supplier(sf_dir: str,
     mins = partitioned_group_map_arrow(partials, ["pkey"], block, None,
                                        out_schema=agg_schema)
 
-    res = broadcast_attach_str(
-        mins, "s_suppkey",
+    res = broadcast_join(
+        mins,
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_name"]),
-        "s_suppkey", "s_name", "s_name")
+        "s_suppkey", "s_suppkey", "left")
     return res.map_batches(lambda t: t.select(out_schema.names)
                            .cast(out_schema), batch_format="pyarrow")
 
@@ -2370,7 +2382,6 @@ def national_market_share(sf_dir: str, region: str = Q8_REGION,
 
     from ..functions.groups import (default_partitions, group_starts,
                                     partitioned_group_map_arrow)
-    from ..functions.joins import collect_i64_under_cap
 
     lo = datetime.datetime.fromisoformat(f"{years[0]}-01-01")
     hi = datetime.datetime.fromisoformat(f"{years[1] + 1}-01-01")
@@ -2392,7 +2403,7 @@ def national_market_share(sf_dir: str, region: str = Q8_REGION,
         ntbl.filter(pc.equal(ntbl["n_regionkey"], rkey))["n_nationkey"]
         .to_numpy(zero_copy_only=False).astype(np.int64))
 
-    sup = collect_i64_under_cap(
+    sup = _collect_i64(
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_nationkey"]),
         ["s_suppkey", "s_nationkey"], 64 << 20)
@@ -2407,7 +2418,7 @@ def national_market_share(sf_dir: str, region: str = Q8_REGION,
     share_nation = int(np.min(in_region)) if len(in_region) else -1
     sup_ref = ray.put((skey, snat))
 
-    cust = collect_i64_under_cap(
+    cust = _collect_i64(
         ray.data.read_parquet(f"{sf_dir}/customer.parquet",
                               columns=["c_custkey", "c_nationkey"]),
         ["c_custkey", "c_nationkey"], 256 << 20)
@@ -2559,7 +2570,7 @@ def waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
     O(suppliers) partials out."""
     from ..functions.groups import (default_partitions, group_starts,
                                     partitioned_group_map_arrow)
-    from ..functions.joins import broadcast_attach_str
+    from ..functions.joins import broadcast_join
 
     sup_schema = pa.schema([("okey", pa.int64()), ("side", pa.int8()),
                             ("skey", pa.int64()), ("is_r", pa.int8())])
@@ -2666,11 +2677,11 @@ def waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
     per_supp = partitioned_group_map_arrow(partials, ["s_suppkey"],
                                            merge, 2,
                                            out_schema=agg_schema)
-    named = broadcast_attach_str(
-        per_supp, "s_suppkey",
+    named = broadcast_join(
+        per_supp,
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_name"]),
-        "s_suppkey", "s_name", "s_name")
+        "s_suppkey", "s_suppkey", "left")
     return named.map_batches(lambda t: t.select(out_schema.names)
                              .cast(out_schema), batch_format="pyarrow")
 
@@ -2762,7 +2773,7 @@ def concentrated_suppliers(sf_dir: str, date_lo: str = Q20_DATE_LO,
     import datetime
 
     from ..functions.groups import partitioned_group_map_arrow
-    from ..functions.joins import broadcast_attach_str
+    from ..functions.joins import broadcast_join
 
     lo = datetime.datetime.fromisoformat(date_lo)
     hi = datetime.datetime.fromisoformat(date_hi)
@@ -2830,11 +2841,11 @@ def concentrated_suppliers(sf_dir: str, date_lo: str = Q20_DATE_LO,
     # one more tiny distinct pass
     uniq = partitioned_group_map_arrow(hits, ["s_suppkey"], dedup, 2,
                                        out_schema=agg_schema)
-    named = broadcast_attach_str(
-        uniq, "s_suppkey",
+    named = broadcast_join(
+        uniq,
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_name"]),
-        "s_suppkey", "s_name", "s_name")
+        "s_suppkey", "s_suppkey", "left")
     return named.map_batches(lambda t: t.select(out_schema.names)
                              .cast(out_schema), batch_format="pyarrow")
 
@@ -2857,7 +2868,6 @@ def product_type_profit(sf_dir: str,
     attach). The fact stream never shuffles — partials collapse to
     O(nations x years) rows per batch, merged in one small pass."""
     from ..functions.groups import partitioned_group_map_arrow
-    from ..functions.joins import collect_i64_under_cap
 
     part_tbl = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"],
@@ -2870,7 +2880,7 @@ def product_type_profit(sf_dir: str,
         if parts else np.empty(0, np.int64)
     pk_ref = ray.put(pk)
 
-    sup = collect_i64_under_cap(
+    sup = _collect_i64(
         ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                               columns=["s_suppkey", "s_nationkey"]),
         ["s_suppkey", "s_nationkey"], 64 << 20)

@@ -26,31 +26,9 @@ import ray
 import ray.data
 from ray.data.dataset import MaterializedDataset
 
+from ..functions.arrow_utils import arrow_schema_of
+
 MANIFEST = "_MANIFEST.json"
-
-
-def _arrow_schema_of(ds: ray.data.Dataset):
-    """Arrow schema of a Dataset even when its blocks are pandas
-    (PandasBlockSchema): numpy dtypes map via pandas; ``object`` columns
-    in this engine are always strings."""
-    import numpy as np
-    import pyarrow as pa
-
-    schema = ds.schema()
-    if isinstance(schema, pa.Schema):
-        return schema
-    base = getattr(schema, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    fields = []
-    for name, typ in zip(schema.names, schema.types):
-        if isinstance(typ, pa.DataType):
-            fields.append(pa.field(name, typ))
-        elif isinstance(typ, np.dtype) and typ != np.dtype("O"):
-            fields.append(pa.field(name, pa.from_numpy_dtype(typ)))
-        else:
-            fields.append(pa.field(name, pa.string()))
-    return pa.schema(fields)
 
 
 def stage_dir(root: str, stage: str) -> str:
@@ -100,13 +78,13 @@ def write_stage(ds: ray.data.Dataset, root: str, stage: str,
     d = stage_dir(root, stage)
     os.makedirs(d, exist_ok=True)
     if isinstance(ds, MaterializedDataset):
-        target = schema if ds.schema() is None else _arrow_schema_of(ds)
+        target = schema if ds.schema() is None else arrow_schema_of(ds)
         _write_blocks(ds, d, target.remove_metadata())
     else:
         ds.write_parquet(d)
         if not any(f.endswith(".parquet") for f in os.listdir(d)):
             # zero-row dataset: persist the schema so readers still work
-            pq.write_table((schema or _arrow_schema_of(ds)).empty_table(),
+            pq.write_table((schema or arrow_schema_of(ds)).empty_table(),
                            os.path.join(d, "empty-0.parquet"))
     per_part = {f: int(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows)
                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
@@ -151,6 +129,26 @@ def part_columns(root: str, stage: str, columns: list[str]):
     for f in sorted(os.listdir(d)):
         if f.endswith(".parquet"):
             yield pq.read_table(os.path.join(d, f), columns=columns)
+
+
+def drop_torn_parts(root: str, stage: str) -> list[str]:
+    """Delete every Parquet part of a (possibly partial) checkpoint
+    whose footer does not parse, and return their names. Ray's
+    ``write_parquet`` writes straight to the final path, so a killed
+    write can leave a part without a footer; its rows are then
+    recomputed instead of failing every later resume."""
+    d = stage_dir(root, stage)
+    if not os.path.isdir(d):
+        return []
+    torn = []
+    for f in sorted(os.listdir(d)):
+        if f.endswith(".parquet"):
+            try:
+                pq.read_metadata(os.path.join(d, f))
+            except (OSError, ValueError):   # ArrowInvalid is a ValueError
+                os.remove(os.path.join(d, f))
+                torn.append(f)
+    return torn
 
 
 def done_key_set(root: str, stage: str, key_col: str = "file_id") -> set[str]:

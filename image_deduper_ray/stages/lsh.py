@@ -33,6 +33,11 @@ reformat-twin skew never reaches this stage at all: signature-identical
 rows are collapsed to one representative upstream
 (stages/verify.signature_representatives).
 
+Band rows and every pair shuffle run on the 8-byte ``fid64`` key; the
+final pair set resolves back to file_ids with two inner
+``functions/joins.broadcast_join``s on it (``_resolve_pairs``), whose
+many-to-many match expands a 64-bit collision to all member ids.
+
 Containment candidates (for the suffix-array substring pass) ride the
 same machinery as r=``CONTAINMENT_ROWS`` bands over the first
 ``CONTAINMENT_PERMS`` permutation values: if file A is contained in
@@ -500,133 +505,36 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Datase
 
 def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
                    cfg: DedupConfig) -> ray.data.Dataset:
-    """fid64 pairs -> file_id pairs.
-
-    Broadcast path (fits cfg.verify_broadcast_max_bytes at 40 B/row):
-    the sorted (fid64 -> file_id) map ships once via ray.put; each batch
-    resolves with two searchsorted lookups. 64-bit COLLISIONS (two
-    file_ids sharing a fid64 — expected only in the 10^10+ regime) are
-    handled by expansion: a colliding endpoint resolves to ALL its
-    member ids, so a collision can only add candidate pairs for
-    verification to reject, never lose a true pair. Past the byte cap,
-    a partitioned hash join resolves each side instead with
-    ``right_dup="expand"`` — the SAME collision-expansion semantics as
-    the broadcast path (every member id of a colliding key joins in;
-    self-pairs filtered), so both routes are collision-lossless."""
+    """fid64 pairs -> file_id pairs: two inner joins on the int64 fid64
+    key (functions/joins.broadcast_join), one per endpoint. A 64-bit
+    COLLISION (two file_ids sharing a fid64 — expected only in the
+    10^10+ regime) expands by construction: the many-to-many join
+    resolves a colliding endpoint to ALL its member ids, so a collision
+    can only add candidate pairs for verification to reject, never lose
+    a true pair. Self-pairs from a collision are dropped and each pair
+    is ordered a < b."""
     import pyarrow.compute as pc
 
-    from ..functions.joins import hash_join
+    from ..functions.joins import broadcast_join
 
-    if sigs.count() * 48 <= cfg.verify_broadcast_max_bytes:
-        @ray.remote
-        def _pack(block):
-            t = block if isinstance(block, pa.Table) \
-                else pa.Table.from_pandas(block)
-            if t.num_rows == 0 or "file_id" not in t.column_names:
-                # Ray 2.49 empty partitions can arrive schema-less
-                return np.empty(0, np.uint64), np.empty(0, dtype="S32")
-            ids = t["file_id"].to_pylist()
-            return fid64(ids), np.array(ids, dtype="S32")
-
-        bundles = sigs.select_columns(["file_id"]).iter_internal_ref_bundles()
-        refs = [r for bundle in bundles for r in bundle.block_refs]
-        parts = [p for p in ray.get([_pack.remote(r) for r in refs])
-                 if len(p[0])]
-        if parts:
-            keys = np.concatenate([p[0] for p in parts])
-            vals = np.concatenate([p[1] for p in parts])
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-        else:
-            keys = np.empty(0, np.uint64)
-            vals = np.empty(0, dtype="S32")
-        map_ref = ray.put((keys, vals))
-
-        def resolve(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.table({"a": pa.array([], pa.string()),
-                                 "b": pa.array([], pa.string()),
-                                 "is_cont": pa.array([], pa.int8())})
-            ks, vs = ray.get(map_ref)
-            a64 = t["a"].to_numpy(zero_copy_only=False).view(np.uint64)
-            b64 = t["b"].to_numpy(zero_copy_only=False).view(np.uint64)
-            cont = t["is_cont"].to_numpy(zero_copy_only=False)
-            lo_a = np.searchsorted(ks, a64, "left")
-            hi_a = np.searchsorted(ks, a64, "right")
-            lo_b = np.searchsorted(ks, b64, "left")
-            hi_b = np.searchsorted(ks, b64, "right")
-            ca, cb_ = hi_a - lo_a, hi_b - lo_b
-            simple = (ca == 1) & (cb_ == 1)
-            out_a = [vs[lo_a[simple]]]
-            out_b = [vs[lo_b[simple]]]
-            out_c = [cont[simple]]
-            for i in np.flatnonzero(~simple):       # collision expansion
-                fa = vs[lo_a[i]:hi_a[i]]
-                fb = vs[lo_b[i]:hi_b[i]]
-                if len(fa) == 0 or len(fb) == 0:
-                    continue
-                ga = np.repeat(fa, len(fb))
-                gb = np.tile(fb, len(fa))
-                keep = ga != gb
-                out_a.append(ga[keep])
-                out_b.append(gb[keep])
-                out_c.append(np.full(keep.sum(), cont[i], np.int8))
-            ra = np.concatenate(out_a)
-            rb = np.concatenate(out_b)
-            lt = ra <= rb               # np.minimum has no S32 loop
-            aa = np.where(lt, ra, rb)
-            bb = np.where(lt, rb, ra)
-            return pa.table({
-                "a": pa.array(aa.astype("U32")),
-                "b": pa.array(bb.astype("U32")),
-                "is_cont": pa.array(np.concatenate(out_c), pa.int8())})
-
-        return pairs64.map_batches(resolve, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-
-    # beyond-broadcast: partitioned joins on stringified fid64 keys
-    # stringify the SIGNED bit-view on both sides (pairs store fid64 as
-    # an int64 bit-view, so unsigned stringification would mismatch)
     id_map = sigs.select_columns(["file_id"]).map_batches(
         lambda t: pa.table({
-            "k": pa.array([str(x) for x in
-                           fid64(t["file_id"].to_pylist()).view(np.int64)],
-                          pa.string()),
-            "file_id": t["file_id"]}),
+            "k": pa.array(fid64(t["file_id"].to_pylist()).view(np.int64)),
+            "f": t["file_id"]}),
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    ja = broadcast_join(pairs64, id_map, "a", "k", "inner",
+                        cfg.broadcast_max_bytes, cfg.num_partitions
+                        ).map_batches(
+        lambda t: t.rename_columns(["fa" if n == "f" else n
+                                    for n in t.column_names]),
         batch_format="pyarrow", zero_copy_batch=True)
-    str_pairs = pairs64.map_batches(
-        lambda t: pa.table({
-            "ka": pc.cast(t["a"], pa.string()),
-            "kb": pc.cast(t["b"], pa.string()),
-            "is_cont": t["is_cont"]}),
-        batch_format="pyarrow", zero_copy_batch=True)
-    base = pa.schema([("ka", pa.string()), ("kb", pa.string()),
-                      ("is_cont", pa.int8())])
-    # right_dup="expand": a fid64 key shared by several file_ids
-    # resolves each pair endpoint to ALL its member ids (cross-product
-    # per colliding pair), exactly like the broadcast path's collision
-    # expansion — candidates can only be added for verification to
-    # reject, never lost. Self-pairs from a==b collisions are dropped
-    # in fin below (broadcast path's ga != gb filter).
-    j = hash_join(str_pairs, id_map.map_batches(
-        lambda t: t.rename_columns(["k", "fa"]), batch_format="pyarrow"),
-        "ka", "k", base, pa.schema([("fa", pa.string())]),
-        num_partitions=cfg.num_partitions, right_dup="expand")
-    j = hash_join(j, id_map.map_batches(
-        lambda t: t.rename_columns(["k", "fb"]), batch_format="pyarrow"),
-        "kb", "k", base.append(pa.field("fa", pa.string())),
-        pa.schema([("fb", pa.string())]),
-        num_partitions=cfg.num_partitions, right_dup="expand")
+    j = broadcast_join(ja, id_map, "b", "k", "inner",
+                       cfg.broadcast_max_bytes, cfg.num_partitions)
 
     def fin(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"a": pa.array([], pa.string()),
-                             "b": pa.array([], pa.string()),
-                             "is_cont": pa.array([], pa.int8())})
-        keep = pc.invert(pc.equal(t["fa"], t["fb"]))
-        t = t.filter(keep)
-        a = pc.min_element_wise(t["fa"], t["fb"])
-        b = pc.max_element_wise(t["fa"], t["fb"])
-        return pa.table({"a": a, "b": b, "is_cont": t["is_cont"]})
+        t = t.filter(pc.not_equal(t["fa"], t["f"]))
+        return pa.table({"a": pc.min_element_wise(t["fa"], t["f"]),
+                         "b": pc.max_element_wise(t["fa"], t["f"]),
+                         "is_cont": t["is_cont"]})
 
     return j.map_batches(fin, batch_format="pyarrow")

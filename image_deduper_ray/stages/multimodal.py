@@ -1291,7 +1291,7 @@ def enhanced_phash_groups(media: ray.data.Dataset, max_hamming: int = 3,
     from ..config import DedupConfig
     from ..functions.arrow_utils import safe_coalesce
     from ..functions.groups import group_starts, partitioned_group_map_arrow
-    from ..functions.joins import broadcast_attach_i64
+    from ..functions.joins import broadcast_join
     from ..pipelines.docdedup import _POP8, _popcount64
     from ..stages.cc import connected_components
 
@@ -1469,15 +1469,14 @@ def enhanced_phash_groups(media: ray.data.Dataset, max_hamming: int = 3,
         lambda t: pa.table({"doc_id": t["doc_id"],
                             "variant": t["variant"]}),
         batch_format="pyarrow")
-    j = broadcast_attach_i64(left, "doc_id", labels, "file_id",
-                             "cluster_id", "group_id")
+    j = broadcast_join(left, labels, "doc_id", "file_id", "left")
 
     def fin(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"media_id": pa.array([], pa.int64()),
                              "group_id": pa.array([], pa.int64()),
                              "variant": pa.array([], pa.string())})
-        gid = safe_coalesce(t["group_id"], t["doc_id"])
+        gid = safe_coalesce(t["cluster_id"], t["doc_id"])
         return pa.table({"media_id": t["doc_id"],
                          "group_id": pc.cast(gid, pa.int64()),
                          "variant": t["variant"]})

@@ -5,7 +5,8 @@ J4 in SURVEY.md §2.4: the reference's intended pair check is
 (/root/reference/crates/image-deduper-core/src/processing/types.rs:47-58).
 Here: estimated Jaccard = mean(sig_a == sig_b), computed vectorized
 per batch of candidate pairs (a, b). The signature matrix is broadcast
-once while it fits ``verify_broadcast_max_bytes``; past it the pairs
+once while it fits ``broadcast_max_bytes`` (its own packer and gather:
+scoring through Acero joins measured ~1.5x slower); past it the pairs
 are hash-joined with the signatures table twice
 (``score_joined_pairs``). Both scorers share one verdict rule
 (``_verdicts``): ``near_dup`` at ``jaccard_threshold``, else
@@ -127,7 +128,7 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
     if n_sigs is None:
         n_sigs = sigs.count()
     sig_bytes = n_sigs * cfg.num_perms * 8
-    if sig_bytes <= cfg.verify_broadcast_max_bytes:
+    if sig_bytes <= cfg.broadcast_max_bytes:
         # parallel pack: one task per block converts (file_id, minhash)
         # to (S32 ids, uint64 matrix) on the WORKERS. The matrices are
         # NEVER concatenated or reordered: they stay as per-part plasma
@@ -238,15 +239,16 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
 
     num_partitions = cfg.num_partitions
 
-    # --- fast path: shuffle a 128-bit FOLD of the signature, not the
-    # 1 KB payload (~15x less shuffle volume; the payload shuffle was
-    # the dominant cost of this stage). Group membership by fold is
-    # byte-equality modulo a ~2^-128 collision (documented: a collision
-    # would merge two non-identical signatures — vanishingly unlikely
-    # even at 10^12 rows, and bounded to one spurious near-dup edge).
-    # Member ids are broadcast back as a C-level is_in filter; past the
-    # broadcast byte cap we fall back to the full payload shuffle.
+    # Shuffle a 128-bit FOLD of the signature, not the 1 KB payload
+    # (~15x less shuffle volume). Group membership by fold is
+    # byte-equality modulo a ~2^-128 collision (a collision would merge
+    # two non-identical signatures — vanishingly unlikely even at 10^12
+    # rows, and bounded to one spurious near-dup edge). Non-first
+    # members are then removed from the signature stream by an
+    # anti-join (functions/joins.broadcast_join).
     import pyarrow.compute as pc
+
+    from ..functions.joins import broadcast_join
 
     P = cfg.num_perms
     mults1 = np.cumprod(np.full(P, 1099511628211, dtype=np.uint64),
@@ -306,96 +308,21 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
         .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True),
         ["h1", "h2"], narrow_block, num_partitions,
         out_schema=narrow_schema)
+    # materialized: the member filter AND the edges read it
     members = tagged_narrow.map_batches(
         lambda t: t.filter(pc.not_equal(t["edge_to"], "")),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
-    n_members = members.count()
 
-    if n_members * 64 <= cfg.verify_broadcast_max_bytes:
-        import ray as _ray
-
-        # zero-row to_pandas drops columns (Ray 2.49) — guard
-        member_ids = pa.array(
-            members.to_pandas()["file_id"].tolist() if n_members else [],
-            pa.string())
-        mref = _ray.put(member_ids)
-
-        def filter_reps(t: pa.Table) -> pa.Table:
-            mids = _ray.get(mref)
-            keep = pc.and_(
-                pc.not_equal(t["sig_kind"], "empty"),
-                pc.invert(pc.is_in(t["file_id"], value_set=mids)))
-            return t.filter(keep)
-
-        # materialized: consumed by hot-bucket counting AND band explode
-        # (and the narrow projection is small next to the corpus)
-        reps = sigs.select_columns(
-            ["file_id", "minhash", "simhash", "sig_kind"]).map_batches(
-            filter_reps, batch_format="pyarrow",
-            zero_copy_batch=True).materialize()
-        sig_edges = members.map_batches(
-            lambda t: pa.table({"a": t["edge_to"], "b": t["file_id"]}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        return reps, sig_edges
-
-    # --- fallback: member set too large to broadcast -> original
-    # full-payload shuffle (same semantics, no broadcast)
-    proj = sigs.select_columns(["file_id", "minhash", "simhash", "sig_kind"])
-
-    schema = pa.schema([("file_id", pa.string()),
-                        ("minhash", pa.binary(cfg.num_perms * 8)),
-                        ("simhash", pa.int64()), ("sig_kind", pa.string()),
-                        ("edge_to", pa.string())])
-
-    # Arrow-native block: the 1 KB minhash payloads stay C buffers
-    # through the sort/compare (the pandas path turned every signature
-    # into a Python bytes object on both sides of the block call —
-    # measured as the dominant cost of this stage).
-    def rep_block(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.not_equal(t["sig_kind"], "empty"))
-        if t.num_rows == 0:
-            return schema.empty_table()
-        mergeable = pc.equal(t["sig_kind"], "ok")
-        solo = t.filter(pc.invert(mergeable))
-        solo = solo.append_column(
-            "edge_to", pa.array([""] * solo.num_rows, pa.string()))
-        m = t.filter(mergeable).combine_chunks()
-        if m.num_rows == 0:
-            return pa.concat_tables(
-                [schema.empty_table(), solo.cast(schema)])
-        m = m.take(pc.sort_indices(
-            m, sort_keys=[("minhash", "ascending"),
-                          ("file_id", "ascending")])).combine_chunks()
-        mh = m["minhash"].combine_chunks()
-        first = np.ones(m.num_rows, dtype=bool)
-        if m.num_rows > 1:
-            eq = pc.equal(mh.slice(1), mh.slice(0, len(mh) - 1))
-            first[1:] = np.invert(
-                eq.to_numpy(zero_copy_only=False).astype(bool))
-        group_idx = np.cumsum(first) - 1
-        rep_idx = np.flatnonzero(first)[group_idx]    # rep row per row
-        edge_to = pc.if_else(pa.array(first),
-                             pa.scalar("", pa.string()),
-                             pc.take(m["file_id"], pa.array(rep_idx)))
-        m = m.append_column("edge_to", edge_to)
-        return pa.concat_tables([m.cast(schema), solo.cast(schema)])
-
-    tagged = partitioned_group_map_arrow(proj, ["minhash"], rep_block,
-                                         num_partitions, out_schema=schema)
-    tagged = tagged.materialize()  # consumed twice (reps + edges)
-
-    import pyarrow.compute as pc
-
-    reps = tagged.map_batches(
-        lambda t: t.filter(pc.equal(t["edge_to"], ""))
-        .select(["file_id", "minhash", "simhash", "sig_kind"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    sig_edges = tagged.map_batches(
-        lambda t: pa.table({
-            "a": t.filter(pc.not_equal(t["edge_to"], ""))["edge_to"],
-            "b": t.filter(pc.not_equal(t["edge_to"], ""))["file_id"]}),
+    # materialized: consumed by hot-bucket counting AND band explode
+    # (and the narrow projection is small next to the corpus)
+    reps = broadcast_join(
+        sigs.select_columns(["file_id", "minhash", "simhash", "sig_kind"])
+        .map_batches(lambda t: t.filter(pc.not_equal(t["sig_kind"], "empty")),
+                     batch_format="pyarrow", zero_copy_batch=True),
+        members, "file_id", "file_id", "anti",
+        cfg.broadcast_max_bytes, num_partitions).materialize()
+    sig_edges = members.map_batches(
+        lambda t: pa.table({"a": t["edge_to"], "b": t["file_id"]}),
         batch_format="pyarrow", zero_copy_batch=True)
     return reps, sig_edges
 

@@ -196,12 +196,11 @@ def test_fid64_collision_expansion():
         "is_cont": pa.array([0], pa.int8())}))
 
     for cap in (10**9, 0):   # broadcast path and join path
-        cfg = DedupConfig(verify_broadcast_max_bytes=cap)
+        cfg = DedupConfig(broadcast_max_bytes=cap)
         out = _resolve_pairs(pairs64, sigs, cfg.resolved()).to_pandas()
         got = set(zip(out.a, out.b))
         # BOTH routes expand the colliding endpoint to all member ids
-        # (the join route via hash_join right_dup="expand") and neither
-        # emits self-pairs
+        # (many-to-many inner joins) and neither emits self-pairs
         assert (ids[0], ids[2]) in got
         assert (ids[1], ids[2]) in got
         assert all(a != b for a, b in got)
@@ -270,82 +269,54 @@ def test_hash_join_right_dup_modes():
         hash_join(left, right, "k", "rk", ls, rs, right_dup="bogus")
 
 
-def test_broadcast_attach_str_routes():
-    """Both routes of the string-keyed label attach (zero-copy Arrow
-    broadcast and hash-join fallback at cap=0) agree: matched keys get
-    the value, unmatched get null, left row count preserved."""
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+@pytest.mark.parametrize("key_type", ["string", "int64"])
+def test_broadcast_join_routes(how, key_type):
+    """Both routes of ``broadcast_join`` (the Acero broadcast at the
+    default cap, the partitioned hash join at ``max_bytes=0``) give the
+    rows of a pandas.merge reference. The right side repeats one key:
+    inner/left expand it, semi/anti never repeat a left row. An empty
+    right side keeps every left row for left/anti and none otherwise."""
     import pandas as pd
     import pyarrow as pa
     import ray.data
 
-    from image_deduper_ray.functions.joins import broadcast_attach_str
+    from image_deduper_ray.functions.joins import broadcast_join
 
-    left = ray.data.from_arrow(pa.table({
-        "file_id": pa.array(["a", "b", "c", "d"]),
-        "x": pa.array([1, 2, 3, 4], pa.int64())}))
-    right = ray.data.from_arrow(pa.table({
-        "node": pa.array(["b", "d"]),
-        "label": pa.array(["b", "b"])}))
+    typ = pa.string() if key_type == "string" else pa.int64()
+    conv = str if key_type == "string" else int
+    left = pa.table({"k": pa.array([conv(x) for x in (5, 1, 9, 7, 1)], typ),
+                     "x": pa.array([0, 1, 2, 3, 4], pa.int64())})
+    right = pa.table({"rk": pa.array([conv(x) for x in (1, 9, 9, 4)], typ),
+                      "v": pa.array(["a", "b", "c", "d"])})
 
-    outs = []
-    for cap in (1 << 20, 0):
-        df = broadcast_attach_str(
-            ray.data.from_arrow(pa.table({
-                "file_id": pa.array(["a", "b", "c", "d"]),
-                "x": pa.array([1, 2, 3, 4], pa.int64())})),
-            "file_id", right, "node", "label", "cluster",
-            max_bytes=cap, num_partitions=2).to_pandas() \
-            .sort_values("file_id").reset_index(drop=True)
-        assert len(df) == 4
-        assert df.loc[df.file_id == "b", "cluster"].iloc[0] == "b"
-        assert df.loc[df.file_id == "d", "cluster"].iloc[0] == "b"
-        assert df.loc[df.file_id.isin(["a", "c"]), "cluster"].isna().all()
-        outs.append(df)
-    pd.testing.assert_frame_equal(outs[0], outs[1])
+    def reference(r: pa.Table) -> pd.DataFrame:
+        ldf, rdf = left.to_pandas(), r.to_pandas()
+        if how in ("semi", "anti"):
+            hit = ldf.k.isin(rdf.rk)
+            return ldf[hit if how == "semi" else ~hit]
+        return ldf.merge(rdf, left_on="k", right_on="rk",
+                         how=how).drop(columns=["rk"])
 
+    def rows(df: pd.DataFrame) -> list:
+        return sorted(tuple(None if pd.isna(v) else v for v in row)
+                      for row in df.itertuples(index=False))
 
-def test_broadcast_attach_i64_routes():
-    """Both routes of the byte-capped broadcast attach (broadcast and
-    hash-join fallback) produce identical left-join semantics on
-    unique right keys (the documented contract): matched keys get the
-    value, unmatched get null."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from image_deduper_ray.functions.joins import broadcast_attach_i64
-
-    left = ray.data.from_arrow(pa.table({
-        "k": pa.array([5, 1, 9, 7], pa.int64()),
-        "payload": pa.array(["a", "b", "c", "d"])}))
-    right = ray.data.from_arrow(pa.table({
-        "node": pa.array([1, 9], pa.int64()),
-        "lbl": pa.array([100, 900], pa.int64())}))
-
-    for cap in (1 << 30, 0):  # broadcast path, then forced join path
-        out = broadcast_attach_i64(left, "k", right, "node", "lbl",
-                                   "lbl_out", max_bytes=cap) \
-            .to_pandas().sort_values("k").reset_index(drop=True)
-        assert out["k"].tolist() == [1, 5, 7, 9]
-        got = {int(k): (None if pd.isna(v) else int(v))
-               for k, v in zip(out["k"], out["lbl_out"])}
-        assert got == {1: 100, 5: None, 7: None, 9: 900}
-        assert "payload" in out.columns
-
-
-def test_broadcast_attach_i64_empty_right():
-    import pyarrow as pa
-    import ray.data
-
-    from image_deduper_ray.functions.joins import broadcast_attach_i64
-
-    left = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
-    right = ray.data.from_arrow(pa.table({
-        "node": pa.array([], pa.int64()), "lbl": pa.array([], pa.int64())}))
-    out = broadcast_attach_i64(left, "k", right, "node", "lbl",
-                               "lbl_out").to_pandas()
-    assert len(out) == 2
-    assert out["lbl_out"].isna().all()
+    for r in (right, right.slice(0, 0)):
+        exp = rows(reference(r))
+        for cap in (2_000_000_000, 0):
+            out = broadcast_join(ray.data.from_arrow(left),
+                                 ray.data.from_arrow(r), "k", "rk", how,
+                                 max_bytes=cap, num_partitions=2)
+            df = out.to_pandas()
+            cols = ["k", "x"] + ([] if how in ("semi", "anti") else ["v"])
+            # a zero-row to_pandas drops the columns (Ray 2.49)
+            assert df.empty or list(df.columns) == cols, (cap, df.columns)
+            assert rows(df) == exp, (cap, r.num_rows)
+    if how in ("semi", "anti"):
+        assert len(reference(right)) == len(set(reference(right).x))
+    else:
+        assert (reference(right).k == conv(9)).sum() == 2   # expanded
 
 
 def test_packed_keys_negative_ids_take_fallback():

@@ -205,28 +205,60 @@ def test_signature_antijoin_resume(corpus_run, tmp_path):
     assert res2["signatures"].count() == n_before
 
 
-_CAPS = {"verify_broadcast_max_bytes": 0, "cont_broadcast_max_bytes": 0,
-         "cont_max_broadcast_ids": 0, "cc_driver_max_edges": 0}
+def test_resume_over_a_torn_signatures_part(corpus_run, tmp_path):
+    """A ``signatures`` part cut off mid-write (no Parquet footer) is
+    dropped before the resume anti-join, so its files are signed again:
+    one ``clusters`` row per input file and the fresh partition."""
+    d, out_dir, full, table, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    sig_dir = os.path.join(out2, "signatures")
+    shutil.copytree(os.path.join(out_dir, "signatures"), sig_dir)
+    os.remove(os.path.join(sig_dir, "_MANIFEST.json"))
+    part = os.path.join(sig_dir, sorted(
+        f for f in os.listdir(sig_dir) if f.endswith(".parquet"))[0])
+    os.truncate(part, os.path.getsize(part) // 2)
+    res = run_pipeline(d, out2)
+    assert res["clusters"].count() == table.num_rows
+    assert _engine_clusters(res) == _engine_clusters(full)
+
+
+_CAPS = {"broadcast_max_bytes": 0, "cc_driver_max_edges": 0}
 
 
 @pytest.mark.parametrize("caps", [{k: v} for k, v in _CAPS.items()]
                          + [_CAPS], ids=list(_CAPS) + ["all"])
-def test_forced_fallback_gives_fresh_partition(corpus_run, tmp_path, caps):
-    """Each cap at 0 forces its fallback path: the partitioned hash
-    joins of the signature collapse, pair resolution, verification
-    (the join scorer) and the label attach; the partitioned content
-    joins and the hash semi-join of containment; label propagation in
-    place of the driver union-find. Each path, and all four together,
-    must give the fresh scan's partition and the same pair, verdict
-    and edge rows."""
+def test_forced_fallback_gives_fresh_partition(corpus_run, tmp_path, caps,
+                                               monkeypatch):
+    """Each cap at 0 forces its fallback path: ``broadcast_max_bytes=0``
+    sends every ``broadcast_join`` (signature collapse, pair resolution,
+    containment prune and content attach, label attach) and the verify
+    scorer to partitioned hash joins; ``cc_driver_max_edges=0`` runs
+    label propagation in place of the driver union-find. Each path, and
+    both together, must give the fresh scan's partition and the same
+    pair, verdict and edge rows. A counter on ``hash_join`` shows that
+    the join route ran under the byte cap, and never at the default byte
+    cap (the ``cc_driver_max_edges`` case)."""
     import pyarrow.parquet as pq
 
     from image_deduper_ray.config import DedupConfig
+    from image_deduper_ray.functions import joins
 
+    calls = []
+    real = joins.hash_join
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(joins, "hash_join", counting)
     d, out_dir, full, _, _ = corpus_run
     out2 = str(tmp_path / "out")
     res = run_pipeline(d, out2, DedupConfig(**caps))
     assert _engine_clusters(res) == _engine_clusters(full)
+    # left keys of the join route: file_id (member filter, content
+    # prune, label attach), a/b (pair resolution, verify, content attach)
+    assert set(calls) == ({"file_id", "a", "b"}
+                          if "broadcast_max_bytes" in caps else set())
 
     def rows(root, stage):
         t = pq.read_table(os.path.join(root, stage))
