@@ -11,6 +11,17 @@ groups with numpy segment operations.
 This is the engine's equivalent of choosing sensible reducer counts in
 a shuffle: ``num_partitions`` bounds reducer memory and parallelism is
 ``num_partitions`` regardless of how many logical keys exist.
+
+Row prep runs inside the shuffle: every entry point takes an optional
+per-block ``pre`` (``pa.Table -> pa.Table``: a column select, a fold, a
+filter, an explode) that each map task applies to its blocks before
+hashing. The input may also be a list of datasets, each with its own
+``pre`` (a union without the union). A ``map_batches`` in front of the
+shuffle would cost one Ray Data execution of its own (the map side
+reads block refs with ``iter_internal_ref_bundles``, which runs a lazy
+plan); with ``pre``, a shuffle over materialized inputs runs none, and
+its output is a materialized dataset too, so the next consumer runs
+none either.
 """
 
 from __future__ import annotations
@@ -49,18 +60,22 @@ def _key_hash(t: pa.Table, key_cols: list[str]) -> np.ndarray:
 
 
 @ray.remote
-def _shuffle_map_task(key_cols: list[str], num_partitions: int, *blocks):
-    """One map task of the raw hash shuffle: split its blocks into
-    ``num_partitions`` zero-copy slices by key hash (one argsort, one
-    take). Returns ``num_partitions`` values (None for empty slices).
-    Takes SEVERAL upstream blocks (the driver coalesces small blocks)
+def _shuffle_map_task(key_cols: list[str], num_partitions: int, pre,
+                      *blocks):
+    """One map task of the raw hash shuffle: apply ``pre`` to each
+    non-empty block, then split the result into ``num_partitions``
+    zero-copy slices by key hash (one argsort, one take). Returns
+    ``num_partitions`` values (None for empty slices). Takes SEVERAL
+    upstream blocks of one input (the driver coalesces small blocks)
     so task count stays O(CPUs), not O(blocks)."""
     ts = []
     for block in blocks:
         t = block if isinstance(block, pa.Table) \
             else pa.Table.from_pandas(block, preserve_index=False)
         # schema-less / empty blocks do arrive from upstream unions
-        # (Ray 2.49): skip rather than KeyError
+        # (Ray 2.49): skip them, before ``pre`` and after it
+        if t.num_rows and pre is not None:
+            t = pre(t)
         if t.num_rows and all(c in t.column_names for c in key_cols):
             ts.append(t)
     if not ts:
@@ -101,41 +116,58 @@ def _shuffle_reduce_task(block_fn, out_schema: pa.Schema, as_pandas: bool,
     return ensure_schema(out, out_schema)
 
 
-def _manual_shuffle(ds: ray.data.Dataset, key_cols: list[str], block_fn,
+def _manual_shuffle(ds, key_cols: list[str], block_fn,
                     num_partitions: int, out_schema: pa.Schema,
-                    as_pandas: bool) -> ray.data.Dataset:
-    """Raw-task hash shuffle: one map task per upstream block (streamed
-    via ``iter_internal_ref_bundles`` — the driver only ever handles
-    refs), one reduce task per partition. Replaces Ray Data's sort-based
-    ``groupby().map_groups`` for the partition-block pattern: the sort
-    machinery costs ~9 s of mostly-serial overhead PER SHUFFLE at this
-    scale (measured, 173k rows / 8 cpus) vs <1 s for this path — that
-    overhead was the dominant scaling-efficiency loss across the wide
-    stages. Driver ref load is num_blocks x num_partitions; keep
-    ``num_partitions`` at O(CPUs) (the default), not O(rows)."""
-    refs = [r for bundle in ds.iter_internal_ref_bundles()
-            for r in bundle.block_refs]
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
+                    as_pandas: bool, pre=None) -> ray.data.Dataset:
+    """Raw-task hash shuffle: map tasks over the upstream blocks
+    (streamed via ``iter_internal_ref_bundles`` — the driver only ever
+    handles refs), one reduce task per partition. Replaces Ray Data's
+    sort-based ``groupby().map_groups`` for the partition-block pattern:
+    the sort machinery costs ~9 s of mostly-serial overhead PER SHUFFLE
+    at this scale (measured, 173k rows / 8 cpus) vs <1 s for this path —
+    that overhead was the dominant scaling-efficiency loss across the
+    wide stages. Driver ref load is num_blocks x num_partitions; keep
+    ``num_partitions`` at O(CPUs) (the default), not O(rows).
+
+    ``ds`` is one dataset or a list of them; ``pre`` is one per-block
+    function for all of them, or a list with one entry (or None) per
+    input. Every input's rows, after its ``pre``, must share the key
+    columns and one schema. Returns a materialized dataset of one block
+    per partition."""
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+    pres = list(pre) if isinstance(pre, (list, tuple)) \
+        else [pre] * len(inputs)
+    if len(pres) != len(inputs):
+        raise ValueError(f"{len(inputs)} inputs but {len(pres)} pre functions")
+    refs = [[r for bundle in d.iter_internal_ref_bundles()
+             for r in bundle.block_refs] for d in inputs]
+    n_refs = sum(len(r) for r in refs)
+    if not n_refs:
+        return ray.data.from_arrow(out_schema.empty_table()).materialize()
     # coalesce small upstream blocks: O(CPUs) map tasks, each slicing
     # into num_partitions — task count stays bounded however many tiny
     # blocks the upstream produced
-    n_maps = max(2, min(len(refs), 4 * _cluster_cpus()))
-    per = (len(refs) + n_maps - 1) // n_maps
+    n_maps = max(2, min(n_refs, 4 * _cluster_cpus()))
+    per = (n_refs + n_maps - 1) // n_maps
     maps = [
         _shuffle_map_task.options(num_returns=num_partitions).remote(
-            key_cols, num_partitions, *refs[i:i + per])
-        for i in range(0, len(refs), per)]
+            key_cols, num_partitions, fn, *rs[i:i + per])
+        for rs, fn in zip(refs, pres)
+        for i in range(0, len(rs), per)]
     outs = [
         _shuffle_reduce_task.remote(block_fn, out_schema, as_pandas,
                                     *(m[p] for m in maps))
         for p in range(num_partitions)]
-    return ray.data.from_arrow_refs(outs)
+    # a source dataset materializes without a Ray Data execution, and a
+    # materialized one is read (iterated, counted, shuffled again)
+    # without one
+    return ray.data.from_arrow_refs(outs).materialize()
 
 
-def partitioned_group_map(ds: ray.data.Dataset, key_cols: list[str],
+def partitioned_group_map(ds, key_cols: list[str],
                           block_fn, num_partitions: int | None,
-                          out_schema: pa.Schema) -> ray.data.Dataset:
+                          out_schema: pa.Schema,
+                          pre=None) -> ray.data.Dataset:
     """Hash-partition ``ds`` on ``key_cols`` and apply ``block_fn``
     (pandas DataFrame -> pandas DataFrame) once per partition. The block
     function sees every row of every key assigned to its partition and
@@ -145,15 +177,16 @@ def partitioned_group_map(ds: ray.data.Dataset, key_cols: list[str],
     The shuffle runs on raw Ray tasks (``_manual_shuffle``) — Ray
     Data's sort-based groupby costs ~9 s serial overhead per shuffle at
     bench scale. ``out_schema`` types every partition's output, an
-    empty one included."""
+    empty one included. ``ds`` and ``pre``: see ``_manual_shuffle``."""
     num_partitions = max(2, num_partitions or default_partitions())
     return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
-                           out_schema, as_pandas=True)
+                           out_schema, as_pandas=True, pre=pre)
 
 
-def partitioned_group_map_arrow(ds: ray.data.Dataset, key_cols: list[str],
+def partitioned_group_map_arrow(ds, key_cols: list[str],
                                 block_fn, num_partitions: int | None,
-                                out_schema: pa.Schema) -> ray.data.Dataset:
+                                out_schema: pa.Schema,
+                                pre=None) -> ray.data.Dataset:
     """``partitioned_group_map`` with an Arrow block function
     (pa.Table -> pa.Table). Use when the payload carries binary/string
     columns (e.g. 1 KB minhash signatures): the pandas path would turn
@@ -161,14 +194,14 @@ def partitioned_group_map_arrow(ds: ray.data.Dataset, key_cols: list[str],
     while Arrow blocks keep them as C buffers end to end."""
     num_partitions = max(2, num_partitions or default_partitions())
     return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
-                           out_schema, as_pandas=False)
+                           out_schema, as_pandas=False, pre=pre)
 
 
-def partitioned_sum(ds: ray.data.Dataset, key_cols: list[str],
+def partitioned_sum(ds, key_cols: list[str],
                     value_col: str, num_partitions: int | None,
                     out_schema: pa.Schema,
                     out_name: str | None = None,
-                    ) -> ray.data.Dataset:
+                    pre=None) -> ray.data.Dataset:
     """Distributed ``SELECT key_cols, SUM(value_col) GROUP BY key_cols``
     as a hash-partitioned vectorized block aggregate. Ray 2.49's native
     ``groupby().sum()`` runs a full sort-based shuffle that measures
@@ -196,7 +229,7 @@ def partitioned_sum(ds: ray.data.Dataset, key_cols: list[str],
         return pa.table(cols)
 
     return partitioned_group_map_arrow(ds, key_cols, block, num_partitions,
-                                       out_schema=out_schema)
+                                       out_schema=out_schema, pre=pre)
 
 
 def group_starts(*key_arrays: np.ndarray) -> np.ndarray:

@@ -24,7 +24,13 @@ materialized once, its blocks are written by plain tasks, and the next
 stage reads it from the object store. Only signatures (streamed to
 disk, so a killed run keeps its parts) and stages an earlier run
 completed are read from Parquet; a signatures part left without a
-Parquet footer by a killed scan is dropped before the resume.
+Parquet footer by a killed scan is dropped before the resume. The
+signatures checkpoint is read ONCE per run, right after its stage, and
+materialized: its six consumers (exact edges, signature collapse and
+its anti-join, pair resolution, the verify pack, the cluster meta)
+then take its blocks from the object store, and the shuffles among
+them run their row prep in their own map tasks
+(``functions/groups``), so none of them starts a Parquet read.
 
 Every small-side lookup (signature-member filter, pair resolution,
 containment id prune and content attach, cluster label attach) is one
@@ -168,6 +174,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             t.done(ckpt.read_manifest(out_dir, "signatures")["rows"],
                    resumed_from=len(done), **_fallback_counts(out_dir))
     sigs = ckpt.read_stage(out_dir, "signatures")
+    if not all(complete(name) for name in STAGES[1:]):
+        # one Parquet read per run; every consumer below reads the blocks
+        sigs = sigs.materialize()
 
     # -- exact-dup edges (A1) --
     if not complete("edges_exact"):

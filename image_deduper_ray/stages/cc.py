@@ -119,10 +119,9 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
         return pd.DataFrame({"key": u.to_numpy(), "label": u.to_numpy()})
 
     labels = partitioned_group_map(
-        bidir.map_batches(lambda t: t.select(["key"]),
-                          batch_format="pyarrow", zero_copy_batch=True),
-        ["key"], seed_block, P,
-        out_schema=pa.schema([("key", nt), ("label", nt)]))
+        bidir, ["key"], seed_block, P,
+        out_schema=pa.schema([("key", nt), ("label", nt)]),
+        pre=lambda t: t.select(["key"]))
 
     msg_schema = pa.schema([("node", nt), ("label", nt),
                             ("is_self", pa.int8())])
@@ -158,27 +157,26 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
             "key": node[new], "label": best,
             "changed": (best != old).astype(np.int64)})
 
+    def lab_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["key"], "label": t["label"],
+                         "neigh": pa.nulls(t.num_rows, nt)})
+
+    def edge_rows(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["key"], "label": pa.nulls(t.num_rows, nt),
+                         "neigh": t["neigh"]})
+
     while True:
-        lab_rows = labels.map_batches(
-            lambda t: pa.table({"key": t["key"], "label": t["label"],
-                                "neigh": pa.nulls(t.num_rows, nt)}),
-            batch_format="pyarrow")
-        edge_rows = bidir.map_batches(
-            lambda t: pa.table({"key": t["key"],
-                                "label": pa.nulls(t.num_rows, nt),
-                                "neigh": t["neigh"]}),
-            batch_format="pyarrow")
-        msgs = partitioned_group_map(lab_rows.union(edge_rows), ["key"],
-                                     block_msgs, P, out_schema=msg_schema)
-        new_labels = partitioned_group_map(msgs, ["node"], block_reduce, P,
-                                           out_schema=lab_schema).materialize()
+        # labels and edges meet in one shuffle, each with its own row prep
+        msgs = partitioned_group_map([labels, bidir], ["key"], block_msgs, P,
+                                     out_schema=msg_schema,
+                                     pre=[lab_rows, edge_rows])
+        labels = partitioned_group_map(msgs, ["node"], block_reduce, P,
+                                       out_schema=lab_schema)
         # None on an empty graph: nothing to change either
-        changed = new_labels.sum("changed")
-        labels = new_labels.select_columns(["key", "label"])
-        if not changed:
+        if not labels.sum("changed"):
             break
     return labels.map_batches(
-        lambda t: t.rename_columns(["file_id", "cluster_id"]),
+        lambda t: pa.table({"file_id": t["key"], "cluster_id": t["label"]}),
         batch_format="pyarrow")
 
 
@@ -190,14 +188,19 @@ def connected_components(edges: ray.data.Dataset,
     up to ``cfg.cc_driver_max_edges`` edges, label propagation past it."""
     cfg = cfg.resolved()
     if edges.count() <= cfg.cc_driver_max_edges:
+        # no projection: the union-find reads ``a`` and ``b`` itself, and
+        # iterating a materialized ``edges`` then runs no Ray Data job
         df = _driver_union_find(
-            edges.select_columns(["a", "b"]).iter_batches(
-                batch_size=65536, batch_format="pyarrow"))
+            edges.iter_batches(batch_size=65536, batch_format="pyarrow"))
         if df.empty:
             import pyarrow as pa
             nt = _node_type(edges)
-            return ray.data.from_arrow(pa.table({
+            labels = ray.data.from_arrow(pa.table({
                 "file_id": pa.array([], nt),
                 "cluster_id": pa.array([], nt)}))
-        return ray.data.from_pandas(df)
+        else:
+            labels = ray.data.from_pandas(df)
+        # a source dataset materializes without a Ray Data job, and the
+        # label attach then collects it without one
+        return labels.materialize()
     return _distributed_label_prop(edges, cfg)

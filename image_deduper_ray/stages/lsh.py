@@ -138,14 +138,14 @@ def fid64(file_ids) -> np.ndarray:
 
 
 class ExplodeBands:
-    """map_batches fn: signature rows -> (band_id, band_key, salt,
-    file_id, simhash) rows. ``hot_ref`` is the broadcast hot-bucket
-    table from the counting pass (empty on the counting pass itself):
-    a PRE-SORTED (combo uint64 array, n_sub int64 array) pair — numpy
-    arrays go zero-copy through plasma, and the searchsorted lookup
-    tables are built once on the driver instead of once per actor
+    """Row prep of the pair-gen shuffle: signature rows -> (band_id,
+    band_key, salt, n_sub, fid, simhash) rows. ``hot_ref`` is the
+    hot-bucket table from the counting pass (empty on the counting pass
+    itself): a PRE-SORTED (combo uint64 array, n_sub int64 array) pair,
+    fetched once on the driver when the instance is built, so the
+    searchsorted lookup tables ship with the function as numpy arrays
     (never a ray.put dict, which is stored pickled and re-unpickled by
-    every worker)."""
+    every task)."""
 
     def __init__(self, config: DedupConfig, hot_ref=None):
         if config.num_perms < CONTAINMENT_PERMS:
@@ -247,32 +247,32 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
     k = HOT_SAMPLE_K
     threshold = max(2.0, cfg.bucket_cap / k)
 
-    def sample(t: pa.Table) -> pa.Table:
+    partial = PartialBucketCounts(cfg)
+
+    def sample_counts(t: pa.Table) -> pa.Table:
         # vectorized deterministic selector (same fixed-width hex trick
         # as _salt_for) — no per-row int(f[-4:], 16)
         sel = _salt_for(t["file_id"].to_pylist(),
                         np.full(t.num_rows, k, dtype=np.int64))
-        return t.filter(pa.array(sel == 0))
+        return partial(t.filter(pa.array(sel == 0)))
 
     from ..functions.groups import partitioned_sum
 
     # partitioned vectorized sum — Ray's native groupby().sum() is a
-    # full sort-based shuffle, ~10x slower on this narrow key shape
+    # full sort-based shuffle, ~10x slower on this narrow key shape.
+    # Sampling and partial counts run in the shuffle's map tasks
     counts = partitioned_sum(
-        sigs.map_batches(sample, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .map_batches(PartialBucketCounts(cfg),
-                     batch_format="pyarrow", zero_copy_batch=True),
-        ["band_id", "band_key"], "partial", cfg.num_partitions,
+        sigs, ["band_id", "band_key"], "partial", cfg.num_partitions,
         out_schema=pa.schema([("band_id", pa.int32()),
                               ("band_key", pa.int64()),
-                              ("sum(partial)", pa.int64())]))
-    hot_ds = counts.map_batches(
-        lambda t: t.filter(pa.compute.greater(t["sum(partial)"], threshold)),
-        batch_format="pyarrow", zero_copy_batch=True)
+                              ("sum(partial)", pa.int64())]),
+        pre=sample_counts)
     bids, bkeys, nsubs = [], [], []
-    for b in hot_ds.iter_batches(batch_size=65536,
+    for b in counts.iter_batches(batch_size=65536,
                                  batch_format="pyarrow"):
+        # the hot threshold, on the driver: the counts are one row per
+        # sampled bucket
+        b = b.filter(pa.compute.greater(b["sum(partial)"], threshold))
         if b.num_rows == 0:
             continue
         bids.append(b["band_id"].to_numpy(zero_copy_only=False)
@@ -436,35 +436,27 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Datase
 
     cfg = cfg.resolved()
     hot_ref = find_hot_buckets(sigs, cfg)
-    bands = sigs.map_batches(ExplodeBands(cfg, hot_ref),
-                             batch_format="pyarrow", zero_copy_batch=True)
 
     raw_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                             ("is_cont", pa.int8()), ("band_id", pa.int32()),
                             ("band_key", pa.int64()), ("kind", pa.string())])
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                              ("is_cont", pa.int8())])
+    # the band explode runs in the shuffle's map tasks; the output is
+    # materialized, so the cand and rep reads below both take its blocks
     raw = partitioned_group_map(
-        bands, ["band_id", "band_key", "salt"],
+        sigs, ["band_id", "band_key", "salt"],
         lambda df: _pairs_block(df, cfg.bucket_cap, cfg.salt_window),
-        cfg.num_partitions, out_schema=raw_schema)
-    # consumed twice below (cand + rep split): materialize so the
-    # explode + shuffle + pair-gen lineage runs once, not twice
-    raw = raw.materialize()
+        cfg.num_partitions, out_schema=raw_schema,
+        pre=ExplodeBands(cfg, hot_ref))
 
-    pairs = raw.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "cand"))
-        .select(["a", "b", "is_cont"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    reps = raw.map_batches(
-        lambda t: t.filter(pc.equal(t["kind"], "rep"))
-        .select(["a", "is_cont", "band_id", "band_key"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    def kind_rows(kind: str, cols: list[str]):
+        return lambda t: t.filter(pc.equal(t["kind"], kind)).select(cols)
+
     rep_pairs = partitioned_group_map(
-        reps, ["band_id", "band_key"], _link_reps_block,
-        cfg.num_partitions, out_schema=pair_schema)
-
-    all_pairs = pairs.union(rep_pairs)
+        raw, ["band_id", "band_key"], _link_reps_block,
+        cfg.num_partitions, out_schema=pair_schema,
+        pre=kind_rows("rep", ["a", "is_cont", "band_id", "band_key"]))
 
     # distinct on (a, b); is_cont = max => ANY containment-band evidence
     # routes a Jaccard-rejected pair to the substring pass. Partitioned
@@ -497,9 +489,11 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Datase
         return pd.DataFrame({"a": a[last][keep], "b": b[last][keep],
                              "is_cont": c[last][keep]})  # max = last
 
-    deduped = partitioned_group_map(all_pairs, ["a", "b"], dedup_block,
-                                    cfg.num_partitions,
-                                    out_schema=pair_schema)
+    # the union of cand rows and rep-link pairs: two shuffle inputs
+    deduped = partitioned_group_map(
+        [raw, rep_pairs], ["a", "b"], dedup_block, cfg.num_partitions,
+        out_schema=pair_schema,
+        pre=[kind_rows("cand", ["a", "b", "is_cont"]), None])
     return _resolve_pairs(deduped, sigs, cfg)
 
 

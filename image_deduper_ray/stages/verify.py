@@ -171,9 +171,10 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
             order = np.argsort(ids)
             return (ids[order], part_of[order], row_of[order])
 
-        bundles = sigs.select_columns(["file_id", "minhash"]) \
-            .iter_internal_ref_bundles()
-        refs = [r for bundle in bundles for r in bundle.block_refs]
+        # the blocks themselves, not a projection: ``_pack`` reads two
+        # columns, and a materialized ``sigs`` then needs no Ray Data job
+        refs = [r for bundle in sigs.iter_internal_ref_bundles()
+                for r in bundle.block_refs]
         packed = [_pack.remote(r) for r in refs]
         mat_refs = [m for _, m in packed]
         index_ref = _index.remote(*[i for i, _ in packed])
@@ -231,10 +232,11 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
     file_id) per signature group enters LSH; (rep, member) edges are
     returned for the edge union; CC transitivity reconnects everything.
 
-    Returns (reps, sig_edges). Rows whose sig_kind is 'fallback' are
-    never merged by signature (their signature encodes identity, not
-    content); 'empty' rows are dropped from both outputs (M16
-    validator semantics)."""
+    Returns (reps, sig_edges): ``sig_edges`` is (a=rep, b=member), one
+    row per non-first member, straight from the collapse shuffle. Rows
+    whose sig_kind is 'fallback' are never merged by signature (their
+    signature encodes identity, not content); 'empty' rows are dropped
+    from both outputs (M16 validator semantics)."""
     from ..functions.groups import partitioned_group_map_arrow
 
     num_partitions = cfg.num_partitions
@@ -245,7 +247,7 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
     # two non-identical signatures — vanishingly unlikely even at 10^12
     # rows, and bounded to one spurious near-dup edge). Non-first
     # members are then removed from the signature stream by an
-    # anti-join (functions/joins.broadcast_join).
+    # anti-join on the edges' ``b`` (functions/joins.broadcast_join).
     import pyarrow.compute as pc
 
     from ..functions.joins import broadcast_join
@@ -257,11 +259,7 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
                         dtype=np.uint64)
 
     def fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"file_id": pa.array([], pa.string()),
-                             "h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64()),
-                             "sig_kind": pa.array([], pa.string())})
+        """The shuffle's row prep: (file_id, h1, h2, sig_kind)."""
         M = _sig_of(t["minhash"], P)
         with np.errstate(over="ignore"):
             h1 = (M * mults1[None, :]).sum(axis=1, dtype=np.uint64)
@@ -271,22 +269,14 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
                          "h2": pa.array(h2.view(np.int64)),
                          "sig_kind": t["sig_kind"]})
 
-    narrow_schema = pa.schema([("file_id", pa.string()),
-                               ("edge_to", pa.string())])
+    edge_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
 
-    def narrow_block(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t["sig_kind"], "empty"))
-        if t.num_rows == 0:
-            return narrow_schema.empty_table()
-        mergeable = pc.equal(t["sig_kind"], "ok")
-        solo = t.filter(pc.invert(mergeable))
-        m = t.filter(mergeable).combine_chunks()
-        solo_out = pa.table({
-            "file_id": solo["file_id"],
-            "edge_to": pa.array([""] * solo.num_rows, pa.string())})
+    def member_edges(t: pa.Table) -> pa.Table:
+        """(first, member) edges of one partition's 'ok' rows, grouped
+        by fold; the first is the group's min file_id."""
+        m = t.filter(pc.equal(t["sig_kind"], "ok"))
         if m.num_rows == 0:
-            return pa.concat_tables([narrow_schema.empty_table(),
-                                     solo_out.cast(narrow_schema)])
+            return edge_schema.empty_table()
         m = m.take(pc.sort_indices(
             m, sort_keys=[("h1", "ascending"), ("h2", "ascending"),
                           ("file_id", "ascending")])).combine_chunks()
@@ -294,24 +284,16 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
         k2 = m["h2"].to_numpy(zero_copy_only=False)
         first = np.ones(m.num_rows, dtype=bool)
         first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-        group_idx = np.cumsum(first) - 1
-        rep_idx = np.flatnonzero(first)[group_idx]
-        edge_to = pc.if_else(pa.array(first),
-                             pa.scalar("", pa.string()),
-                             pc.take(m["file_id"], pa.array(rep_idx)))
-        out = pa.table({"file_id": m["file_id"], "edge_to": edge_to})
-        return pa.concat_tables([out.cast(narrow_schema),
-                                 solo_out.cast(narrow_schema)])
+        rep_idx = np.flatnonzero(first)[np.cumsum(first) - 1]
+        member = np.flatnonzero(~first)
+        return pa.table({"a": m["file_id"].take(pa.array(rep_idx[member])),
+                         "b": m["file_id"].take(pa.array(member))})
 
-    tagged_narrow = partitioned_group_map_arrow(
-        sigs.select_columns(["file_id", "minhash", "sig_kind"])
-        .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True),
-        ["h1", "h2"], narrow_block, num_partitions,
-        out_schema=narrow_schema)
-    # materialized: the member filter AND the edges read it
-    members = tagged_narrow.map_batches(
-        lambda t: t.filter(pc.not_equal(t["edge_to"], "")),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    # materialized by the shuffle: the anti-join below AND the
+    # ``edges_sig`` checkpoint read it
+    sig_edges = partitioned_group_map_arrow(
+        sigs, ["h1", "h2"], member_edges, num_partitions,
+        out_schema=edge_schema, pre=fold)
 
     # materialized: consumed by hot-bucket counting AND band explode
     # (and the narrow projection is small next to the corpus)
@@ -319,11 +301,8 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
         sigs.select_columns(["file_id", "minhash", "simhash", "sig_kind"])
         .map_batches(lambda t: t.filter(pc.not_equal(t["sig_kind"], "empty")),
                      batch_format="pyarrow", zero_copy_batch=True),
-        members, "file_id", "file_id", "anti",
+        sig_edges, "file_id", "b", "anti",
         cfg.broadcast_max_bytes, num_partitions).materialize()
-    sig_edges = members.map_batches(
-        lambda t: pa.table({"a": t["edge_to"], "b": t["file_id"]}),
-        batch_format="pyarrow", zero_copy_batch=True)
     return reps, sig_edges
 
 
@@ -354,6 +333,6 @@ def exact_dup_edges(sigs: ray.data.Dataset,
         return pd.DataFrame({"a": first_fid[mask], "b": fid[mask]})
 
     return partitioned_group_map(
-        sigs.select_columns(["sha256", "file_id", "sig_kind"]),
-        ["sha256"], block, num_partitions,
-        out_schema=pa.schema([("a", pa.string()), ("b", pa.string())]))
+        sigs, ["sha256"], block, num_partitions,
+        out_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
+        pre=lambda t: t.select(["sha256", "file_id", "sig_kind"]))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 import ray
 
-sys.path.insert(0, "/root/repo")
+# this checkout's package, wherever the checkout lives
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -364,3 +364,99 @@ def test_safe_coalesce_misaligned_chunks():
     # starts FAILING, pyarrow fixed the bug and the helper can go)
     raw = pc.coalesce(g, d).to_pylist()[42:44]
     assert raw in ([99, 99], [42, 43])
+
+
+def _sorted_rows(ds) -> list:
+    return sorted(tuple(r.values()) for r in ds.take_all())
+
+
+def _shuffle_entry_points():
+    """(name, call) for the three shuffle entry points, each summing
+    ``w`` per key ``k`` over 3 partitions."""
+    import pyarrow as pa
+
+    from image_deduper_ray.functions import groups
+
+    out = pa.schema([("k", pa.int64()), ("s", pa.int64())])
+
+    def pandas_sum(df):
+        return df.groupby("k", as_index=False)["w"].sum() \
+            .rename(columns={"w": "s"})
+
+    def arrow_sum(t):
+        return t.group_by("k").aggregate([("w", "sum")]) \
+            .rename_columns(["k", "s"])
+
+    return [
+        ("pandas", lambda ds, pre=None: groups.partitioned_group_map(
+            ds, ["k"], pandas_sum, 3, out, pre=pre)),
+        ("arrow", lambda ds, pre=None: groups.partitioned_group_map_arrow(
+            ds, ["k"], arrow_sum, 3, out, pre=pre)),
+        ("sum", lambda ds, pre=None: groups.partitioned_sum(
+            ds, ["k"], "w", 3, out, out_name="s", pre=pre)),
+    ]
+
+
+def _odd_doubled():
+    """A row prep that filters, projects and derives a column (nested,
+    so Ray ships it by value: workers cannot import a test module)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    def pre(t):
+        t = t.filter(pc.equal(pc.bit_wise_and(t["v"], 1), 1))
+        return pa.table({"k": t["k"], "w": pc.multiply(t["v"], 2)})
+    return pre
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_shuffle_pre_equals_map_then_shuffle(entry):
+    """A shuffle's per-block ``pre`` gives the rows of ``map_batches``
+    followed by the shuffle, and a two-input shuffle (each input with
+    its own ``pre``) gives the rows of the shuffle of the union."""
+    import pyarrow as pa
+    import ray.data
+
+    _, shuffle = _shuffle_entry_points()[entry]
+    prep = _odd_doubled()
+    v = np.arange(200, dtype=np.int64)
+    first = ray.data.from_arrow(
+        [pa.table({"k": v[i:i + 50] % 7, "v": v[i:i + 50],
+                   "junk": pa.array(["x"] * 50)}) for i in range(0, 200, 50)])
+    second = ray.data.from_arrow(pa.table({"k": v[:30] % 4, "w": v[:30]}))
+
+    mapped = first.map_batches(prep, batch_format="pyarrow")
+    assert _sorted_rows(shuffle(first, pre=prep)) \
+        == _sorted_rows(shuffle(mapped))
+    assert _sorted_rows(shuffle([first, second], pre=[prep, None])) \
+        == _sorted_rows(shuffle(mapped.union(second)))
+    with pytest.raises(ValueError):
+        shuffle([first, second], pre=[prep])
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2])
+def test_shuffle_skips_empty_blocks_before_pre(entry):
+    """Empty and schema-less blocks (Ray 2.49 unions produce both) are
+    skipped by the map task: ``pre`` never sees them, and an input of
+    only such blocks gives the typed empty output."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    _, shuffle = _shuffle_entry_points()[entry]
+    prep = _odd_doubled()
+
+    def strict(t):
+        if t.num_rows == 0:
+            raise ValueError("pre called on an empty block")
+        return prep(t)
+
+    rows = pa.table({"k": pa.array([1, 2, 1], pa.int64()),
+                     "v": pa.array([1, 3, 5], pa.int64())})
+    blocks = [rows, rows.slice(0, 0), pa.table({})]
+    ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
+    assert _sorted_rows(shuffle(ds, pre=strict)) == [(1, 12), (2, 6)]
+    empty = ray.data.from_arrow_refs([ray.put(b) for b in blocks[1:]])
+    out = shuffle(empty, pre=strict)
+    assert out.count() == 0
+    assert out.schema().names == ["k", "s"]

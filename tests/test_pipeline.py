@@ -310,6 +310,36 @@ def test_fresh_scan_reads_back_only_signatures(corpus_run, tmp_path,
     assert all(ckpt.is_complete(out2, stage) for stage in STAGES)
 
 
+def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
+    """A fresh scan starts at most 15 Ray Data executions and exactly 7
+    hash shuffles: the signatures checkpoint is read once, each
+    shuffle's row prep runs in its own map tasks, and no execution only
+    projects or splits a dataset."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from image_deduper_ray.functions import groups
+
+    executions, shuffles = [], []
+    real_execute = StreamingExecutor.execute
+    real_shuffle = groups._manual_shuffle
+
+    def execute(self, *args, **kwargs):
+        executions.append(type(self).__name__)
+        return real_execute(self, *args, **kwargs)
+
+    def shuffle(*args, **kwargs):
+        shuffles.append(args[1])
+        return real_shuffle(*args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    monkeypatch.setattr(groups, "_manual_shuffle", shuffle)
+    d, _, _, _, _ = corpus_run
+    run_pipeline(d, str(tmp_path / "out"))
+    assert len(shuffles) == 7, shuffles
+    assert len(executions) <= 15, len(executions)
+
+
 @pytest.mark.parametrize("stage", STAGES[1:])
 def test_resume_from_each_kill_point(corpus_run, tmp_path, stage):
     """A scan killed before ``stage`` completed (its manifest and every
