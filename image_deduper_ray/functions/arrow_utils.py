@@ -5,6 +5,12 @@ from __future__ import annotations
 import pyarrow as pa
 
 
+def as_table(block) -> pa.Table:
+    """A Ray block (Arrow table or pandas frame) as an Arrow table."""
+    return block if isinstance(block, pa.Table) \
+        else pa.Table.from_pandas(block, preserve_index=False)
+
+
 def ensure_schema(tb: pa.Table, schema: pa.Schema) -> pa.Table:
     """Ray's hash-join emits schema-less empty blocks for empty
     partitions; downstream joins then fail with 'No match for key

@@ -31,6 +31,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .arrow_utils import as_table
+
 
 def _cluster_cpus() -> int:
     import ray
@@ -70,8 +72,7 @@ def _shuffle_map_task(key_cols: list[str], num_partitions: int, pre,
     so task count stays O(CPUs), not O(blocks)."""
     ts = []
     for block in blocks:
-        t = block if isinstance(block, pa.Table) \
-            else pa.Table.from_pandas(block, preserve_index=False)
+        t = as_table(block)
         # schema-less / empty blocks do arrive from upstream unions
         # (Ray 2.49): skip them, before ``pre`` and after it
         if t.num_rows and pre is not None:
@@ -162,6 +163,30 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
     # materialized one is read (iterated, counted, shuffled again)
     # without one
     return ray.data.from_arrow_refs(outs).materialize()
+
+
+@ray.remote
+def _concat_blocks(*blocks) -> pa.Table:
+    ts = [as_table(b) for b in blocks]
+    # empty blocks may be schema-less (Ray 2.49): keep one only when
+    # nothing else is left
+    full = [t for t in ts if t.num_rows]
+    return pa.concat_tables(full, promote_options="default") if full \
+        else ts[0]
+
+
+def coalesce_blocks(ds: ray.data.Dataset, max_blocks: int) -> ray.data.Dataset:
+    """A materialized ``ds`` in at most ``max_blocks`` blocks: each run
+    of consecutive blocks is concatenated by one plain task, so no Ray
+    Data job runs (a ``repartition`` would be one). Row order is kept."""
+    refs = [r for bundle in ds.iter_internal_ref_bundles()
+            for r in bundle.block_refs]
+    if len(refs) <= max_blocks:
+        return ds
+    per = -(-len(refs) // max_blocks)
+    return ray.data.from_arrow_refs(
+        [_concat_blocks.remote(*refs[i:i + per])
+         for i in range(0, len(refs), per)]).materialize()
 
 
 def partitioned_group_map(ds, key_cols: list[str],

@@ -52,7 +52,7 @@ from ray.data.dataset import MaterializedDataset
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions import hashing
 from ..functions.arrow_utils import ensure_schema
-from ..functions.groups import default_partitions
+from ..functions.groups import coalesce_blocks, default_partitions
 from ..functions.joins import broadcast_join
 from ..sources import checkpoints as ckpt
 from ..sources.files import read_files
@@ -61,8 +61,8 @@ from ..stages.cc import connected_components
 from ..stages.lsh import candidate_pairs
 from ..stages.signatures import sign_batch
 from ..stages.substring import ContainmentVerify
-from ..stages.verify import (exact_dup_edges, signature_representatives,
-                             verify_pairs)
+from ..stages.verify import (exact_dup_edges, pack_signatures,
+                             signature_representatives, verify_pairs)
 from ..state.metrics import MetricsSink, StageTimer
 
 _EDGE_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
@@ -128,13 +128,10 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     def persist(ds_, name, schema=None):
         # clear first: a torn or stale earlier write must not mix in
         ckpt.clear_stage(out_dir, name)
-        m = ds_.materialize()
         # shuffle stages leave one small block per partition (plus one
         # per union input): coalesce, or every downstream consumer and
         # the write pay a task per tiny block
-        cap = 2 * default_partitions()
-        if m.num_blocks() > cap:
-            m = m.repartition(cap).materialize()
+        m = coalesce_blocks(ds_.materialize(), 2 * default_partitions())
         ckpt.write_stage(m, out_dir, name, cfg_json, schema=schema)
         mem[name] = m
         return m
@@ -191,12 +188,16 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # collapse to one representative before banding: identical MinHash
     # => est-Jaccard 1.0 => near-dup edge with no banding/verification
     # needed. At web scale this is the single biggest bucket-skew and
-    # duplicate-emission source (vendored/boilerplate copies).
+    # duplicate-emission source (vendored/boilerplate copies). Their
+    # signature broadcast feeds the in-bucket check and, in the same
+    # scan, the verify scorer (every pair endpoint is a representative)
+    rep_sigs = None
     if not (complete("pairs") and complete("edges_sig")):
         with StageTimer(metrics, "pairs") as t:
             reps, sig_edges = signature_representatives(sigs, cfg)
             persist(sig_edges, "edges_sig", schema=_EDGE_SCHEMA)
-            p = candidate_pairs(reps, cfg)
+            rep_sigs = pack_signatures(reps, cfg)
+            p = candidate_pairs(reps, cfg, rep_sigs)
             p = persist(p, "pairs", schema=_PAIR_SCHEMA)
             t.done(rows_of("pairs"), partitions=cfg.num_partitions)
     pairs = load("pairs")
@@ -210,10 +211,12 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             else:
                 v = verify_pairs(
                     pairs, sigs, cfg,
-                    n_sigs=ckpt.read_manifest(out_dir, "signatures")["rows"])
+                    n_sigs=ckpt.read_manifest(out_dir, "signatures")["rows"],
+                    packed=rep_sigs)
             v = persist(v, "verified", schema=_VERIFIED_SCHEMA)
             t.done(rows_of("verified"), partitions=cfg.num_partitions)
     verified = load("verified")
+    rep_sigs = None  # frees the broadcast's plasma objects
 
     # -- containment (suffix-array substring) edges --
     if not complete("edges_cont"):

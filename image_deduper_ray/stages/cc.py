@@ -77,6 +77,37 @@ def _driver_union_find(edge_batches) -> pd.DataFrame:
     return pd.DataFrame({"file_id": uniq, "cluster_id": uniq[label]})
 
 
+def spanning_forest(u: np.ndarray, v: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Mask of the edges (u, v) over nodes 0..n_nodes-1 that form a
+    spanning forest: the kept edges give the same components as all of
+    them, and each one joins two components (n_nodes - #components
+    edges in all). Vectorized hooking, O(log n) rounds: each round,
+    every component root that is the larger root of a crossing edge
+    hooks under the smaller root of its first such edge, and that edge
+    is kept. Hooks always point to a smaller root, so no round closes a
+    cycle; each round at least halves the components that still have a
+    crossing edge. Deterministic for a given edge order."""
+    parent = np.arange(n_nodes)
+    keep = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))
+    while live.size:
+        ru, rv = parent[u[live]], parent[v[live]]
+        cross = ru != rv
+        live, ru, rv = live[cross], ru[cross], rv[cross]
+        if not live.size:
+            break
+        hi, lo = np.maximum(ru, rv), np.minimum(ru, rv)
+        roots, first = np.unique(hi, return_index=True)
+        parent[roots] = lo[first]
+        keep[live[first]] = True
+        while True:  # pointer jumping: every node points at its root
+            nxt = parent[parent]
+            if np.array_equal(nxt, parent):
+                break
+            parent = nxt
+    return keep
+
+
 def _node_type(edges: ray.data.Dataset):
     """pyarrow type of the edge endpoints (string file_ids in the
     flagship; int64 doc_ids in the documents-table pipelines)."""

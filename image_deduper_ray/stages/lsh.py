@@ -11,7 +11,9 @@ dev_notes.md:28-38) — recast as MinHash-LSH (SURVEY.md §2.5 A2):
   shuffle: hash-partition on (band_id, band_key, SALT) — a hot bucket's
            sub-buckets land on DIFFERENT reducers
   pairs:   one vectorized block per partition segments its sub-buckets
-           (lexsort + boundary scan) and emits pairs numpy-only
+           (lexsort + boundary scan), verifies the regular ones in place
+           and emits a spanning forest of their near-dup pairs, not
+           every pair (see below)
 
 Skew (vendored/boilerplate code — the north rule's explicit case):
 buckets are Zipf-skewed, and pair-gen is quadratic in bucket size. Two
@@ -32,6 +34,31 @@ holds more than ~cap rows of one bucket. Note that exact-copy and
 reformat-twin skew never reaches this stage at all: signature-identical
 rows are collapsed to one representative upstream
 (stages/verify.signature_representatives).
+
+Verification inside the bucket: a near-dup family of k members
+collides in most of the b bands, so banding alone emits ~b * k^2 / 2
+pairs for connected components that need k - 1 edges (on the benchmark's
+``vendored`` input, 275k candidate pairs for 2.3k duplicates).
+``_pairs_block`` therefore scores each regular sub-bucket where it is
+formed, with ``verify``'s est-Jaccard and thresholds, and emits only the
+near-dup pairs that join two components of its partition (one
+vectorized union-find, ``cc.spanning_forest``) plus each reject that
+clears ``verify.CONTAINMENT_EST_JACCARD_MIN``, so a containment band's
+evidence about that pair still reaches the dedup shuffle. A pair is
+left out only when verified edges already join its ends, or when it is
+a reject that can never become an edge, so the components, and with
+them the clusters and actions, are those of every candidate pair; on
+``vendored`` the pairs fall ~25x. Which forest edges a partition emits
+depends on which sub-buckets share it, so the ``pairs`` rows (not the
+clusters) can differ with ``num_partitions``. The signatures reach the
+reducers as the representatives' per-part broadcast
+(``verify.pack_signatures``, which ``verify_pairs`` then scores against
+too) plus a small fid64-sorted (part, row) index; past
+``broadcast_max_bytes`` there is no broadcast and every sub-bucket
+emits all of its candidate pairs, as before the check. A sub-bucket
+holding a fid64 that two representatives share keeps every pair, so
+pair resolution still expands the collision. ``verify_pairs``
+re-scores the emitted pairs and stays the one source of verdicts.
 
 Band rows and every pair shuffle run on the 8-byte ``fid64`` key; the
 final pair set resolves back to file_ids with two inner
@@ -291,100 +318,167 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
                     np.empty(0, dtype=np.int64)))
 
 
-_EMPTY_RAW = {
-    "a": pd.Series([], dtype=np.int64), "b": pd.Series([], dtype=np.int64),
-    "is_cont": pd.Series([], dtype=np.int8),
-    "band_id": pd.Series([], dtype=np.int32),
-    "band_key": pd.Series([], dtype=np.int64),
-    "kind": pd.Series([], dtype=object)}
+_RAW_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                         ("is_cont", pa.int8()), ("band_id", pa.int32()),
+                         ("band_key", pa.int64()), ("kind", pa.string())])
 
 
-def _pairs_block(df: pd.DataFrame, cap: int, window: int) -> pd.DataFrame:
+def _pairs_block(t: pa.Table, cfg: DedupConfig,
+                 sig_index=None) -> pa.Table:
     """Pair-gen for one hash partition of band rows, partitioned on
     (band_id, band_key, SALT): a hot bucket's salt sub-buckets land on
     DIFFERENT reducers, so no reducer ever holds more than ~cap rows of
-    one bucket — the actual point of salting. Each salted sub-bucket
-    emits one representative row (kind='rep', b='') that a tiny second
-    shuffle links across sub-buckets. Sub-buckets segment via one
-    lexsort + boundary scan; the per-bucket loop is numpy-only."""
-    if df.empty:
-        return pd.DataFrame(_EMPTY_RAW)
-    bid = df["band_id"].to_numpy(np.int32)
-    bkey = df["band_key"].to_numpy(np.int64)
-    salt = df["salt"].to_numpy(np.int32)
-    n_sub = df["n_sub"].to_numpy(np.int32)
-    fid = df["fid"].to_numpy(np.int64)
-    sim = df["simhash"].to_numpy(np.int64)
+    one bucket — the actual point of salting. Each salted regular
+    sub-bucket emits one representative row (kind='rep', its min fid)
+    that a tiny second shuffle links across sub-buckets.
 
+    A sub-bucket's candidate pairs are all its pairs up to
+    ``bucket_cap`` members, else the pairs (k, k+w), w <= ``salt_window``,
+    along the (simhash, fid) order. Containment sub-buckets (salted ones are
+    dropped), regular ones that hold a collided fid64 and, without
+    ``sig_index``, every sub-bucket emit every candidate pair. Every
+    other regular sub-bucket is verified here, with ``verify``'s
+    est-Jaccard and thresholds, and emits only:
+
+      - the near-dup pairs that join two components of the partition's
+        near-dup graph (a spanning forest, one union-find over all of
+        the partition's accepted pairs), and
+      - each rejected pair at est-Jaccard >= CONTAINMENT_EST_JACCARD_MIN
+        (``is_cont`` 0), which a containment band may still route to
+        the substring pass.
+
+    Scoring is vectorized over the partition: every member against its
+    sub-bucket's first row (the star), then each member that failed the
+    star against every other member (passed members are already joined
+    through the first row); over-cap sub-buckets score their window
+    pairs. A pair goes unscored only when the star already joined its
+    ends, and a reject below the floor can never become an edge, so
+    connected components over the emitted pairs equal those over every
+    candidate pair. ``verify_pairs`` still re-scores the emitted pairs.
+
+    ``sig_index`` is ``(ids, part_of, row_of, collided, parts)``: every
+    representative's fid64, sorted, with the part and row of its
+    signature among the matrices ``parts``, and the fid64s that more
+    than one representative shares (``_fid_index``). Signature rows are
+    gathered one scoring batch at a time, so a reducer holds its band
+    rows plus ``SCORE_BATCH_ROWS`` pairs of signatures."""
+    from ..functions.groups import csr_expand, group_starts
+    from .cc import spanning_forest
+    from .verify import (CONTAINMENT_EST_JACCARD_MIN, SCORE_BATCH_ROWS,
+                         est_jaccard, gather_rows)
+
+    if t.num_rows == 0:
+        return _RAW_SCHEMA.empty_table()
+
+    def col(name, dtype):
+        return t[name].to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+
+    bid, bkey, salt = col("band_id", np.int32), col("band_key", np.int64), \
+        col("salt", np.int32)
+    n_sub, fid, sim = col("n_sub", np.int32), col("fid", np.int64), \
+        col("simhash", np.int64)
     order = np.lexsort((fid, sim, salt, bkey, bid))
-    bid, bkey, salt, n_sub, fid, sim = (bid[order], bkey[order], salt[order],
-                                        n_sub[order], fid[order], sim[order])
-    sub_new = np.zeros(len(bid), dtype=bool)
-    sub_new[0] = True
-    sub_new[1:] = ((bid[1:] != bid[:-1]) | (bkey[1:] != bkey[:-1])
-                   | (salt[1:] != salt[:-1]))
-    sub_bounds = np.append(np.flatnonzero(sub_new), len(bid))
+    bid, bkey, salt, n_sub, fid = (bid[order], bkey[order], salt[order],
+                                   n_sub[order], fid[order])
 
-    a_out: list = []
-    b_out: list = []
-    cont_out: list = []
-    rep_a: list = []
-    rep_bid: list = []
-    rep_bkey: list = []
-    rep_cont: list = []
+    # sub-buckets: [lo, lo + size); per row its sub-bucket's first row
+    # and end
+    new = group_starts(bid, bkey, salt)
+    lo = np.flatnonzero(new)
+    size = np.diff(np.append(lo, len(bid)))
+    sub = np.cumsum(new) - 1
+    first, end = lo[sub], (lo + size)[sub]
+    is_cont = bid[lo] >= CONTAINMENT_BAND_BASE
+    salted = n_sub[lo] > 1
+    # df-pruning: a containment bucket that went hot means its band
+    # value is boilerplate shared by many files — zero containment
+    # signal, quadratic noise. Drop it (regular bands keep salting:
+    # they are the near-dup path)
+    dropped = is_cont & salted
+    if sig_index is None:
+        checked = np.zeros(len(lo), dtype=bool)
+    else:
+        ids, part_of, row_of, collided, parts = sig_index
+        has_collided = np.logical_or.reduceat(
+            np.isin(fid.view(np.uint64), collided), lo)
+        checked = ~is_cont & ~has_collided & (size >= 2)
 
-    for s in range(len(sub_bounds) - 1):
-        lo, hi = sub_bounds[s], sub_bounds[s + 1]
-        n = hi - lo
-        is_cont = np.int8(1 if bid[lo] >= CONTAINMENT_BAND_BASE else 0)
-        salted = n_sub[lo] > 1
-        if is_cont and salted:
-            # df-pruning: a containment bucket that went hot means its
-            # band value is boilerplate shared by many files — zero
-            # containment signal, quadratic noise. Drop it (regular
-            # bands keep salting: they are the near-dup path).
-            continue
-        members = fid[lo:hi]
-        if n >= 2:
-            if n <= cap:
-                ia, ib = np.triu_indices(n, k=1)
-                pa_, pb_ = members[ia], members[ib]
-            else:
-                # over cap even after salting: windowed pairs along the
-                # similarity-sorted order (bounded n*window)
-                pa_list, pb_list = [], []
-                for w in range(1, window + 1):
-                    pa_list.append(members[:-w])
-                    pb_list.append(members[w:])
-                pa_ = np.concatenate(pa_list)
-                pb_ = np.concatenate(pb_list)
-            a_out.append(np.minimum(pa_, pb_))
-            b_out.append(np.maximum(pa_, pb_))
-            cont_out.append(np.full(len(pa_), is_cont, dtype=np.int8))
-        if salted:
-            rep_a.append(members.min())
-            rep_bid.append(bid[lo])
-            rep_bkey.append(bkey[lo])
-            rep_cont.append(is_cont)
+    # each row's partners: the rest of its sub-bucket, or the next
+    # ``window`` rows of an over-cap one
+    row = np.arange(len(bid))
+    over = (size > cfg.bucket_cap)[sub]
+    stop = np.where(over, np.minimum(row + 1 + cfg.salt_window, end), end)
 
-    cands = pd.DataFrame({
-        "a": np.concatenate(a_out) if a_out else np.array([], dtype=np.int64),
-        "b": np.concatenate(b_out) if b_out else np.array([], dtype=np.int64),
-        "is_cont": (np.concatenate(cont_out) if cont_out
-                    else np.array([], dtype=np.int8))})
-    cands["band_id"] = np.int32(-1)
-    cands["band_key"] = np.int64(0)
-    cands["kind"] = "cand"
-    if rep_a:
-        reps = pd.DataFrame({
-            "a": np.array(rep_a, dtype=np.int64),
-            "b": np.zeros(len(rep_a), dtype=np.int64),
-            "is_cont": np.array(rep_cont, dtype=np.int8),
-            "band_id": np.array(rep_bid, dtype=np.int32),
-            "band_key": np.array(rep_bkey, dtype=np.int64),
-            "kind": np.full(len(rep_a), "rep", dtype=object)})
-        return pd.concat([cands, reps], ignore_index=True)
-    return cands
+    # unchecked sub-buckets: every candidate pair
+    ex = np.flatnonzero(~(dropped | checked)[sub])
+    ex_i, ex_j = csr_expand(ex + 1, stop[ex])
+    ex_i = ex[ex_i]
+
+    # checked rows: the index entry of each one's signature
+    vrows = np.flatnonzero(checked[sub])
+    entry = np.full(len(bid), -1, dtype=np.int64)
+    if len(vrows):
+        entry[vrows] = np.searchsorted(ids, fid[vrows].view(np.uint64))
+
+    def score(i, j):
+        out = np.empty(len(i), dtype=np.float64)
+        for s in range(0, len(i), SCORE_BATCH_ROWS):
+            e = s + SCORE_BATCH_ROWS
+            out[s:e] = est_jaccard(
+                gather_rows(parts, part_of, row_of, entry[i[s:e]],
+                            cfg.num_perms),
+                gather_rows(parts, part_of, row_of, entry[j[s:e]],
+                            cfg.num_perms))
+        return out
+
+    small = vrows[~over[vrows]]
+    # star: every member against its sub-bucket's first row
+    st_j = small[small != first[small]]
+    st_i = first[st_j]
+    st_jac = score(st_i, st_j)
+    joined = np.zeros(len(bid), dtype=bool)
+    joined[st_j[st_jac >= cfg.jaccard_threshold]] = True
+    # residual: a member that failed the star against every other
+    # non-first member (a pair of two failed members once)
+    failed = st_j[st_jac < cfg.jaccard_threshold]
+    k, rs_j = csr_expand(first[failed] + 1, end[failed])
+    rs_i = failed[k]
+    keep = (rs_j != rs_i) & (joined[rs_j] | (rs_j > rs_i))
+    rs_i, rs_j = rs_i[keep], rs_j[keep]
+    # over-cap sub-buckets: their window pairs
+    big = vrows[over[vrows]]
+    k, wn_j = csr_expand(big + 1, stop[big])
+    wn_i = big[k]
+
+    pi = np.concatenate([st_i, rs_i, wn_i])
+    pj = np.concatenate([st_j, rs_j, wn_j])
+    jac = np.concatenate([st_jac, score(rs_i, rs_j), score(wn_i, wn_j)])
+    near = jac >= cfg.jaccard_threshold
+    ni, nj = pi[near], pj[near]
+    nodes, inv = np.unique(np.concatenate([fid[ni], fid[nj]]),
+                           return_inverse=True)
+    tree = spanning_forest(inv[:len(ni)], inv[len(ni):], len(nodes))
+    floor = ~near & (jac >= CONTAINMENT_EST_JACCARD_MIN)
+
+    ca = np.concatenate([fid[ex_i], fid[ni[tree]], fid[pi[floor]]])
+    cb = np.concatenate([fid[ex_j], fid[nj[tree]], fid[pj[floor]]])
+    cc = np.concatenate([is_cont[sub[ex_i]].astype(np.int8),
+                         np.zeros(len(ca) - len(ex_i), dtype=np.int8)])
+    reps = np.flatnonzero(salted & ~is_cont)
+    n_c, n_r = len(ca), len(reps)
+    return pa.table({
+        "a": pa.array(np.concatenate([np.minimum(ca, cb),
+                                      np.minimum.reduceat(fid, lo)[reps]])),
+        "b": pa.array(np.concatenate([np.maximum(ca, cb),
+                                      np.zeros(n_r, dtype=np.int64)])),
+        "is_cont": pa.array(np.concatenate([cc,
+                                            np.zeros(n_r, dtype=np.int8)])),
+        "band_id": pa.array(np.concatenate([np.full(n_c, -1, np.int32),
+                                            bid[lo][reps]])),
+        "band_key": pa.array(np.concatenate([np.zeros(n_c, np.int64),
+                                             bkey[lo][reps]])),
+        "kind": pa.concat_arrays([pa.repeat("cand", n_c),
+                                  pa.repeat("rep", n_r)])}, schema=_RAW_SCHEMA)
 
 
 def _link_reps_block(df: pd.DataFrame) -> pd.DataFrame:
@@ -420,34 +514,69 @@ def _link_reps_block(df: pd.DataFrame) -> pd.DataFrame:
                          "is_cont": np.concatenate(c_out)})
 
 
-def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
+@ray.remote
+def _fid_index(*id_parts):
+    """The in-bucket check's index into the packed representatives
+    (``verify.pack_signatures``): their fid64s, sorted, with the part
+    and row of each signature, and the fid64s that more than one of
+    them shares (their sub-buckets keep every pair, so pair resolution
+    still expands the collision). ~20 B per representative."""
+    sizes = [len(x) for x in id_parts]
+    ids = np.concatenate([np.empty(0, dtype=np.uint64)] + [
+        fid64(x) for x in id_parts if len(x)])
+    part_of = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    row_of = np.concatenate([np.empty(0, dtype=np.int32)] + [
+        np.arange(n, dtype=np.int32) for n in sizes])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    collided = np.unique(ids[1:][ids[1:] == ids[:-1]])
+    return ids, part_of[order], row_of[order], collided
+
+
+def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
+                    packed=None) -> ray.data.Dataset:
     """Full LSH candidate generation: counting pass, salted explode,
-    partition-block pair-gen (reducers bounded by salt), representative
-    linking (tiny second shuffle), pair dedup, then fid64 -> file_id
-    resolution (the band rows and every pair shuffle run on 8-byte
-    keys; only the final, small pair set touches id strings again).
+    partition-block pair-gen with the in-bucket check (reducers bounded
+    by salt), representative linking (tiny second shuffle), pair dedup,
+    then fid64 -> file_id resolution (the band rows and every pair
+    shuffle run on 8-byte keys; only the final, small pair set touches
+    id strings again). ``sigs`` is materialized (the representatives);
+    ``packed`` is their ``verify.pack_signatures`` broadcast, built here
+    when not given (None again past ``broadcast_max_bytes``: the check
+    is then skipped).
 
     Returns distinct pairs (a, b, is_cont) with a < b; ``is_cont`` is
     the max over generating bands, so a pair seen only by containment
     bands is routed to the substring pass if Jaccard rejects it."""
     import pyarrow.compute as pc
 
-    from ..functions.groups import partitioned_group_map
+    from ..functions.groups import (partitioned_group_map,
+                                    partitioned_group_map_arrow)
+    from .verify import pack_signatures
 
     cfg = cfg.resolved()
     hot_ref = find_hot_buckets(sigs, cfg)
 
-    raw_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                            ("is_cont", pa.int8()), ("band_id", pa.int32()),
-                            ("band_key", pa.int64()), ("kind", pa.string())])
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                              ("is_cont", pa.int8())])
+    if packed is None:
+        packed = pack_signatures(sigs, cfg)
+    if packed is None:
+        def pairs(t: pa.Table) -> pa.Table:
+            return _pairs_block(t, cfg)
+    else:
+        id_refs, mat_refs = packed
+        index_ref = _fid_index.remote(*id_refs)
+
+        def pairs(t: pa.Table) -> pa.Table:
+            return _pairs_block(t, cfg,
+                                (*ray.get(index_ref), ray.get(mat_refs)))
+
     # the band explode runs in the shuffle's map tasks; the output is
     # materialized, so the cand and rep reads below both take its blocks
-    raw = partitioned_group_map(
-        sigs, ["band_id", "band_key", "salt"],
-        lambda df: _pairs_block(df, cfg.bucket_cap, cfg.salt_window),
-        cfg.num_partitions, out_schema=raw_schema,
+    raw = partitioned_group_map_arrow(
+        sigs, ["band_id", "band_key", "salt"], pairs, cfg.num_partitions,
+        out_schema=_RAW_SCHEMA,
         pre=ExplodeBands(cfg, hot_ref))
 
     def kind_rows(kind: str, cols: list[str]):
@@ -497,6 +626,23 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Datase
     return _resolve_pairs(deduped, sigs, cfg)
 
 
+_ID_MAP_SCHEMA = pa.schema([("k", pa.int64()), ("f", pa.string())])
+
+
+@ray.remote
+def _id_map_block(block) -> pa.Table:
+    """fid64 -> file_id rows of one signature block."""
+    from ..functions.arrow_utils import as_table, fixed_str_view
+
+    t = as_table(block)
+    if t.num_rows == 0 or "file_id" not in t.column_names:
+        return _ID_MAP_SCHEMA.empty_table()
+    ids = t["file_id"].combine_chunks()
+    return pa.table({"k": pa.array(fid64(fixed_str_view(ids, 32))
+                                   .view(np.int64)), "f": ids},
+                    schema=_ID_MAP_SCHEMA)
+
+
 def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
                    cfg: DedupConfig) -> ray.data.Dataset:
     """fid64 pairs -> file_id pairs: two inner joins on the int64 fid64
@@ -511,11 +657,13 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
 
     from ..functions.joins import broadcast_join
 
-    id_map = sigs.select_columns(["file_id"]).map_batches(
-        lambda t: pa.table({
-            "k": pa.array(fid64(t["file_id"].to_pylist()).view(np.int64)),
-            "f": t["file_id"]}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    # one plain task per signature block: over a materialized ``sigs``
+    # the id map costs no Ray Data job
+    refs = [_id_map_block.remote(r)
+            for bundle in sigs.iter_internal_ref_bundles()
+            for r in bundle.block_refs]
+    id_map = ray.data.from_arrow_refs(
+        refs or [ray.put(_ID_MAP_SCHEMA.empty_table())]).materialize()
     ja = broadcast_join(pairs64, id_map, "a", "k", "inner",
                         cfg.broadcast_max_bytes, cfg.num_partitions
                         ).map_batches(

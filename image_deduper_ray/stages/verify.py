@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data
 
 from ..config import DedupConfig
@@ -57,6 +58,14 @@ def _sig_of(batch_col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray
     else:
         flat = np.frombuffer(b"".join(batch_col.to_pylist()), dtype=np.uint64)
     return flat.reshape(-1, num_perms)
+
+
+def est_jaccard(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Estimated Jaccard of row-aligned signature matrices: the share
+    of equal MinHash values. Every scorer uses this one expression, so
+    the in-bucket check of stages/lsh and ``_verdicts`` agree to the
+    bit."""
+    return (sa == sb).mean(axis=1)
 
 
 def attach_signatures(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
@@ -108,85 +117,102 @@ def score_joined_pairs(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
         return _VERIFIED_SCHEMA.empty_table()
     sa = _sig_of(batch["minhash_a"], cfg.num_perms)
     sb = _sig_of(batch["minhash_b"], cfg.num_perms)
-    return _verdicts(batch, (sa == sb).mean(axis=1), cfg)
+    return _verdicts(batch, est_jaccard(sa, sb), cfg)
+
+
+@ray.remote(num_returns=2)
+def _pack(block, num_perms: int):
+    """(S32 file_ids, uint64 signature matrix) of one signature block."""
+    from ..functions.arrow_utils import as_table, fixed_str_view
+    t = as_table(block)
+    if t.num_rows == 0 or "file_id" not in t.column_names:
+        # Ray 2.49 empty partitions can arrive schema-less
+        return (np.empty(0, dtype="S32"),
+                np.empty((0, num_perms), np.uint64))
+    return (fixed_str_view(t["file_id"], 32).copy(),
+            _sig_of(t["minhash"], num_perms))
+
+
+def pack_signatures(sigs: ray.data.Dataset, cfg: DedupConfig):
+    """The signature broadcast of a materialized ``sigs``, or None when
+    its matrix outgrows ``broadcast_max_bytes`` (row count from the
+    blocks' metadata): (id part refs, matrix part refs), one ``_pack``
+    task per block, reading the blocks themselves so no Ray Data job
+    runs.
+
+    The matrices are NEVER concatenated or reordered: they stay as
+    per-part plasma objects, and each consumer builds only a small
+    sorted (key -> part, row) INDEX on one worker (~40 B/row). A serial
+    concat + sorted gather of the full matrix was once the pipeline's
+    single biggest fixed cost: 2 x matrix_bytes of single-thread memcpy
+    on the critical path at every cluster size (measured 15-80 s at
+    345 k x 128 on a memory-bandwidth-bound host), exactly the kind of
+    non-parallelizable term that caps N->4N scaling efficiency. Row
+    gathers happen inside the parallel consumers (``gather_rows``),
+    reading the part objects zero-copy from plasma."""
+    bundles = list(sigs.iter_internal_ref_bundles())
+    rows = sum(b.num_rows() or 0 for b in bundles)
+    if rows * cfg.num_perms * 8 > cfg.broadcast_max_bytes:
+        return None
+    packed = [_pack.remote(r, cfg.num_perms)
+              for b in bundles for r in b.block_refs]
+    return [i for i, _ in packed], [m for _, m in packed]
+
+
+def gather_rows(parts, part_of, row_of, pos, num_perms: int) -> np.ndarray:
+    """(len(pos), num_perms) signatures of the index entries ``pos``:
+    entry k is row ``row_of[k]`` of matrix part ``part_of[k]``."""
+    out = np.empty((len(pos), num_perms), np.uint64)
+    pidx = part_of[pos]
+    ridx = row_of[pos]
+    for q in np.unique(pidx):
+        m = pidx == q
+        out[m] = parts[q][ridx[m]]
+    return out
+
+
+@ray.remote
+def _index(*id_parts):
+    """(sorted S32 ids, part, row) over the packed id parts."""
+    sizes = [len(x) for x in id_parts]
+    n = sum(sizes)
+    if n == 0:
+        return (np.empty(0, dtype="S32"),
+                np.empty(0, np.int32), np.empty(0, np.int32))
+    ids = np.concatenate(id_parts)
+    part_of = np.repeat(np.arange(len(id_parts), dtype=np.int32), sizes)
+    row_of = np.concatenate([np.arange(s, dtype=np.int32) for s in sizes])
+    order = np.argsort(ids)
+    return (ids[order], part_of[order], row_of[order])
 
 
 def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
-                 cfg: DedupConfig, n_sigs: int | None = None) -> ray.data.Dataset:
+                 cfg: DedupConfig, n_sigs: int | None = None,
+                 packed=None) -> ray.data.Dataset:
     """-> (a, b, jaccard, verdict) for every candidate pair.
     ``n_sigs``: pass the known signature row count (stage manifest) to
-    skip a full counting pass over the checkpoint.
+    skip a full counting pass over the checkpoint. ``packed``: a
+    ``pack_signatures`` broadcast that already holds every pair
+    endpoint (a fresh scan passes the representatives' one that built
+    the pairs), scored against instead of packing ``sigs``.
 
     Fast path: the signature matrix fits the broadcast budget — ship it
-    ONCE via ray.put as (sorted ids, uint64 matrix); workers get
-    zero-copy plasma-backed numpy views and score batches with one
+    ONCE as per-part plasma objects plus a sorted (id -> part, row)
+    index; workers get zero-copy views and score batches with one
     vectorized searchsorted + equality mean. No shuffle, no per-pair
     signature copies. Past the budget (the 10^12-file regime, where
     even collapsed representatives outgrow a node), fall back to the
     partitioned hash joins."""
     cfg = cfg.resolved()
-    if n_sigs is None:
-        n_sigs = sigs.count()
-    sig_bytes = n_sigs * cfg.num_perms * 8
-    if sig_bytes <= cfg.broadcast_max_bytes:
-        # parallel pack: one task per block converts (file_id, minhash)
-        # to (S32 ids, uint64 matrix) on the WORKERS. The matrices are
-        # NEVER concatenated or reordered: they stay as per-part plasma
-        # objects, and only a small sorted (id -> part, row) INDEX is
-        # built on one worker (~40 B/row). The previous design's serial
-        # concat + sorted gather of the full matrix was the pipeline's
-        # single biggest fixed cost: 2 x matrix_bytes of single-thread
-        # memcpy on the critical path at every cluster size (measured
-        # 15-80 s at 345 k x 128 on this host's constrained memory
-        # bandwidth), which is exactly the kind of non-parallelizable
-        # term that caps N->4N scaling efficiency. Row gathers now
-        # happen inside the (parallel) scoring tasks, reading the part
-        # objects zero-copy from plasma.
+    if packed is None:
+        if n_sigs is None:
+            n_sigs = sigs.count()
+        if n_sigs * cfg.num_perms * 8 <= cfg.broadcast_max_bytes:
+            packed = pack_signatures(sigs, cfg)
+    if packed is not None:
         P = cfg.num_perms
-
-        @ray.remote(num_returns=2)
-        def _pack(block):
-            t = block if isinstance(block, pa.Table) \
-                else pa.Table.from_pandas(block)
-            if t.num_rows == 0 or "file_id" not in t.column_names:
-                # Ray 2.49 empty partitions can arrive schema-less
-                return (np.empty(0, dtype="S32"),
-                        np.empty((0, P), np.uint64))
-            from ..functions.arrow_utils import fixed_str_view
-            return (fixed_str_view(t["file_id"], 32).copy(),
-                    _sig_of(t["minhash"], P))
-
-        @ray.remote
-        def _index(*id_parts):
-            sizes = [len(x) for x in id_parts]
-            n = sum(sizes)
-            if n == 0:
-                return (np.empty(0, dtype="S32"),
-                        np.empty(0, np.int32), np.empty(0, np.int32))
-            ids = np.concatenate(id_parts)
-            part_of = np.repeat(np.arange(len(id_parts), dtype=np.int32),
-                                sizes)
-            row_of = np.concatenate(
-                [np.arange(s, dtype=np.int32) for s in sizes])
-            order = np.argsort(ids)
-            return (ids[order], part_of[order], row_of[order])
-
-        # the blocks themselves, not a projection: ``_pack`` reads two
-        # columns, and a materialized ``sigs`` then needs no Ray Data job
-        refs = [r for bundle in sigs.iter_internal_ref_bundles()
-                for r in bundle.block_refs]
-        packed = [_pack.remote(r) for r in refs]
-        mat_refs = [m for _, m in packed]
-        index_ref = _index.remote(*[i for i, _ in packed])
-
-        def _gather(parts, part_of, row_of, pos):
-            out = np.empty((len(pos), P), np.uint64)
-            pidx = part_of[pos]
-            ridx = row_of[pos]
-            for q in np.unique(pidx):
-                m = pidx == q
-                out[m] = parts[q][ridx[m]]
-            return out
+        id_refs, mat_refs = packed
+        index_ref = _index.remote(*id_refs)
 
         def score(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
@@ -204,9 +230,9 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                 jac = np.zeros(len(a), dtype=np.float64)
             else:
                 ok = (sids[pa_] == a) & (sids[pb_] == b)
-                sa = _gather(parts, part_of, row_of, pa_)
-                sb = _gather(parts, part_of, row_of, pb_)
-                jac = np.where(ok, (sa == sb).mean(axis=1), 0.0)
+                sa = gather_rows(parts, part_of, row_of, pa_, P)
+                sb = gather_rows(parts, part_of, row_of, pb_, P)
+                jac = np.where(ok, est_jaccard(sa, sb), 0.0)
             return _verdicts(batch, jac, cfg)
 
         return pairs.map_batches(score, batch_format="pyarrow",

@@ -206,6 +206,36 @@ def test_fid64_collision_expansion():
         assert all(a != b for a, b in got)
 
 
+
+def test_fid_index_gathers_each_signature_and_marks_collisions():
+    """``lsh._fid_index`` over packed id parts (one of them empty): each
+    fid64-sorted entry gathers its own id's signature row, and a fid64
+    that two ids share is marked as collided."""
+    import numpy as np
+    import ray
+    from image_deduper_ray.stages.lsh import _fid_index, fid64
+    from image_deduper_ray.stages.verify import gather_rows
+
+    ids = ["ffffffffffffffff0000000000000001",
+           "aaaaaaaaaaaaaaaa0000000000000001",   # collide on first 16
+           "cccccccccccccccc0000000000000003",
+           "aaaaaaaaaaaaaaaa0000000000000002",
+           "bbbbbbbbbbbbbbbb0000000000000004"]
+    sigs = np.random.default_rng(0).integers(
+        0, 2**62, (5, 128), dtype=np.int64).view(np.uint64)
+    id_parts = [np.array(ids[:2], "S32"), np.empty(0, "S32"),
+                np.array(ids[2:], "S32")]
+    mats = [sigs[:2], np.empty((0, 128), np.uint64), sigs[2:]]
+    keys, part_of, row_of, collided = ray.get(_fid_index.remote(*id_parts))
+    f = fid64(ids)
+    assert keys.tolist() == sorted(f.tolist())
+    got = gather_rows(mats, part_of, row_of, np.arange(5), 128)
+    for k in range(5):
+        assert any((got[k] == sigs[i]).all() and f[i] == keys[k]
+                   for i in range(5)), k
+    assert len({g.tobytes() for g in got}) == 5
+    assert collided.tolist() == [f[1]]
+
 def test_fixed_str_view_layouts():
     """fixed_str_view must equal the pylist conversion on every
     accepted layout (uniform-width fast path incl. sliced offsets,
@@ -460,3 +490,265 @@ def test_shuffle_skips_empty_blocks_before_pre(entry):
     out = shuffle(empty, pre=strict)
     assert out.count() == 0
     assert out.schema().names == ["k", "s"]
+
+
+
+# -- in-bucket verification (stages/lsh._pairs_block) ----------------------
+
+def _sig_family(n_files: int, diffs: dict, seed: int = 0):
+    """(n_files, 128) uint64 signatures: row i equals a seeded base
+    except in the positions ``diffs[i]``, where its values are its own,
+    so est-Jaccard(i, j) = 1 - |diffs[i] | diffs[j]| / 128."""
+    base = np.random.default_rng(seed).integers(
+        1, 2**62, 128, dtype=np.int64).view(np.uint64)
+    sigs = np.repeat(base[None, :], n_files, axis=0)
+    for i, pos in diffs.items():
+        sigs[i, sorted(pos)] = np.uint64(2**63 + 1000 * i) \
+            + np.arange(len(pos), dtype=np.uint64)
+    return sigs
+
+
+def _fids(n: int, seed: int = 1):
+    """n distinct int64 fid64 views, negative ones included."""
+    f = np.random.default_rng(seed).integers(1, 2**62, n, dtype=np.int64)
+    assert len(set(f.tolist())) == n
+    return f * np.where(np.arange(n) % 3 == 2, -1, 1)
+
+
+def _band_rows(rows, fids):
+    """Band rows from (band_id, band_key, salt, n_sub, file, simhash)
+    tuples."""
+    import pyarrow as pa
+
+    bid, bkey, salt, nsub, f, sim = (np.array(c) for c in zip(*rows))
+    return pa.table({"band_id": pa.array(bid, pa.int32()),
+                     "band_key": pa.array(bkey, pa.int64()),
+                     "salt": pa.array(salt, pa.int32()),
+                     "n_sub": pa.array(nsub, pa.int32()),
+                     "fid": pa.array(fids[f]),
+                     "simhash": pa.array(sim, pa.int64())})
+
+
+def _checked(rows, sigs, fids, cfg, collided=()):
+    """``_pairs_block`` output with the signatures split into two
+    parts, indexed by sorted fid64 as ``lsh._fid_index`` does."""
+    from image_deduper_ray.stages.lsh import _pairs_block
+
+    ids = fids.view(np.uint64)
+    order = np.argsort(ids)
+    half = len(fids) // 2
+    in_second = order >= half
+    index = (ids[order], in_second.astype(np.int32),
+             np.where(in_second, order - half, order).astype(np.int32),
+             np.array(sorted(collided), dtype=np.int64).view(np.uint64),
+             [sigs[:half], sigs[half:]])
+    return _pairs_block(_band_rows(rows, fids), cfg, index)
+
+
+def _components(nodes, pairs) -> set:
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for x in nodes:
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _reference(rows, fids, sigs, cfg) -> dict:
+    """{(a, b): est-Jaccard} of every candidate pair of every regular
+    sub-bucket — all pairs up to ``bucket_cap`` members, else the (k,
+    k+w) window along (simhash, fid): the pairs the check stands in
+    for."""
+    from image_deduper_ray.stages.lsh import CONTAINMENT_BAND_BASE
+
+    subs: dict = {}
+    for bid, bkey, salt, _, f, sim in rows:
+        if bid < CONTAINMENT_BAND_BASE:
+            subs.setdefault((bid, bkey, salt), []).append(
+                (sim, int(fids[f]), f))
+    out = {}
+    for members in subs.values():
+        members.sort()
+        n = len(members)
+        for k in range(n):
+            stop = n if n <= cfg.bucket_cap \
+                else min(n, k + 1 + cfg.salt_window)
+            for m in range(k + 1, stop):
+                (_, x, i), (_, y, j) = members[k], members[m]
+                out[(min(x, y), max(x, y))] = float(
+                    (sigs[i] == sigs[j]).mean())
+    return out
+
+
+def _check_forest(out, rows, fids, sigs, cfg):
+    """The emitted regular cand pairs give the components of every
+    candidate pair, hold exactly a spanning forest of its near-dup
+    pairs, and leave out a reject at or above the containment floor
+    only inside one component. Returns (emitted pairs, reference)."""
+    from image_deduper_ray.stages.verify import CONTAINMENT_EST_JACCARD_MIN
+
+    o = out.to_pydict()
+    got = {(a, b) for a, b, k, c in zip(o["a"], o["b"], o["kind"],
+                                        o["is_cont"]) if k == "cand" and not c}
+    ref = _reference(rows, fids, sigs, cfg)
+    assert got <= set(ref)
+    nodes = {x for p in ref for x in p}
+    comps = _components(nodes, [p for p, j in ref.items()
+                                if j >= cfg.jaccard_threshold])
+    near = [p for p in got if ref[p] >= cfg.jaccard_threshold]
+    assert _components(nodes, near) == comps
+    assert len(near) == len(nodes) - len(comps)
+    comp_of = {x: c for c in comps for x in c}
+    for p, j in ref.items():
+        if CONTAINMENT_EST_JACCARD_MIN <= j < cfg.jaccard_threshold:
+            assert p in got or comp_of[p[0]] is comp_of[p[1]], p
+    return got, ref
+
+
+def test_pairs_block_chain_bucket():
+    """A~B, B~C, A!~C in one bucket led by A: the star joins B, the
+    residual joins C through B, and A-C, a reject above the containment
+    floor, is emitted too."""
+    cfg = DedupConfig()
+    sigs = _sig_family(3, {0: set(range(14)), 2: set(range(14, 28))})
+    fids = _fids(3)
+    rows = [(0, 7, 0, 1, i, i) for i in range(3)]   # simhash order A, B, C
+    got, ref = _check_forest(_checked(rows, sigs, fids, cfg),
+                             rows, fids, sigs, cfg)
+    ac = tuple(sorted(fids[[0, 2]].tolist()))
+    assert 0.15 <= ref[ac] < cfg.jaccard_threshold
+    assert got == set(ref)
+
+
+def test_pairs_block_leader_verifies_against_no_one():
+    """A first row unlike every member: the star fails for all of them,
+    the residual links the members among themselves, and no pair with
+    the leader (below the containment floor) is emitted."""
+    cfg = DedupConfig()
+    sigs = _sig_family(5, {0: set(range(128))})
+    fids = _fids(5)
+    rows = [(3, 1, 0, 1, i, i) for i in range(5)]
+    got, _ = _check_forest(_checked(rows, sigs, fids, cfg),
+                           rows, fids, sigs, cfg)
+    assert len(got) == 3
+    assert not any(fids[0] in p for p in got)
+
+
+def test_pairs_block_forest_is_smaller_than_all_pairs():
+    """A clique of 8 seen by two bands emits 7 edges, not 2 x 28
+    pairs."""
+    cfg = DedupConfig()
+    sigs = _sig_family(8, {})
+    fids = _fids(8)
+    rows = [(b, 5 + b, 0, 1, i, i) for b in (0, 1) for i in range(8)]
+    got, ref = _check_forest(_checked(rows, sigs, fids, cfg),
+                             rows, fids, sigs, cfg)
+    assert len(ref) == 28 and len(got) == 7
+
+
+def test_pairs_block_over_cap_window():
+    """Over ``bucket_cap`` a sub-bucket scores exactly its (k, k+w)
+    window pairs: two interleaved families, near-dup only at distance
+    2 in the (simhash, fid) order, come out as two components, and no
+    pair outside the window is emitted."""
+    cfg = DedupConfig(bucket_cap=3, salt_window=2)
+    even = _sig_family(7, {k: {k} for k in range(7)}, seed=0)
+    odd = _sig_family(7, {k: {k} for k in range(7)}, seed=5)
+    sigs = np.where((np.arange(7) % 2 == 0)[:, None], even, odd)
+    fids = _fids(7)
+    rows = [(2, 9, 0, 1, i, i) for i in range(7)]
+    got, ref = _check_forest(_checked(rows, sigs, fids, cfg),
+                             rows, fids, sigs, cfg)
+    assert len(ref) == 6 + 5                 # w = 1 and w = 2 pairs
+    assert len(got) == 5                     # 4 evens + 3 odds, a forest
+    assert len(_components(set(fids.tolist()), got)) == 2
+
+
+def test_pairs_block_collided_fid_keeps_every_pair():
+    """A sub-bucket holding a fid64 that two representatives share
+    emits every pair unverified, so pair resolution can still expand
+    the collision; a sub-bucket without one is verified."""
+    cfg = DedupConfig()
+    sigs = _sig_family(6, {i: set(range(128)) for i in range(3)})
+    fids = _fids(6)
+    rows = ([(0, 1, 0, 1, i, i) for i in range(3)]
+            + [(0, 2, 0, 1, i, i) for i in range(3, 6)])
+    out = _checked(rows, sigs, fids, cfg, collided={fids[1]})
+    pairs = set(zip(out["a"].to_pylist(), out["b"].to_pylist()))
+    rejects = {tuple(sorted(fids[[i, j]].tolist()))
+               for i in range(3) for j in range(i + 1, 3)}
+    assert rejects <= pairs           # all pairs, though all are rejects
+    assert len(pairs - rejects) == 2  # the clique of the others: a forest
+
+
+def test_pairs_block_salted_containment_and_reps():
+    """Rows the check leaves alone keep their output: a salted
+    containment sub-bucket is dropped, an unsalted one emits every pair
+    with ``is_cont`` 1, and each salted regular sub-bucket emits one
+    rep row (its min fid), a singleton too."""
+    from image_deduper_ray.stages.lsh import CONTAINMENT_BAND_BASE
+
+    cfg = DedupConfig()
+    sigs = _sig_family(4, {})
+    fids = _fids(4)
+    c = CONTAINMENT_BAND_BASE
+    rows = ([(c, 1, 0, 2, i, i) for i in range(3)]        # dropped
+            + [(c + 1, 1, 0, 1, i, i) for i in range(3)]  # all pairs
+            + [(4, 3, 1, 2, i, i) for i in range(3)]      # salted
+            + [(4, 3, 0, 2, 3, 3)])                       # salted singleton
+    out = _checked(rows, sigs, fids, cfg).to_pydict()
+    kinds = list(zip(out["kind"], out["is_cont"], out["band_id"]))
+    assert kinds.count(("cand", 1, -1)) == 3
+    assert kinds.count(("cand", 0, -1)) == 2
+    assert kinds.count(("rep", 0, 4)) == 2 and len(kinds) == 7
+    reps = [a for a, k in zip(out["a"], out["kind"]) if k == "rep"]
+    assert sorted(reps) == sorted([fids[:3].min(), fids[3]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairs_block_random_buckets_match_all_pairs(seed):
+    """Random signatures over several bands and salts, some sub-buckets
+    over cap: the emitted pairs give the components of every candidate
+    pair, as a spanning forest."""
+    cfg = DedupConfig(bucket_cap=5, salt_window=2)
+    rng = np.random.default_rng(seed)
+    n = 30
+    family = rng.integers(0, 4, n)
+    sigs = _sig_family(n, {i: set(rng.choice(128, int(rng.integers(0, 45)),
+                                             replace=False).tolist())
+                           for i in range(n)}, seed)
+    fids = _fids(n, seed)
+    rows = [(band, int(family[i]) + 10 * (band % 3),
+             int(rng.integers(0, 2)) if band % 2 else 0,
+             2 if band % 2 else 1, i, int(rng.integers(0, 9)))
+            for band in range(6) for i in range(n) if rng.random() < 0.7]
+    _check_forest(_checked(rows, sigs, fids, cfg),
+                  rows, fids, sigs, cfg)
+
+
+def test_pairs_block_without_signatures_emits_every_pair():
+    """Past the broadcast cap there is no signature index: every regular
+    sub-bucket emits all of its candidate pairs unverified, the output
+    of banding alone."""
+    from image_deduper_ray.stages.lsh import _pairs_block
+
+    cfg = DedupConfig(bucket_cap=5, salt_window=2)
+    rng = np.random.default_rng(3)
+    n = 30
+    sigs = _sig_family(n, {i: set(rng.choice(128, 40, replace=False)
+                                  .tolist()) for i in range(n)})
+    fids = _fids(n, 3)
+    rows = [(band, int(rng.integers(0, 3)), 0, 1, i, int(rng.integers(0, 9)))
+            for band in range(4) for i in range(n)]
+    o = _pairs_block(_band_rows(rows, fids), cfg).to_pydict()
+    got = list(zip(o["a"], o["b"]))
+    assert set(got) == set(_reference(rows, fids, sigs, cfg))
+    assert set(o["kind"]) == {"cand"} and not any(o["is_cont"])

@@ -311,10 +311,12 @@ def test_fresh_scan_reads_back_only_signatures(corpus_run, tmp_path,
 
 
 def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
-    """A fresh scan starts at most 15 Ray Data executions and exactly 7
+    """A fresh scan starts at most 10 Ray Data executions and exactly 7
     hash shuffles: the signatures checkpoint is read once, each
-    shuffle's row prep runs in its own map tasks, and no execution only
-    projects or splits a dataset."""
+    shuffle's row prep runs in its own map tasks, no execution only
+    projects or splits a dataset, and the pair resolution's id map,
+    the representatives' signature broadcast and a checkpoint's block
+    coalescing run plain tasks."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
 
@@ -337,7 +339,7 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
     d, _, _, _, _ = corpus_run
     run_pipeline(d, str(tmp_path / "out"))
     assert len(shuffles) == 7, shuffles
-    assert len(executions) <= 15, len(executions)
+    assert len(executions) <= 10, len(executions)
 
 
 @pytest.mark.parametrize("stage", STAGES[1:])
@@ -522,9 +524,11 @@ def test_num_partitions_defaults_to_cluster_cpus():
 def test_partition_count_does_not_change_result(corpus_run, tmp_path,
                                                 num_partitions):
     """Every salted sub-bucket, rep bucket and (a, b) dedup key lands
-    whole in one partition, so the partition count changes neither the
-    pair, edge and cluster sets nor the partition; each wide stage
-    records the count it ran with in its metrics row."""
+    whole in one partition, so the partition count does not change the
+    partition. The pair and edge counts hold too: the in-bucket check's
+    forest can depend on which sub-buckets share a partition, but on
+    this corpus every forest is all of its near-dup pairs. Each wide
+    stage records the count it ran with in its metrics row."""
     import ast
 
     import pyarrow.parquet as pq
