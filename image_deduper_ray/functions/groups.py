@@ -22,6 +22,17 @@ reads block refs with ``iter_internal_ref_bundles``, which runs a lazy
 plan); with ``pre``, a shuffle over materialized inputs runs none, and
 its output is a materialized dataset too, so the next consumer runs
 none either.
+
+The same holds for maps that need no shuffle: ``map_blocks`` runs a
+per-block function over a materialized dataset as plain Ray tasks
+(``map_batches`` would start an execution for a few thousand rows),
+``union_blocks`` concatenates datasets by their block refs, and
+``coalesce_blocks`` merges small blocks with plain concat tasks. Every
+task here returns its block's metadata next to the block, and the
+caller builds the materialized output from those (``_dataset_of``)
+instead of ``from_arrow_refs``, which would start one more task per
+block just to read that metadata. The caller waits for every metadata
+object, so no task outlives the stage that started it.
 """
 
 from __future__ import annotations
@@ -30,6 +41,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+from ray.data._internal.execution.interfaces import RefBundle
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.input_data_operator import InputData
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 from .arrow_utils import as_table
 
@@ -59,6 +78,45 @@ def _key_hash(t: pa.Table, key_cols: list[str]) -> np.ndarray:
         col = t[c].to_numpy(zero_copy_only=False)
         h = h * np.uint64(1099511628211) + pd.util.hash_array(col)
     return h
+
+
+def _with_meta(t: pa.Table) -> tuple:
+    """A block a plain task made, with its metadata and schema, so the
+    caller builds a dataset over it without another task round."""
+    return t, BlockMetadataWithSchema.from_block(t)
+
+
+def _dataset_of(outs: list) -> MaterializedDataset:
+    """A materialized dataset over the ``(block, metadata)`` ref pairs
+    of plain tasks (``_with_meta``), in order. It waits for every task:
+    the caller fetches each metadata object, never a block, so no task
+    outlives the call. ``from_arrow_refs`` would start one more task
+    per block only to compute the metadata its producer already had."""
+    metas = ray.get([m for _, m in outs])
+    return _over_blocks([(ref, m.metadata, m.schema)
+                         for (ref, _), m in zip(outs, metas)])
+
+
+def _over_blocks(blocks: list) -> MaterializedDataset:
+    """A materialized dataset over existing ``(block ref, BlockMetadata,
+    schema)`` triples: no task, no execution. Built the way
+    ``Dataset.materialize`` builds its output (Ray 2.49 internals)."""
+    ctx = DataContext.get_current().copy()
+    bundles = [RefBundle([(ref, meta)], owns_blocks=False, schema=schema)
+               for ref, meta, schema in blocks]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"MapBlocks": [m for _, m, _ in blocks]},
+                     parent=None), ctx)
+    ds = MaterializedDataset(plan, LogicalPlan(InputData(bundles), ctx))
+    ds._plan.execute()      # no-op over a source: marks it computed
+    return ds
+
+
+def table_dataset(t: pa.Table) -> MaterializedDataset:
+    """A local table as a materialized dataset of one block, with
+    no task (``ray.data.from_arrow`` starts one to read its metadata)."""
+    return _over_blocks([(ray.put(t), BlockMetadataWithSchema.from_block(t)
+                          .metadata, t.schema)])
 
 
 @ray.remote
@@ -97,16 +155,16 @@ def _shuffle_map_task(key_cols: list[str], num_partitions: int, pre,
         for i in range(num_partitions))
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _shuffle_reduce_task(block_fn, out_schema: pa.Schema, as_pandas: bool,
-                         *parts) -> pa.Table:
+                         *parts) -> tuple:
     """One reduce task: concat this partition's slices from every map
     task, run the block function once, conform to ``out_schema``."""
     from .arrow_utils import ensure_schema
 
     ts = [p for p in parts if p is not None and p.num_rows > 0]
     if not ts:
-        return out_schema.empty_table()
+        return _with_meta(out_schema.empty_table())
     t = pa.concat_tables(ts).combine_chunks()
     if as_pandas:
         out = block_fn(t.to_pandas())
@@ -114,7 +172,7 @@ def _shuffle_reduce_task(block_fn, out_schema: pa.Schema, as_pandas: bool,
             if not isinstance(out, pa.Table) else out
     else:
         out = block_fn(t)
-    return ensure_schema(out, out_schema)
+    return _with_meta(ensure_schema(out, out_schema))
 
 
 def _manual_shuffle(ds, key_cols: list[str], block_fn,
@@ -144,7 +202,7 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
              for r in bundle.block_refs] for d in inputs]
     n_refs = sum(len(r) for r in refs)
     if not n_refs:
-        return ray.data.from_arrow(out_schema.empty_table()).materialize()
+        return table_dataset(out_schema.empty_table())
     # coalesce small upstream blocks: O(CPUs) map tasks, each slicing
     # into num_partitions — task count stays bounded however many tiny
     # blocks the upstream produced
@@ -159,20 +217,19 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
         _shuffle_reduce_task.remote(block_fn, out_schema, as_pandas,
                                     *(m[p] for m in maps))
         for p in range(num_partitions)]
-    # a source dataset materializes without a Ray Data execution, and a
-    # materialized one is read (iterated, counted, shuffled again)
-    # without one
-    return ray.data.from_arrow_refs(outs).materialize()
+    # a materialized dataset is read (iterated, counted, shuffled
+    # again) without a Ray Data execution
+    return _dataset_of(outs)
 
 
-@ray.remote
-def _concat_blocks(*blocks) -> pa.Table:
+@ray.remote(num_returns=2)
+def _concat_blocks(*blocks) -> tuple:
     ts = [as_table(b) for b in blocks]
     # empty blocks may be schema-less (Ray 2.49): keep one only when
     # nothing else is left
     full = [t for t in ts if t.num_rows]
-    return pa.concat_tables(full, promote_options="default") if full \
-        else ts[0]
+    return _with_meta(pa.concat_tables(full, promote_options="default")
+                      if full else ts[0])
 
 
 def coalesce_blocks(ds: ray.data.Dataset, max_blocks: int) -> ray.data.Dataset:
@@ -184,9 +241,67 @@ def coalesce_blocks(ds: ray.data.Dataset, max_blocks: int) -> ray.data.Dataset:
     if len(refs) <= max_blocks:
         return ds
     per = -(-len(refs) // max_blocks)
-    return ray.data.from_arrow_refs(
-        [_concat_blocks.remote(*refs[i:i + per])
-         for i in range(0, len(refs), per)]).materialize()
+    return _dataset_of([_concat_blocks.remote(*refs[i:i + per])
+                        for i in range(0, len(refs), per)])
+
+
+@ray.remote(num_returns=2)
+def _map_task(fn, out_schema: pa.Schema, *blocks) -> tuple:
+    """``fn`` over each non-empty block of one run, outputs concatenated
+    in order; a run with no output rows gives ``out_schema``'s empty
+    table, so no block downstream is schema-less."""
+    outs = []
+    for block in blocks:
+        t = as_table(block)
+        if t.num_rows:
+            out = fn(t)
+            if out.num_rows:
+                outs.append(out)
+    if not outs:
+        return _with_meta(out_schema.empty_table())
+    return _with_meta(outs[0] if len(outs) == 1
+                      else pa.concat_tables(outs, promote_options="default"))
+
+
+def map_blocks(ds: ray.data.Dataset, fn, out_schema: pa.Schema
+               ) -> ray.data.Dataset:
+    """``fn`` (``pa.Table -> pa.Table``) over every block of ``ds``.
+
+    A materialized ``ds`` is mapped by plain Ray tasks, one per run of
+    consecutive non-empty blocks (at most one task per cluster CPU: on
+    a few thousand rows each task costs more than its map; row order
+    kept), and the result is materialized from their refs: no Ray Data
+    execution runs here, nor in the next consumer. Each execution costs
+    a ``StreamingExecutor`` start-up and tear-down that, for the few
+    thousand rows of a scan stage, outweighs the map itself. An input
+    with no rows gives ``out_schema``'s empty table.
+
+    A lazy ``ds`` keeps ``map_batches``: the map fuses into the upstream
+    plan and streams, so e.g. a filter fused into a full-corpus read
+    never lands the unfiltered rows in the object store."""
+    if not isinstance(ds, MaterializedDataset):
+        return ds.map_batches(fn, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if not refs:
+        return table_dataset(out_schema.empty_table())
+    per = -(-len(refs) // _cluster_cpus())
+    return _dataset_of([_map_task.remote(fn, out_schema, *refs[i:i + per])
+                        for i in range(0, len(refs), per)])
+
+
+def union_blocks(inputs: list, out_schema: pa.Schema) -> ray.data.Dataset:
+    """The rows of every dataset in ``inputs`` as one materialized
+    dataset over their existing blocks, in input order: no task and no
+    execution over materialized inputs (a lazy one, such as a
+    checkpoint a resume reads from Parquet, runs its own plan). Empty
+    blocks are left out; with no rows at all, ``out_schema``'s empty
+    table."""
+    blocks = [(ref, meta, bundle.schema) for ds in inputs
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows != 0]
+    return _over_blocks(blocks) if blocks else table_dataset(out_schema.empty_table())
 
 
 def partitioned_group_map(ds, key_cols: list[str],

@@ -43,27 +43,18 @@ def token_hash64(token: str) -> int:
     return int.from_bytes(hashlib.blake2b(token.encode("utf-8", "surrogatepass"), digest_size=8).digest(), "little")
 
 
-class TokenHashCache:
+class TokenHashCache(dict):
     """Per-call token->u64 memo (the analog of ImageCache,
-    src/processing/types.rs:78-113 — dedupe *work*, not results).
-    Bounded: clears at capacity like the reference's cache."""
+    src/processing/types.rs:78-113 — dedupe *work*, not results). One
+    lives for one signature batch, so it needs no capacity bound."""
 
-    def __init__(self, capacity: int = 1_000_000):
-        self.capacity = capacity
-        self._d: dict[str, int] = {}
+    def __missing__(self, token: str) -> int:
+        v = self[token] = token_hash64(token)
+        return v
 
     def hash_tokens(self, tokens: list[str]) -> np.ndarray:
-        d = self._d
-        if len(d) > self.capacity:
-            d.clear()
-        out = np.empty(len(tokens), dtype=np.uint64)
-        for i, t in enumerate(tokens):
-            v = d.get(t)
-            if v is None:
-                v = token_hash64(t)
-                d[t] = v
-            out[i] = v
-        return out
+        return np.fromiter(map(self.__getitem__, tokens), dtype=np.uint64,
+                           count=len(tokens))
 
 
 def shingle_hashes(token_h: np.ndarray, k: int) -> np.ndarray:

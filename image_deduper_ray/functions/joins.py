@@ -5,22 +5,26 @@ pair-signature attach, containment id prune and content attach,
 cluster label attach and signature-member filter; SURVEY.md §2.4). It
 stream-collects the right side under a byte cap (``collect_under_cap``)
 into ONE Arrow table, ``ray.put``s it once (zero-copy through plasma)
-and probes it per left batch with Acero's ``pa.Table.join``, so the big
-side never shuffles. Past the cap it calls ``hash_join`` with the same
-``how``; both routes keep every matching right row.
+and probes it per left block with Acero's ``pa.Table.join``, so the big
+side never shuffles. The probe, and the caller's per-block ``post``
+riding in the same task, go through ``groups.map_blocks``: over a
+materialized left side (every scan-path join but the containment
+content prune, which stays fused into its read) that is plain Ray
+tasks and no Ray Data execution. Past the cap it calls ``hash_join``
+with the same ``how``; both routes keep every matching right row.
 
 ``hash_join`` is the partitioned route. Ray 2.49's ``Dataset.join``
 (Acero-backed) intermittently loses block schemas for empty partitions,
 which poisons chained joins, so this module implements the portable
-pattern instead: conform both sides to one superset schema (tagged with
-a side column), union, ONE raw-task hash shuffle on the key
+pattern instead: ONE raw-task hash shuffle on the key over both sides
 (``partitioned_group_map_arrow`` — Ray's sort-based groupby costs
-seconds of serial overhead per shuffle at bench scale), and a C-speed
-``pd.merge`` (or an ``is_in`` mask for semi/anti) per partition.
-``num_partitions`` bounds reducer memory; skewed keys can be salted by
-raising it. Each side is converted to pandas separately inside the
-reducer so the null padding of the other side's columns never upcasts
-real values.
+seconds of serial overhead per shuffle at bench scale), whose map tasks
+conform each side to one superset schema (tagged with a side column),
+and a C-speed ``pd.merge`` (or an ``is_in`` mask for semi/anti) per
+partition. ``num_partitions`` bounds reducer memory; skewed keys can be
+salted by raising it. Each side is converted to pandas separately
+inside the reducer so the null padding of the other side's columns
+never upcasts real values.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 from .arrow_utils import arrow_schema_of
 
@@ -80,12 +85,6 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
             return pa.table(cols, schema=super_schema)
         return f
 
-    both = (left.map_batches(conform(key_left, left_schema, right_schema, 0),
-                             batch_format="pyarrow", zero_copy_batch=True)
-            .union(right.map_batches(
-                conform(key_right, right_schema, left_schema, 1),
-                batch_format="pyarrow", zero_copy_batch=True)))
-
     out_schema = pa.schema(list(left_schema) + list(right_schema))
 
     def merge_block(t: pa.Table) -> pa.Table:
@@ -125,9 +124,12 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
             cols[f.name] = pa.array(m[f.name], type=f.type, from_pandas=True)
         return pa.table(cols, schema=out_schema)
 
-    return partitioned_group_map_arrow(both, [_KEY], merge_block,
-                                       num_partitions,
-                                       out_schema=out_schema)
+    # each side is conformed in the shuffle's own map tasks
+    return partitioned_group_map_arrow(
+        [left, right], [_KEY], merge_block, num_partitions,
+        out_schema=out_schema,
+        pre=[conform(key_left, left_schema, right_schema, 0),
+             conform(key_right, right_schema, left_schema, 1)])
 
 
 _JOIN_TYPES = {"inner": "inner", "left": "left outer",
@@ -136,24 +138,30 @@ _JOIN_TYPES = {"inner": "inner", "left": "left outer",
 
 def collect_under_cap(ds: ray.data.Dataset,
                       max_bytes: int) -> pa.Table | None:
-    """Stream-collect a (presumed-small) dataset onto the driver as ONE
-    Arrow table, or ``None`` the moment it outgrows ``max_bytes``.
-    Empty batches are skipped (Ray 2.49's can arrive schema-less); an
-    all-empty dataset gives its schema's empty table."""
-    parts: list[pa.Table] = []
-    schema = None
+    """Collect a (presumed-small) dataset into this process as ONE Arrow
+    table, or ``None`` once its blocks' metadata sizes outgrow
+    ``max_bytes`` (a lazy dataset streams, and stops there). Blocks are
+    fetched by ref: over a materialized dataset that costs no batching
+    pipeline. Empty blocks are skipped (Ray 2.49's can arrive
+    schema-less); an all-empty dataset gives its schema's empty table."""
+    from .arrow_utils import as_table
+
+    refs = []
     total = 0
-    for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        if b.num_columns and schema is None:
-            schema = b.schema
-        if b.num_rows == 0:
-            continue
-        total += b.nbytes
-        if total > max_bytes:
-            return None
-        parts.append(b)
-    if parts:
-        return pa.concat_tables(parts).combine_chunks()
+    schema = None
+    for bundle in ds.iter_internal_ref_bundles():
+        if schema is None and isinstance(bundle.schema, pa.Schema):
+            schema = bundle.schema
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            total += meta.size_bytes or 0
+            if total > max_bytes:
+                return None
+            refs.append(ref)
+    if refs:
+        return pa.concat_tables(
+            [as_table(b) for b in ray.get(refs)]).combine_chunks()
     schema = schema or arrow_schema_of(ds)
     return pa.table({}) if schema is None else schema.empty_table()
 
@@ -161,7 +169,8 @@ def collect_under_cap(ds: ray.data.Dataset,
 def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
                    key_left: str, key_right: str, how: str = "inner",
                    max_bytes: int = 2_000_000_000,
-                   num_partitions: int | None = None) -> ray.data.Dataset:
+                   num_partitions: int | None = None,
+                   post=None) -> ray.data.Dataset:
     """Join ``left`` with a presumed-small ``right`` on one key.
 
     ``how``: "inner", "left" (unmatched left rows get null right
@@ -169,28 +178,42 @@ def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
     at most once). Output: the left columns, then for inner/left the
     right columns without ``key_right`` (names must not clash). Key
     types must match. A left row matching k right rows gives k rows on
-    both routes.
+    both routes. ``post`` (``pa.Table -> pa.Table``, also called on an
+    empty table to learn its output schema) runs on each joined block
+    in the same task, so a follow-up map costs no pass of its own.
 
     Broadcast route: ``right`` is collected under ``max_bytes`` into one
-    Arrow table, ``ray.put`` once, and joined with each left batch by
-    Acero (``use_threads=False``: the map task already owns its CPU).
-    Past the cap: the partitioned ``hash_join``. Row order is not
-    kept. A right side with no rows yields no columns to attach, except
-    for "left", which takes them from ``right.schema()`` — Ray 2.49
-    reports the schema from BEFORE a transform of an executed-empty
-    dataset, so pass an empty right side untransformed."""
+    Arrow table, ``ray.put`` once, and joined with each left block by
+    Acero (``use_threads=False``: the task already owns its CPU), through
+    ``groups.map_blocks``: plain tasks over a materialized ``left``, a
+    fused ``map_batches`` over a lazy one. Past the cap: the partitioned
+    ``hash_join`` over a materialized ``left`` (its schema then comes
+    from block metadata; fetching a lazy dataset's schema runs part of
+    its plan and cancels the rest), then ``post`` as plain tasks. Row
+    order is not kept. A right side without a schema (no rows, none
+    reported) attaches no columns — Ray 2.49 reports the schema from
+    BEFORE a transform of an executed-empty dataset, so pass an empty
+    right side untransformed."""
+    from .groups import map_blocks
+
     if how not in _JOIN_TYPES:
         raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}, "
                          f"got {how!r}")
     filtering = how in ("semi", "anti")     # right keys only
     rtbl = collect_under_cap(right, max_bytes)
     if rtbl is None:
+        if not isinstance(left, MaterializedDataset):
+            left = left.materialize()
         rs = pa.schema([] if filtering else
                        [f for f in arrow_schema_of(right)
                         if f.name != key_right])
-        return hash_join(left, right, key_left, key_right,
-                         arrow_schema_of(left), rs, how=how,
-                         num_partitions=num_partitions, right_dup="expand")
+        ls = arrow_schema_of(left)
+        out = hash_join(left, right, key_left, key_right, ls, rs, how=how,
+                        num_partitions=num_partitions, right_dup="expand")
+        if post is None:
+            return out
+        joined = pa.schema(list(ls) + list(rs))
+        return map_blocks(out, post, post(joined.empty_table()).schema)
     if filtering and rtbl.num_rows:
         rtbl = rtbl.select([key_right])
 
@@ -201,10 +224,15 @@ def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
         if t.num_columns == 0:      # schema-less empty block
             return t
         rt = ray.get(ref)
-        if rt.num_rows == 0 and how != "left":
-            return t if how == "anti" else t.slice(0, 0)
-        return t.join(rt, keys=key_left, right_keys=key_right,
-                      join_type=join_type, use_threads=False)
+        if key_right not in rt.column_names:    # schema-less right
+            out = t if how in ("anti", "left") else t.slice(0, 0)
+        else:
+            out = t.join(rt, keys=key_left, right_keys=key_right,
+                         join_type=join_type, use_threads=False)
+        return out if post is None else post(out)
 
-    return left.map_batches(probe, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    ls = arrow_schema_of(left) if isinstance(left, MaterializedDataset) \
+        else None
+    out_schema = pa.schema([]) if ls is None else \
+        probe(ls.empty_table()).schema
+    return map_blocks(left, probe, out_schema)

@@ -48,20 +48,18 @@ def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray,
     return sig
 
 
-_SHIFTS = np.arange(64, dtype=np.uint64)
-
-
 def simhash64(shingles: np.ndarray) -> int:
-    """64-bit SimHash over the shingle-hash set: per-bit +-1 vote."""
+    """64-bit SimHash over the shingle-hash set: per-bit +-1 vote. The
+    bits are counted over the little-endian byte view (``unpackbits``:
+    n x 64 bytes, not an n x 64 uint64 shift matrix) and the winning
+    votes packed back in one call."""
     if len(shingles) == 0:
         return 0
-    bits = (shingles[:, None] >> _SHIFTS[None, :]) & np.uint64(1)
-    votes = bits.sum(axis=0, dtype=np.int64) * 2 - len(shingles)
-    out = np.uint64(0)
-    set_bits = np.nonzero(votes > 0)[0]
-    for i in set_bits:
-        out |= np.uint64(1) << np.uint64(i)
-    return int(out)
+    by = np.ascontiguousarray(shingles, dtype="<u8").view(np.uint8)
+    ones = np.unpackbits(by.reshape(-1, 8), axis=1, bitorder="little") \
+        .sum(axis=0, dtype=np.int64)
+    votes = ones * 2 - len(shingles)
+    return int(np.packbits(votes > 0, bitorder="little").view("<u8")[0])
 
 
 def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:

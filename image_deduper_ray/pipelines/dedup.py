@@ -30,7 +30,17 @@ materialized: its six consumers (exact edges, signature collapse and
 its anti-join, pair resolution, the verify pack, the cluster meta)
 then take its blocks from the object store, and the shuffles among
 them run their row prep in their own map tasks
-(``functions/groups``), so none of them starts a Parquet read.
+(``functions/groups``), so none of them starts a Parquet read. Every
+other map over a materialized stage (the joins' probes and their
+per-block ``post``, verify scoring, the edge filters, the cluster meta)
+runs as plain Ray tasks through ``functions/groups.map_blocks``, and
+the edge union takes the blocks of its four inputs as they are
+(``union_blocks``). A fresh scan thus starts three Ray Data
+executions: the streamed signatures write, its one read, and the
+containment content read with the candidate filter fused into it.
+The read's wall is the ``read_s`` of the ``signatures`` metrics row,
+or of a ``signatures_read`` row when an earlier run completed the
+stage.
 
 Every small-side lookup (signature-member filter, pair resolution,
 containment id prune and content attach, cluster label attach) is one
@@ -51,8 +61,9 @@ from ray.data.dataset import MaterializedDataset
 
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions import hashing
-from ..functions.arrow_utils import ensure_schema
-from ..functions.groups import coalesce_blocks, default_partitions
+from ..functions.arrow_utils import ensure_schema, rename_drop
+from ..functions.groups import (coalesce_blocks, default_partitions,
+                                map_blocks, table_dataset, union_blocks)
 from ..functions.joins import broadcast_join
 from ..sources import checkpoints as ckpt
 from ..sources.files import read_files
@@ -70,6 +81,7 @@ _PAIR_SCHEMA = _EDGE_SCHEMA.append(pa.field("is_cont", pa.int8()))
 _VERIFIED_SCHEMA = _EDGE_SCHEMA.append(pa.field("jaccard", pa.float64())).append(
     pa.field("verdict", pa.string()))
 _EMPTY_EDGES = _EDGE_SCHEMA.empty_table()
+_IDS_SCHEMA = pa.schema([("file_id", pa.string())])
 
 # perfbench/tracing.py times the label attach under this name; drop the
 # alias with ROADMAP item 5
@@ -146,8 +158,13 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
         return resume and ckpt.is_complete(out_dir, name)
 
     # -- signatures (the expensive stage: resumable mid-stage) --
-    if not complete("signatures"):
-        with StageTimer(metrics, "signatures") as t:
+    # a run that finds the stage complete still reads it back for the
+    # stages after it: that read gets a metrics row of its own
+    sign = not complete("signatures")
+    later_done = all(complete(name) for name in STAGES[1:])
+    with StageTimer(metrics, "signatures" if sign else "signatures_read") as t:
+        extra = {}
+        if sign:
             files = read_files(input_paths, langs=langs,
                                exclude_path_prefixes=exclude_path_prefixes)
             # a resume keeps the parts already written and appends only
@@ -168,12 +185,16 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             # written so far for the anti-join above
             ckpt.write_stage(compute_signatures(files, cfg), out_dir,
                              "signatures", cfg_json)
-            t.done(ckpt.read_manifest(out_dir, "signatures")["rows"],
-                   resumed_from=len(done), **_fallback_counts(out_dir))
-    sigs = ckpt.read_stage(out_dir, "signatures")
-    if not all(complete(name) for name in STAGES[1:]):
-        # one Parquet read per run; every consumer below reads the blocks
-        sigs = sigs.materialize()
+            extra = {"resumed_from": len(done), **_fallback_counts(out_dir)}
+        _t0 = _time.monotonic()
+        sigs = ckpt.read_stage(out_dir, "signatures")
+        if not later_done:
+            # one Parquet read per run; every consumer below reads the
+            # blocks
+            sigs = sigs.materialize()
+        if sign or not later_done:
+            t.done(rows_of("signatures"),
+                   read_s=round(_time.monotonic() - _t0, 2), **extra)
 
     # -- exact-dup edges (A1) --
     if not complete("edges_exact"):
@@ -207,7 +228,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("verified"):
         with StageTimer(metrics, "verified") as t:
             if rows_of("pairs") == 0:
-                v = ray.data.from_arrow(_VERIFIED_SCHEMA.empty_table())
+                v = table_dataset(_VERIFIED_SCHEMA.empty_table())
             else:
                 v = verify_pairs(
                     pairs, sigs, cfg,
@@ -222,19 +243,18 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("edges_cont"):
         with StageTimer(metrics, "edges_cont") as t:
             _t0 = _time.monotonic()
-            cands = verified.map_batches(
-                lambda tb: tb.filter(
-                    pa.compute.equal(tb["verdict"], "containment_cand"))
-                .select(["a", "b"]),
-                batch_format="pyarrow", zero_copy_batch=True)
-            ids = cands.map_batches(
-                lambda tb: pa.table({"file_id": pa.concat_arrays(
-                    [tb["a"].combine_chunks(), tb["b"].combine_chunks()])}),
-                batch_format="pyarrow", zero_copy_batch=True).materialize()
+            cands = map_blocks(verified, lambda tb: tb.filter(
+                pa.compute.equal(tb["verdict"], "containment_cand"))
+                .select(["a", "b"]), _EDGE_SCHEMA)
+            # counted here, collected by the prune below: materialized
+            # (a no-op unless a resume read ``verified`` from Parquet)
+            ids = map_blocks(cands, lambda tb: pa.table({"file_id": pa.concat_arrays(
+                [tb["a"].combine_chunks(), tb["b"].combine_chunks()])}),
+                _IDS_SCHEMA).materialize()
             _t_ids = _t_scan = 0.0
             n_cand_ids = 0
             if ids.count() == 0:
-                ce = ray.data.from_arrow(_EMPTY_EDGES)
+                ce = table_dataset(_EMPTY_EDGES)
             else:
                 raw_content = (read_files(input_paths, langs=langs,
                                           exclude_path_prefixes=exclude_path_prefixes)
@@ -242,9 +262,10 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                                             zero_copy_batch=True)
                                .select_columns(["file_id", "content"]))
                 # semi-join prune BEFORE anything shuffles: only the
-                # candidates' content is touched again. Materialized so
-                # the full-corpus read runs in parallel, not throttled
-                # to the driver's collect of the attach below
+                # candidates' content is touched again. The probe fuses
+                # into the read (the scan's one execution after the
+                # signatures), and is materialized so the full-corpus
+                # read runs in parallel
                 content = broadcast_join(
                     raw_content, ids, "file_id", "file_id", "semi",
                     cfg.broadcast_max_bytes, cfg.num_partitions)
@@ -252,17 +273,24 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                 content = content.materialize()
                 _t_scan = _time.monotonic() - _t0 - _t_ids
                 n_cand_ids = content.count()
-                j = cands
-                for side in ("a", "b"):
-                    j = broadcast_join(
-                        j, content, side, "file_id", "inner",
-                        cfg.broadcast_max_bytes, cfg.num_partitions,
-                    ).map_batches(
-                        lambda tb, c=f"content_{side}": tb.rename_columns(
-                            [c if n == "content" else n
-                             for n in tb.column_names]),
-                        batch_format="pyarrow", zero_copy_batch=True)
-                ce = j.map_batches(ContainmentVerify(), batch_format="pyarrow")
+                verify_cont = ContainmentVerify()
+
+                def with_a(tb: pa.Table) -> pa.Table:
+                    return rename_drop(tb, {"content": "content_a"}, ())
+
+                def contained(tb: pa.Table) -> pa.Table:
+                    return verify_cont(
+                        rename_drop(tb, {"content": "content_b"}, ()))
+
+                # both content attaches and the substring check ride as
+                # the joins' per-block ``post``
+                j = broadcast_join(
+                    cands, content, "a", "file_id", "inner",
+                    cfg.broadcast_max_bytes, cfg.num_partitions, post=with_a)
+                ce = broadcast_join(
+                    j, content, "b", "file_id", "inner",
+                    cfg.broadcast_max_bytes, cfg.num_partitions,
+                    post=contained)
             ce = persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
             # sub-step attribution (the metrics 'extra' column):
             # candidate-id collect, pruned content scan, and the
@@ -275,13 +303,13 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # -- edge union --
     if not complete("edges"):
         with StageTimer(metrics, "edges") as t:
-            near = verified.map_batches(
-                lambda tb: tb.filter(pa.compute.equal(tb["verdict"], "near_dup"))
-                .select(["a", "b"]),
-                batch_format="pyarrow", zero_copy_batch=True)
-            all_edges = near.union(edges_exact.select_columns(["a", "b"]),
-                                   edges_sig.select_columns(["a", "b"]),
-                                   edges_cont.select_columns(["a", "b"]))
+            near = map_blocks(verified, lambda tb: tb.filter(
+                pa.compute.equal(tb["verdict"], "near_dup"))
+                .select(["a", "b"]), _EDGE_SCHEMA)
+            # every input is already (a, b): the union takes their
+            # blocks as they are
+            all_edges = union_blocks(
+                [near, edges_exact, edges_sig, edges_cont], _EDGE_SCHEMA)
             all_edges = persist(all_edges, "edges", schema=_EDGE_SCHEMA)
             t.done(rows_of("edges"))
     edges = load("edges")
@@ -292,21 +320,13 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             _t0 = _time.monotonic()
             labels = connected_components(edges, cfg)
             _t_cc = _time.monotonic() - _t0
-            meta = sigs.select_columns(
-                ["file_id", "repo", "path", "commit", "n_bytes"])
             meta_schema = pa.schema([
                 ("file_id", pa.string()), ("repo", pa.string()),
                 ("path", pa.string()), ("commit", pa.string()),
                 ("n_bytes", pa.int64())])
+            meta = map_blocks(sigs, lambda tb: tb.select(meta_schema.names),
+                              meta_schema)
             cl_schema = meta_schema.append(pa.field("cluster_id", pa.string()))
-            # label attach: the labels cover only edge-touched nodes
-            # (small), the meta stream is every file (big) — a
-            # broadcast beats shuffling the full 5-column meta table
-            # through a partitioned join (measured: clusters stage
-            # 24.5 -> ~8 s at 1M files / 32 cpus)
-            full = broadcast_attach_str(
-                meta, labels, "file_id", "file_id", "left",
-                cfg.broadcast_max_bytes, cfg.num_partitions)
 
             def fill(tb: pa.Table) -> pa.Table:
                 if tb.num_rows == 0:
@@ -317,7 +337,14 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     tb.drop_columns(["cluster_id"]).append_column("cluster_id", cid),
                     cl_schema)
 
-            full = full.map_batches(fill, batch_format="pyarrow")
+            # label attach: the labels cover only edge-touched nodes
+            # (small), the meta stream is every file (big) — a
+            # broadcast beats shuffling the full 5-column meta table
+            # through a partitioned join (measured: clusters stage
+            # 24.5 -> ~8 s at 1M files / 32 cpus)
+            full = broadcast_attach_str(
+                meta, labels, "file_id", "file_id", "left",
+                cfg.broadcast_max_bytes, cfg.num_partitions, post=fill)
             persist(full, "clusters")
             t.done(rows_of("clusters"), partitions=cfg.num_partitions,
                    cc_s=round(_t_cc, 2),

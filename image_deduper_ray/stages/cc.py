@@ -128,7 +128,8 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
     (string/int64) follows the edge schema."""
     import pyarrow as pa
 
-    from ..functions.groups import group_starts, partitioned_group_map
+    from ..functions.groups import (group_starts, map_blocks,
+                                    partitioned_group_map)
 
     P = cfg.num_partitions
     nt = _node_type(edges)
@@ -138,7 +139,8 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
         return pa.table({"key": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
                          "neigh": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])})
 
-    bidir = edges.map_batches(to_bidir, batch_format="pyarrow").materialize()
+    bidir = map_blocks(edges, to_bidir, pa.schema(
+        [("key", nt), ("neigh", nt)])).materialize()
 
     # label seed: every node starts labeled with itself, one row per
     # DISTINCT node. Seed label == key, so min-per-key is just distinct
@@ -206,9 +208,10 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
         # None on an empty graph: nothing to change either
         if not labels.sum("changed"):
             break
-    return labels.map_batches(
+    return map_blocks(
+        labels,
         lambda t: pa.table({"file_id": t["key"], "cluster_id": t["label"]}),
-        batch_format="pyarrow")
+        pa.schema([("file_id", nt), ("cluster_id", nt)]))
 
 
 def connected_components(edges: ray.data.Dataset,
@@ -223,15 +226,17 @@ def connected_components(edges: ray.data.Dataset,
         # iterating a materialized ``edges`` then runs no Ray Data job
         df = _driver_union_find(
             edges.iter_batches(batch_size=65536, batch_format="pyarrow"))
+        import pyarrow as pa
+
+        from ..functions.groups import table_dataset
+
         if df.empty:
-            import pyarrow as pa
             nt = _node_type(edges)
-            labels = ray.data.from_arrow(pa.table({
-                "file_id": pa.array([], nt),
-                "cluster_id": pa.array([], nt)}))
+            labels = pa.table({"file_id": pa.array([], nt),
+                               "cluster_id": pa.array([], nt)})
         else:
-            labels = ray.data.from_pandas(df)
-        # a source dataset materializes without a Ray Data job, and the
-        # label attach then collects it without one
-        return labels.materialize()
+            labels = pa.Table.from_pandas(df, preserve_index=False)
+        # materialized: the label attach collects it without a Ray Data
+        # job
+        return table_dataset(labels)
     return _distributed_label_prop(edges, cfg)

@@ -629,14 +629,10 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
 _ID_MAP_SCHEMA = pa.schema([("k", pa.int64()), ("f", pa.string())])
 
 
-@ray.remote
-def _id_map_block(block) -> pa.Table:
+def _id_map_block(t: pa.Table) -> pa.Table:
     """fid64 -> file_id rows of one signature block."""
-    from ..functions.arrow_utils import as_table, fixed_str_view
+    from ..functions.arrow_utils import fixed_str_view
 
-    t = as_table(block)
-    if t.num_rows == 0 or "file_id" not in t.column_names:
-        return _ID_MAP_SCHEMA.empty_table()
     ids = t["file_id"].combine_chunks()
     return pa.table({"k": pa.array(fid64(fixed_str_view(ids, 32))
                                    .view(np.int64)), "f": ids},
@@ -652,26 +648,18 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
     resolves a colliding endpoint to ALL its member ids, so a collision
     can only add candidate pairs for verification to reject, never lose
     a true pair. Self-pairs from a collision are dropped and each pair
-    is ordered a < b."""
+    is ordered a < b. Over a materialized ``sigs`` and ``pairs64`` the
+    id map, both joins and their renames run as plain tasks."""
     import pyarrow.compute as pc
 
+    from ..functions.groups import map_blocks
     from ..functions.joins import broadcast_join
 
-    # one plain task per signature block: over a materialized ``sigs``
-    # the id map costs no Ray Data job
-    refs = [_id_map_block.remote(r)
-            for bundle in sigs.iter_internal_ref_bundles()
-            for r in bundle.block_refs]
-    id_map = ray.data.from_arrow_refs(
-        refs or [ray.put(_ID_MAP_SCHEMA.empty_table())]).materialize()
-    ja = broadcast_join(pairs64, id_map, "a", "k", "inner",
-                        cfg.broadcast_max_bytes, cfg.num_partitions
-                        ).map_batches(
-        lambda t: t.rename_columns(["fa" if n == "f" else n
-                                    for n in t.column_names]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    j = broadcast_join(ja, id_map, "b", "k", "inner",
-                       cfg.broadcast_max_bytes, cfg.num_partitions)
+    id_map = map_blocks(sigs, _id_map_block, _ID_MAP_SCHEMA)
+
+    def fa(t: pa.Table) -> pa.Table:
+        return t.rename_columns(["fa" if n == "f" else n
+                                 for n in t.column_names])
 
     def fin(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["fa"], t["f"]))
@@ -679,4 +667,8 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
                          "b": pc.max_element_wise(t["fa"], t["f"]),
                          "is_cont": t["is_cont"]})
 
-    return j.map_batches(fin, batch_format="pyarrow")
+    ja = broadcast_join(pairs64, id_map, "a", "k", "inner",
+                        cfg.broadcast_max_bytes, cfg.num_partitions, post=fa)
+    return broadcast_join(ja, id_map, "b", "k", "inner",
+                          cfg.broadcast_max_bytes, cfg.num_partitions,
+                          post=fin)

@@ -27,6 +27,7 @@ import ray
 import ray.data
 
 from ..config import DedupConfig
+from ..functions.groups import map_blocks
 
 # containment candidates must clear this estimated Jaccard before the
 # (content-joining) substring pass: real containment of ratio r has
@@ -76,12 +77,13 @@ def attach_signatures(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
     joined row carries both signatures."""
     from ..functions.joins import hash_join
 
-    sig_a = sigs.select_columns(["file_id", "minhash"]).map_batches(
-        lambda t: t.rename_columns(["file_id", "minhash_a"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    sig_b = sigs.select_columns(["file_id", "minhash"]).map_batches(
-        lambda t: t.rename_columns(["file_id", "minhash_b"]),
-        batch_format="pyarrow", zero_copy_batch=True)
+    def sig_side(name: str):
+        schema = pa.schema([("file_id", pa.string()),
+                            (name, pa.binary(cfg.num_perms * 8))])
+        return map_blocks(sigs, lambda t: pa.table(
+            {"file_id": t["file_id"], name: t["minhash"]}), schema)
+
+    sig_a, sig_b = sig_side("minhash_a"), sig_side("minhash_b")
     pair_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
                              ("is_cont", pa.int8())])
     a_fields = pa.schema([("minhash_a", pa.binary())])
@@ -198,9 +200,10 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
 
     Fast path: the signature matrix fits the broadcast budget — ship it
     ONCE as per-part plasma objects plus a sorted (id -> part, row)
-    index; workers get zero-copy views and score batches with one
-    vectorized searchsorted + equality mean. No shuffle, no per-pair
-    signature copies. Past the budget (the 10^12-file regime, where
+    index; one plain task per ``pairs`` block (``groups.map_blocks``)
+    gets zero-copy views and scores ``SCORE_BATCH_ROWS`` pairs at a time
+    with one vectorized searchsorted + equality mean. No shuffle, no
+    per-pair signature copies. Past the budget (the 10^12-file regime, where
     even collapsed representatives outgrow a node), fall back to the
     partitioned hash joins."""
     cfg = cfg.resolved()
@@ -214,11 +217,7 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
         id_refs, mat_refs = packed
         index_ref = _index.remote(*id_refs)
 
-        def score(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return _VERIFIED_SCHEMA.empty_table()
-            sids, part_of, row_of = ray.get(index_ref)
-            parts = ray.get(mat_refs)   # plasma views, zero-copy local
+        def score(batch: pa.Table, sids, part_of, row_of, parts) -> pa.Table:
             # direct fixed-width buffer view — no per-value Python str
             from ..functions.arrow_utils import fixed_str_view
             a = fixed_str_view(batch["a"], 32)
@@ -235,13 +234,19 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
                 jac = np.where(ok, est_jaccard(sa, sb), 0.0)
             return _verdicts(batch, jac, cfg)
 
-        return pairs.map_batches(score, batch_format="pyarrow",
-                                 zero_copy_batch=True,
-                                 batch_size=SCORE_BATCH_ROWS)
+        def score_block(t: pa.Table) -> pa.Table:
+            index = ray.get(index_ref)
+            parts = ray.get(mat_refs)   # plasma views, zero-copy local
+            return pa.concat_tables(
+                [score(t.slice(s, SCORE_BATCH_ROWS), *index, parts)
+                 for s in range(0, t.num_rows, SCORE_BATCH_ROWS)]
+                or [_VERIFIED_SCHEMA.empty_table()])
+
+        return map_blocks(pairs, score_block, _VERIFIED_SCHEMA)
 
     joined = attach_signatures(pairs, sigs, cfg)
-    return joined.map_batches(score_joined_pairs, fn_kwargs={"cfg": cfg},
-                              batch_format="pyarrow", zero_copy_batch=True)
+    return map_blocks(joined, lambda t: score_joined_pairs(t, cfg),
+                      _VERIFIED_SCHEMA)
 
 
 def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
@@ -321,14 +326,20 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
         sigs, ["h1", "h2"], member_edges, num_partitions,
         out_schema=edge_schema, pre=fold)
 
+    rep_schema = pa.schema([("file_id", pa.string()),
+                            ("minhash", pa.binary(P * 8)),
+                            ("simhash", pa.int64()),
+                            ("sig_kind", pa.string())])
+
+    def signed(t: pa.Table) -> pa.Table:
+        return t.select(rep_schema.names).filter(
+            pc.not_equal(t["sig_kind"], "empty"))
+
     # materialized: consumed by hot-bucket counting AND band explode
     # (and the narrow projection is small next to the corpus)
     reps = broadcast_join(
-        sigs.select_columns(["file_id", "minhash", "simhash", "sig_kind"])
-        .map_batches(lambda t: t.filter(pc.not_equal(t["sig_kind"], "empty")),
-                     batch_format="pyarrow", zero_copy_batch=True),
-        sig_edges, "file_id", "b", "anti",
-        cfg.broadcast_max_bytes, num_partitions).materialize()
+        map_blocks(sigs, signed, rep_schema), sig_edges, "file_id", "b",
+        "anti", cfg.broadcast_max_bytes, num_partitions).materialize()
     return reps, sig_edges
 
 

@@ -107,6 +107,34 @@ class TestMinHash:
         h2 = np.array([mh.simhash64(sh2)], dtype=np.uint64)
         assert mh.hamming64(h1, h2)[0] <= 12
 
+    def test_simhash64_matches_bit_loop(self):
+        """The unpackbits/packbits kernel equals the per-bit vote loop it
+        replaced, bit for bit: high bits set, ties (a zero vote clears
+        the bit), the empty and the single-shingle cases."""
+        shifts = np.arange(64, dtype=np.uint64)
+
+        def reference(sh):
+            if len(sh) == 0:
+                return 0
+            bits = (sh[:, None] >> shifts[None, :]) & np.uint64(1)
+            votes = bits.sum(axis=0, dtype=np.int64) * 2 - len(sh)
+            out = np.uint64(0)
+            for i in np.nonzero(votes > 0)[0]:
+                out |= np.uint64(1) << np.uint64(i)
+            return int(out)
+
+        rng = np.random.default_rng(5)
+        top = np.uint64(1 << 63)
+        cases = [np.empty(0, np.uint64), np.array([top | np.uint64(5)]),
+                 np.array([0, 2**64 - 1], np.uint64)]
+        for n in (1, 2, 7, 100, 1000):
+            x = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+            cases += [x, x | top]
+        for sh in cases:
+            got = mh.simhash64(sh)
+            assert got == reference(sh) and type(got) is int, sh
+        assert mh.simhash64(np.array([top])) == 1 << 63
+
 
 class TestHashing:
     def test_sha256_matches_duckdb_semantics(self):
@@ -123,6 +151,17 @@ class TestHashing:
         ids = hashing.file_ids(["r", "r"], ["p1", "p2"], ["c", "c"])
         assert len(set(ids)) == 2
         assert ids == hashing.file_ids(["r", "r"], ["p1", "p2"], ["c", "c"])
+
+    def test_token_hash_cache_equals_per_token_hash(self):
+        """``hash_tokens`` gives ``token_hash64`` of every token, repeats
+        and non-ASCII tokens included, for empty and one-token input."""
+        cache = hashing.TokenHashCache()
+        for tokens in ([], ["def"], ["x", "=", "x", "+", "ünï", "x", "def"],
+                       [f"t{i % 37}" for i in range(500)]):
+            got = cache.hash_tokens(tokens)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [hashing.token_hash64(t) for t in tokens]
+        assert len(cache) == 1 + 4 + 37     # one entry per distinct token
 
     def test_fallback_shingles_deterministic(self):
         a = hashing.fallback_shingles("r", "p", 10)
@@ -332,17 +371,27 @@ def test_broadcast_join_routes(how, key_type):
         return sorted(tuple(None if pd.isna(v) else v for v in row)
                       for row in df.itertuples(index=False))
 
+    def plus10(t: pa.Table) -> pa.Table:
+        """A ``post``: x + 10, in the joined block's own task."""
+        import pyarrow.compute as pc
+        return t.set_column(t.column_names.index("x"), "x",
+                            pc.add(t["x"], 10))
+
     for r in (right, right.slice(0, 0)):
         exp = rows(reference(r))
+        exp_post = sorted((row[0], row[1] + 10) + row[2:] for row in exp)
         for cap in (2_000_000_000, 0):
-            out = broadcast_join(ray.data.from_arrow(left),
-                                 ray.data.from_arrow(r), "k", "rk", how,
-                                 max_bytes=cap, num_partitions=2)
-            df = out.to_pandas()
-            cols = ["k", "x"] + ([] if how in ("semi", "anti") else ["v"])
-            # a zero-row to_pandas drops the columns (Ray 2.49)
-            assert df.empty or list(df.columns) == cols, (cap, df.columns)
-            assert rows(df) == exp, (cap, r.num_rows)
+            for post, want in ((None, exp), (plus10, exp_post)):
+                out = broadcast_join(ray.data.from_arrow(left),
+                                     ray.data.from_arrow(r), "k", "rk", how,
+                                     max_bytes=cap, num_partitions=2,
+                                     post=post)
+                df = out.to_pandas()
+                cols = ["k", "x"] + ([] if how in ("semi", "anti")
+                                     else ["v"])
+                # a zero-row to_pandas drops the columns (Ray 2.49)
+                assert df.empty or list(df.columns) == cols, (cap, df.columns)
+                assert rows(df) == want, (cap, r.num_rows, post)
     if how in ("semi", "anti"):
         assert len(reference(right)) == len(set(reference(right).x))
     else:
@@ -491,6 +540,147 @@ def test_shuffle_skips_empty_blocks_before_pre(entry):
     assert out.count() == 0
     assert out.schema().names == ["k", "s"]
 
+
+
+def _count_executions(monkeypatch) -> list:
+    """Patch Ray Data's executor to record each execution it starts."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return calls
+
+
+def test_map_blocks_materialized_runs_plain_tasks(monkeypatch):
+    """Over a materialized dataset ``map_blocks`` starts no Ray Data
+    execution, keeps the row order and gives ``map_batches``' rows;
+    its materialized output is read without one either."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from image_deduper_ray.functions.groups import map_blocks
+
+    prep = _odd_doubled()
+    v = np.arange(300, dtype=np.int64)
+    blocks = [pa.table({"k": v[i:i + 30] % 7, "v": v[i:i + 30]})
+              for i in range(0, 300, 30)]
+    ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks]).materialize()
+    want = ds.map_batches(prep, batch_format="pyarrow").take_all()
+    calls = _count_executions(monkeypatch)
+    out = map_blocks(ds, prep, pa.schema([("k", pa.int64()),
+                                          ("w", pa.int64())]))
+    got = out.take_all()
+    assert isinstance(out, MaterializedDataset)
+    assert calls == []
+    assert got == want      # same rows, same order
+    assert [r["w"] for r in got] == [2 * x for x in v if x % 2]
+
+
+def test_map_blocks_keeps_a_lazy_input_lazy(monkeypatch):
+    """A lazy input is mapped by a ``map_batches`` fused into its plan:
+    nothing runs until the result is consumed."""
+    import pyarrow as pa
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from image_deduper_ray.functions.groups import map_blocks
+
+    lazy = ray.data.range(40).map_batches(
+        lambda t: pa.table({"k": t["id"], "v": t["id"]}),
+        batch_format="pyarrow")
+    calls = _count_executions(monkeypatch)
+    out = map_blocks(lazy, _odd_doubled(),
+                     pa.schema([("k", pa.int64()), ("w", pa.int64())]))
+    assert not isinstance(out, MaterializedDataset)
+    assert calls == []
+    assert sorted(r["w"] for r in out.take_all()) == list(range(2, 80, 4))
+
+
+def test_map_blocks_empty_input_gives_typed_empty_output():
+    """Empty and schema-less blocks are skipped (``fn`` never sees
+    them); a dataset with no rows, or whose rows all map to none, gives
+    ``out_schema``'s empty table."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from image_deduper_ray.functions.groups import map_blocks
+
+    prep = _odd_doubled()
+
+    def strict(t):
+        if t.num_rows == 0:
+            raise ValueError("fn called on an empty block")
+        return prep(t)
+
+    schema = pa.schema([("k", pa.int64()), ("w", pa.int64())])
+    rows = pa.table({"k": pa.array([1, 2], pa.int64()),
+                     "v": pa.array([3, 4], pa.int64())})
+    for blocks in ([rows.slice(0, 0), pa.table({})],
+                   [rows.slice(1), pa.table({})]):    # v = 4: no odd rows
+        ds = ray.data.from_arrow_refs(
+            [ray.put(b) for b in blocks]).materialize()
+        out = map_blocks(ds, strict, schema)
+        assert out.count() == 0
+        assert out.schema().base_schema == schema
+    ds = ray.data.from_arrow_refs(
+        [ray.put(rows), ray.put(pa.table({}))]).materialize()
+    assert map_blocks(ds, strict, schema).take_all() == [{"k": 1, "w": 6}]
+
+
+def test_verify_pairs_scores_a_large_block_in_slices(monkeypatch):
+    """One ``pairs`` block of 2.5 x SCORE_BATCH_ROWS pairs is scored in
+    slices by one plain task, with no Ray Data execution, and every row
+    equals the est-Jaccard and verdict computed directly."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from image_deduper_ray.stages.verify import (
+        CONTAINMENT_EST_JACCARD_MIN, SCORE_BATCH_ROWS, pack_signatures,
+        verify_pairs)
+
+    cfg = DedupConfig().resolved()
+    P = cfg.num_perms
+    rng = np.random.default_rng(3)
+    n = 200
+    ids = [f"{i:032x}" for i in rng.permutation(10**6)[:n]]
+    sig = np.tile(rng.integers(0, 2**63, P, dtype=np.uint64), (n, 1))
+    for i in range(n):          # file i differs from the base in k_i perms
+        k = rng.integers(0, P)
+        sig[i, :k] = rng.integers(0, 2**63, k, dtype=np.uint64)
+    sigs = ray.data.from_arrow_refs([ray.put(pa.table({
+        "file_id": ids,
+        "minhash": pa.FixedSizeBinaryArray.from_buffers(
+            pa.binary(P * 8), n, [None, pa.py_buffer(sig.tobytes())])}))
+    ]).materialize()
+    m = int(2.5 * SCORE_BATCH_ROWS)
+    ia, ib = rng.integers(0, n, m), rng.integers(0, n, m)
+    cont = rng.integers(0, 2, m).astype(np.int8)
+    pairs = ray.data.from_arrow_refs([ray.put(pa.table({
+        "a": [ids[i] for i in ia], "b": [ids[i] for i in ib],
+        "is_cont": cont}))]).materialize()
+    packed = pack_signatures(sigs, cfg)
+    calls = _count_executions(monkeypatch)
+    out = verify_pairs(pairs, sigs, cfg, packed=packed).take_all()
+    assert calls == []
+    jac = (sig[ia] == sig[ib]).mean(axis=1)
+    verdict = np.where(
+        jac >= cfg.jaccard_threshold, "near_dup",
+        np.where((cont == 1) & (jac >= CONTAINMENT_EST_JACCARD_MIN),
+                 "containment_cand", "reject"))
+    assert [(r["a"], r["b"], r["jaccard"], r["verdict"]) for r in out] == [
+        (ids[x], ids[y], j, v) for x, y, j, v in zip(ia, ib, jac, verdict)]
+    assert len(set(verdict)) == 3
 
 
 # -- in-bucket verification (stages/lsh._pairs_block) ----------------------
