@@ -23,32 +23,34 @@ back by the run that wrote them: each stage after signatures is
 materialized once, its blocks are written by plain tasks, and the next
 stage reads it from the object store. Only signatures (streamed to
 disk, so a killed run keeps its parts) and stages an earlier run
-completed are read from Parquet; a signatures part left without a
-Parquet footer by a killed scan is dropped before the resume. The
-signatures checkpoint is read ONCE per run, right after its stage, and
-materialized: its six consumers (exact edges, signature collapse and
-its anti-join, pair resolution, the verify pack, the cluster meta)
-then take its blocks from the object store, and the shuffles among
-them run their row prep in their own map tasks
+completed are read from Parquet, each by one plain Ray task per part
+(``checkpoints.read_stage``) and only when a stage of this run needs
+it; a signatures part left without a Parquet footer by a killed scan
+is dropped before the resume. The signatures checkpoint is read ONCE
+per run, right after its stage: its six consumers (exact edges,
+signature collapse and its anti-join, pair resolution, the verify
+pack, the cluster meta) then take its blocks from the object store,
+and the shuffles among them run their row prep in their own map tasks
 (``functions/groups``), so none of them starts a Parquet read. Every
 other map over a materialized stage (the joins' probes and their
 per-block ``post``, verify scoring, the edge filters, the cluster meta)
 runs as plain Ray tasks through ``functions/groups.map_blocks``, and
 the edge union takes the blocks of its four inputs as they are
-(``union_blocks``). A fresh scan thus starts three Ray Data
-executions: the streamed signatures write, its one read, and the
-containment content read with the candidate filter fused into it.
-The read's wall is the ``read_s`` of the ``signatures`` metrics row,
-or of a ``signatures_read`` row when an earlier run completed the
-stage.
+(``union_blocks``). The containment stage looks up the content of its
+candidate ids with one plain task per input file
+(``sources/files.read_content``), which reads a Parquet file's
+``content`` only in the row groups that hold a candidate. A fresh scan
+thus starts one Ray Data execution: the streamed signatures write. The
+read's wall is the ``read_s`` of the ``signatures`` metrics row, or of
+a ``signatures_read`` row when an earlier run completed the stage.
 
 Every small-side lookup (signature-member filter, pair resolution,
 containment id prune and content attach, cluster label attach) is one
 ``functions/joins.broadcast_join``: one byte cap,
 ``cfg.broadcast_max_bytes``, picks a broadcast or a partitioned hash
-join. The ``content`` column is dropped inside the signature stage and
-re-read from the source only for the (small) containment-candidate
-set; below the cap it never crosses a shuffle.
+join. The ``content`` column is dropped inside the signature stage;
+below the cap the candidate ids ride to the content lookup's tasks, so
+only the candidates' content leaves them, and never crosses a shuffle.
 """
 
 from __future__ import annotations
@@ -60,13 +62,12 @@ import ray.data
 from ray.data.dataset import MaterializedDataset
 
 from ..config import DedupConfig, DEFAULT_CONFIG
-from ..functions import hashing
 from ..functions.arrow_utils import ensure_schema, rename_drop
 from ..functions.groups import (coalesce_blocks, default_partitions,
                                 map_blocks, table_dataset, union_blocks)
-from ..functions.joins import broadcast_join
+from ..functions.joins import broadcast_join, collect_under_cap
 from ..sources import checkpoints as ckpt
-from ..sources.files import read_files
+from ..sources.files import add_file_id, read_content, read_files
 from ..stages.canonical import canonical_actions
 from ..stages.cc import connected_components
 from ..stages.lsh import candidate_pairs
@@ -95,12 +96,6 @@ STAGES = ("signatures", "edges_exact", "edges_sig", "pairs", "verified",
 EDGE_STAGES = STAGES[1:-2]
 
 
-def _add_file_id(batch: pa.Table) -> pa.Table:
-    fids = hashing.file_ids(batch["repo"].to_pylist(), batch["path"].to_pylist(),
-                            batch["commit"].to_pylist())
-    return batch.append_column("file_id", pa.array(fids, pa.string()))
-
-
 def compute_signatures(files: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     # plain tasks, not an actor pool: no worker holds a CPU between
     # batches, so the read and the next stage always find one
@@ -126,40 +121,44 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                  langs: list[str] | None = None,
                  exclude_path_prefixes: list[str] | None = None) -> dict:
     """Run (or resume) the full dedup pipeline. Returns every stage's
-    Dataset (in memory if this run computed it, else its checkpoint),
-    the metrics sink and the out dir."""
+    Dataset (in memory if this run computed or read it, else a lazy read
+    of its checkpoint), the metrics sink and the out dir."""
     cfg = cfg.resolved()   # fill the cluster-derived partition count
     metrics = MetricsSink(out_dir)
     cfg_json = cfg.to_json()
 
     # stages computed in this run: each is materialized once, written
     # from its blocks and handed to the next stage from the object
-    # store; only a stage an earlier run completed is read from Parquet
+    # store; only a stage an earlier run completed is read from Parquet,
+    # once, when a stage of this run first needs it
     mem: dict[str, MaterializedDataset] = {}
 
     def persist(ds_, name, schema=None):
         # clear first: a torn or stale earlier write must not mix in
         ckpt.clear_stage(out_dir, name)
-        # shuffle stages leave one small block per partition (plus one
-        # per union input): coalesce, or every downstream consumer and
-        # the write pay a task per tiny block
-        m = coalesce_blocks(ds_.materialize(), 2 * default_partitions())
+        # shuffle stages leave one small block per partition, a union
+        # the blocks of all its inputs: coalesce to one block per CPU,
+        # or every downstream consumer and the write pay a task (and
+        # the checkpoint a part) per tiny block
+        m = coalesce_blocks(ds_.materialize(), default_partitions())
         ckpt.write_stage(m, out_dir, name, cfg_json, schema=schema)
         mem[name] = m
-        return m
 
     def rows_of(name):
         return ckpt.read_manifest(out_dir, name)["rows"]
 
     def load(name):
-        return mem[name] if name in mem else ckpt.read_stage(out_dir, name)
+        if name not in mem:
+            mem[name] = ckpt.read_stage(out_dir, name)
+        return mem[name]
 
     def complete(name):
         return resume and ckpt.is_complete(out_dir, name)
 
     # -- signatures (the expensive stage: resumable mid-stage) --
     # a run that finds the stage complete still reads it back for the
-    # stages after it: that read gets a metrics row of its own
+    # stages after it: that read gets a metrics row of its own. A run
+    # that finds every later stage complete reads nothing
     sign = not complete("signatures")
     later_done = all(complete(name) for name in STAGES[1:])
     with StageTimer(metrics, "signatures" if sign else "signatures_read") as t:
@@ -175,7 +174,7 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             ckpt.drop_torn_parts(out_dir, "signatures")
             done = ckpt.done_key_set(out_dir, "signatures") if resume else set()
             if done:
-                files = files.map_batches(_add_file_id, batch_format="pyarrow",
+                files = files.map_batches(add_file_id, batch_format="pyarrow",
                                           zero_copy_batch=True)
                 files = ckpt.anti_join_done(
                     files, done, lambda b: b["file_id"])
@@ -187,11 +186,10 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                              "signatures", cfg_json)
             extra = {"resumed_from": len(done), **_fallback_counts(out_dir)}
         _t0 = _time.monotonic()
-        sigs = ckpt.read_stage(out_dir, "signatures")
         if not later_done:
-            # one Parquet read per run; every consumer below reads the
-            # blocks
-            sigs = sigs.materialize()
+            # one Parquet read per run, a plain task per part; every
+            # consumer below reads the blocks
+            sigs = load("signatures")
         if sign or not later_done:
             t.done(rows_of("signatures"),
                    read_s=round(_time.monotonic() - _t0, 2), **extra)
@@ -200,9 +198,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("edges_exact"):
         with StageTimer(metrics, "edges_exact") as t:
             e = exact_dup_edges(sigs, cfg.num_partitions)
-            e = persist(e, "edges_exact", schema=_EDGE_SCHEMA)
+            persist(e, "edges_exact", schema=_EDGE_SCHEMA)
             t.done(rows_of("edges_exact"), partitions=cfg.num_partitions)
-    edges_exact = load("edges_exact")
 
     # -- LSH candidate pairs (A2 part 1, salted) --
     # signature-identical rows (exact copies AND reformat-only twins)
@@ -219,10 +216,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             persist(sig_edges, "edges_sig", schema=_EDGE_SCHEMA)
             rep_sigs = pack_signatures(reps, cfg)
             p = candidate_pairs(reps, cfg, rep_sigs)
-            p = persist(p, "pairs", schema=_PAIR_SCHEMA)
+            persist(p, "pairs", schema=_PAIR_SCHEMA)
             t.done(rows_of("pairs"), partitions=cfg.num_partitions)
-    pairs = load("pairs")
-    edges_sig = load("edges_sig")
 
     # -- Jaccard verification (J4) --
     if not complete("verified"):
@@ -231,46 +226,43 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                 v = table_dataset(_VERIFIED_SCHEMA.empty_table())
             else:
                 v = verify_pairs(
-                    pairs, sigs, cfg,
+                    load("pairs"), sigs, cfg,
                     n_sigs=ckpt.read_manifest(out_dir, "signatures")["rows"],
                     packed=rep_sigs)
-            v = persist(v, "verified", schema=_VERIFIED_SCHEMA)
+            persist(v, "verified", schema=_VERIFIED_SCHEMA)
             t.done(rows_of("verified"), partitions=cfg.num_partitions)
-    verified = load("verified")
     rep_sigs = None  # frees the broadcast's plasma objects
 
     # -- containment (suffix-array substring) edges --
     if not complete("edges_cont"):
         with StageTimer(metrics, "edges_cont") as t:
             _t0 = _time.monotonic()
-            cands = map_blocks(verified, lambda tb: tb.filter(
+            cands = map_blocks(load("verified"), lambda tb: tb.filter(
                 pa.compute.equal(tb["verdict"], "containment_cand"))
                 .select(["a", "b"]), _EDGE_SCHEMA)
-            # counted here, collected by the prune below: materialized
-            # (a no-op unless a resume read ``verified`` from Parquet)
             ids = map_blocks(cands, lambda tb: pa.table({"file_id": pa.concat_arrays(
                 [tb["a"].combine_chunks(), tb["b"].combine_chunks()])}),
-                _IDS_SCHEMA).materialize()
+                _IDS_SCHEMA)
             _t_ids = _t_scan = 0.0
             n_cand_ids = 0
+            scan = dict.fromkeys(
+                ("files_read", "row_groups_total", "row_groups_read"), 0)
             if ids.count() == 0:
                 ce = table_dataset(_EMPTY_EDGES)
             else:
-                raw_content = (read_files(input_paths, langs=langs,
-                                          exclude_path_prefixes=exclude_path_prefixes)
-                               .map_batches(_add_file_id, batch_format="pyarrow",
-                                            zero_copy_batch=True)
-                               .select_columns(["file_id", "content"]))
-                # semi-join prune BEFORE anything shuffles: only the
-                # candidates' content is touched again. The probe fuses
-                # into the read (the scan's one execution after the
-                # signatures), and is materialized so the full-corpus
-                # read runs in parallel
-                content = broadcast_join(
-                    raw_content, ids, "file_id", "file_id", "semi",
-                    cfg.broadcast_max_bytes, cfg.num_partitions)
+                # only the candidates' content is read again, by plain
+                # tasks over the input files; below the byte cap each
+                # task filters by the ids, past it every row comes back
+                # and the join route prunes
+                id_tbl = collect_under_cap(ids, cfg.broadcast_max_bytes)
                 _t_ids = _time.monotonic() - _t0
-                content = content.materialize()
+                content, scan = read_content(
+                    input_paths, None if id_tbl is None else id_tbl["file_id"],
+                    langs=langs, exclude_path_prefixes=exclude_path_prefixes)
+                if id_tbl is None:
+                    content = broadcast_join(
+                        content, ids, "file_id", "file_id", "semi",
+                        cfg.broadcast_max_bytes, cfg.num_partitions)
                 _t_scan = _time.monotonic() - _t0 - _t_ids
                 n_cand_ids = content.count()
                 verify_cont = ContainmentVerify()
@@ -291,34 +283,36 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     j, content, "b", "file_id", "inner",
                     cfg.broadcast_max_bytes, cfg.num_partitions,
                     post=contained)
-            ce = persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
+            persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
             # sub-step attribution (the metrics 'extra' column):
-            # candidate-id collect, pruned content scan, and the
-            # remainder (attach + verify + persist)
+            # candidate-id collect, pruned content scan (with the input
+            # files and row groups it read), and the remainder (attach
+            # + verify + persist)
             t.done(rows_of("edges_cont"), partitions=cfg.num_partitions,
                    cand_ids_s=round(_t_ids, 2),
-                   n_cand_ids=n_cand_ids, content_scan_s=round(_t_scan, 2))
-    edges_cont = load("edges_cont")
+                   n_cand_ids=n_cand_ids, content_scan_s=round(_t_scan, 2),
+                   **scan)
 
     # -- edge union --
     if not complete("edges"):
         with StageTimer(metrics, "edges") as t:
-            near = map_blocks(verified, lambda tb: tb.filter(
+            near = map_blocks(load("verified"), lambda tb: tb.filter(
                 pa.compute.equal(tb["verdict"], "near_dup"))
                 .select(["a", "b"]), _EDGE_SCHEMA)
             # every input is already (a, b): the union takes their
             # blocks as they are
             all_edges = union_blocks(
-                [near, edges_exact, edges_sig, edges_cont], _EDGE_SCHEMA)
-            all_edges = persist(all_edges, "edges", schema=_EDGE_SCHEMA)
+                [near] + [load(name) for name in
+                          ("edges_exact", "edges_sig", "edges_cont")],
+                _EDGE_SCHEMA)
+            persist(all_edges, "edges", schema=_EDGE_SCHEMA)
             t.done(rows_of("edges"))
-    edges = load("edges")
 
     # -- connected components (A2 part 2) --
     if not complete("clusters"):
         with StageTimer(metrics, "clusters") as t:
             _t0 = _time.monotonic()
-            labels = connected_components(edges, cfg)
+            labels = connected_components(load("edges"), cfg)
             _t_cc = _time.monotonic() - _t0
             meta_schema = pa.schema([
                 ("file_id", pa.string()), ("repo", pa.string()),
@@ -349,22 +343,20 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             t.done(rows_of("clusters"), partitions=cfg.num_partitions,
                    cc_s=round(_t_cc, 2),
                    attach_write_s=round(_time.monotonic() - _t0 - _t_cc, 2))
-    clusters = load("clusters")
 
     # -- canonical pick + actions lineage (A4) --
     if not complete("actions"):
         with StageTimer(metrics, "actions") as t:
-            acts = canonical_actions(clusters, cfg)
+            acts = canonical_actions(load("clusters"), cfg)
             persist(acts, "actions")
             t.done(rows_of("actions"), partitions=cfg.num_partitions)
-    actions = load("actions")
 
+    # a stage no stage of this run needed stays on disk until the
+    # caller reads it
     return {
-        "signatures": sigs, "edges_exact": edges_exact,
-        "edges_sig": edges_sig, "pairs": pairs,
-        "verified": verified, "edges_cont": edges_cont, "edges": edges,
-        "clusters": clusters, "actions": actions, "metrics": metrics,
-        "out_dir": out_dir,
+        **{name: mem[name] if name in mem
+           else ckpt.read_stage(out_dir, name, lazy=True) for name in STAGES},
+        "metrics": metrics, "out_dir": out_dir,
     }
 
 

@@ -27,6 +27,7 @@ import ray.data
 from ray.data.dataset import MaterializedDataset
 
 from ..functions.arrow_utils import arrow_schema_of
+from ..functions.groups import _dataset_of, _with_meta
 
 MANIFEST = "_MANIFEST.json"
 
@@ -101,10 +102,26 @@ def write_stage(ds: ray.data.Dataset, root: str, stage: str,
     return manifest
 
 
-def read_stage(root: str, stage: str, columns: list[str] | None = None) -> ray.data.Dataset:
+@ray.remote(num_returns=2)
+def _read_part(path: str, columns):
+    return _with_meta(pq.ParquetFile(path).read(columns=columns))
+
+
+def read_stage(root: str, stage: str, columns: list[str] | None = None,
+               lazy: bool = False) -> ray.data.Dataset:
+    """A stage checkpoint (``columns`` of it, or all) as a dataset.
+
+    By default one plain Ray task reads each Parquet part, and the
+    result is a materialized dataset of one block per part: no Ray Data
+    execution, and its consumers read the blocks from the object store.
+    ``lazy=True`` gives a ``read_parquet`` dataset instead, which reads
+    nothing until it is consumed (a stage handed back to a caller that
+    may never look at it)."""
     d = stage_dir(root, stage)
     paths = [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
-    return ray.data.read_parquet(paths, columns=columns)
+    if lazy:
+        return ray.data.read_parquet(paths, columns=columns)
+    return _dataset_of([_read_part.remote(p, columns) for p in paths])
 
 
 def read_manifest(root: str, stage: str) -> dict:

@@ -3,28 +3,41 @@
 Analog of ``discover_images`` / ``discover_images_in_directory``
 (/root/reference/crates/image-deduper-core/src/discovery/mod.rs:16-109):
 the recursive WalkDir + filters becomes the Parquet read itself —
-multi-root fan-out is a list of paths, the extension/format predicate is
-lang row-filter pushdown, the excluded-directories filter is a
-vectorized path-prefix predicate, and per-file metadata (S3,
-discovery/mod.rs:119-128) becomes derived columns computed in the same
-batch pass.
+multi-root fan-out is a list of paths, and the extension/format
+predicate (lang), the excluded-directories filter (path prefixes) and
+the hidden-path filter are one vectorized row mask (``row_mask``) that
+every reader applies. Per-file metadata (S3, discovery/mod.rs:119-128)
+becomes derived columns computed in the same batch pass.
+
+Two readers: ``read_files`` is the lazy Ray Data read the signature
+stage streams through; ``read_content`` looks up the content of a few
+file ids again (the containment candidates) with one plain Ray task per
+input file, no Ray Data execution, reading a Parquet file's ``content``
+only in the row groups that hold one of the ids.
 """
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 import ray.data
+
+from ..functions import hashing
+from ..functions.arrow_utils import ensure_schema
+from ..functions.groups import _dataset_of, _with_meta, table_dataset
 
 
 FILES_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+CONTENT_SCHEMA = pa.schema([("file_id", pa.string()), ("content", pa.string())])
 
 
 def _sniff_format(paths: str | list[str]) -> str:
     """File-extension sniff over the first path entry (the
     magic-bytes-dispatch analog, M14): parquet | json | csv."""
-    import os
-
     p = paths[0] if isinstance(paths, (list, tuple)) else paths
     if os.path.isdir(p):
         for f in sorted(os.listdir(p)):
@@ -38,85 +51,215 @@ def _sniff_format(paths: str | list[str]) -> str:
     return {"json": "json", "jsonl": "json", "csv": "csv"}.get(ext, "parquet")
 
 
+def row_mask(t: pa.Table, *, langs: list[str] | None = None,
+             exclude_path_prefixes: list[str] | None = None,
+             include_hidden: bool = False):
+    """The rows of a files-table block a scan reads, as a boolean mask
+    (``None``: every row): the lang filter (the supported-format
+    predicate, types.rs:38-44), the excluded-directories filter
+    (discovery/mod.rs:68-72) and the hidden '.'-segment filter
+    (discovery/mod.rs:61-66). A null ``lang`` or ``path`` gives a null,
+    which ``Table.filter`` drops. Every reader of the files table
+    (``read_files``, ``read_content``) filters with it."""
+    conds = []
+    if langs is not None:
+        conds.append(pc.is_in(t["lang"], value_set=pa.array(langs, pa.string())))
+    for p in exclude_path_prefixes or ():
+        conds.append(pc.invert(pc.starts_with(t["path"], p)))
+    if not include_hidden:
+        # any path segment starting with '.'
+        conds.append(pc.invert(pc.match_substring_regex(t["path"], r"(^|/)\.")))
+    if not conds:
+        return None
+    mask = conds[0]
+    for c in conds[1:]:
+        mask = pc.and_(mask, c)
+    return mask
+
+
+def add_file_id(t: pa.Table) -> pa.Table:
+    """``t`` with its ``file_id`` column (``hashing.file_ids`` of repo,
+    path and commit) appended."""
+    fids = hashing.file_ids(t["repo"].to_pylist(), t["path"].to_pylist(),
+                            t["commit"].to_pylist())
+    return t.append_column("file_id", pa.array(fids, pa.string()))
+
+
+def _conform(t: pa.Table, file_format: str, src_desc) -> pa.Table:
+    """A JSONL/CSV block as the files table: FILES_COLUMNS, as strings."""
+    # validate before projecting: a hand-rolled JSONL/CSV file missing
+    # a column should name the column and the source, not surface as a
+    # bare KeyError deep inside a Ray task
+    missing = [c for c in FILES_COLUMNS if c not in t.column_names]
+    if missing and t.num_rows:
+        raise ValueError(
+            f"{file_format} source {src_desc!r} is missing "
+            f"required files-table column(s) {missing}; "
+            f"expected {FILES_COLUMNS}, got {t.column_names}")
+    if t.num_rows == 0:
+        return pa.table({c: pa.array([], pa.string()) for c in FILES_COLUMNS})
+    return pa.table({c: t[c].cast(pa.string()) for c in FILES_COLUMNS})
+
+
 def read_files(paths: str | list[str], *, langs: list[str] | None = None,
                exclude_path_prefixes: list[str] | None = None,
                include_hidden: bool = False,
                override_num_blocks: int | None = None,
                file_format: str = "auto") -> ray.data.Dataset:
-    """Read the files table with predicate pushdown at the scan.
-
-    langs -> row-group-level filter (the supported-format predicate,
-    types.rs:38-44); exclude_path_prefixes -> the excluded-directories
-    filter (discovery/mod.rs:68-72); hidden '.'-segment filter
-    (discovery/mod.rs:61-66).
+    """Read the files table, lazily, with the scan's row filters.
 
     ``file_format``: 'parquet' (default), 'json' (JSONL) or 'csv' —
-    'auto' sniffs the extension. Parquet gets true columnar pushdown
-    (lang filter evaluated at the row-group scan); the row formats are
-    full scans by nature, so their lang filter runs as the first
-    vectorized batch predicate instead — same semantics, the format's
-    own cost. Columns are conformed to FILES_COLUMNS either way so
-    every downstream stage is format-agnostic."""
+    'auto' sniffs the extension. Columns are conformed to FILES_COLUMNS
+    either way (the row formats cast to strings), so every downstream
+    stage is format-agnostic. Rows are kept by ``row_mask`` (langs,
+    ``exclude_path_prefixes``, hidden paths unless ``include_hidden``),
+    one vectorized batch predicate fused into the read."""
     if file_format == "auto":
         file_format = _sniff_format(paths)
-    flt = None
+    kw = {"override_num_blocks": override_num_blocks} \
+        if override_num_blocks else {}
     if file_format == "parquet":
-        if langs is not None:
-            flt = pc.field("lang").isin(langs)
-        ds = ray.data.read_parquet(paths, columns=FILES_COLUMNS, filter=flt,
-                                   override_num_blocks=override_num_blocks)
+        ds = ray.data.read_parquet(paths, columns=FILES_COLUMNS, **kw)
     else:
         if file_format == "json":
-            ds = ray.data.read_json(
-                paths, **({"override_num_blocks": override_num_blocks}
-                          if override_num_blocks else {}))
+            ds = ray.data.read_json(paths, **kw)
         elif file_format == "csv":
-            ds = ray.data.read_csv(
-                paths, **({"override_num_blocks": override_num_blocks}
-                          if override_num_blocks else {}))
+            ds = ray.data.read_csv(paths, **kw)
         else:
             raise ValueError(f"unknown file_format {file_format!r}")
-        lang_set = langs
         src_desc = paths if isinstance(paths, str) else ", ".join(paths)
+        ds = ds.map_batches(lambda t: _conform(t, file_format, src_desc),
+                            batch_format="pyarrow", zero_copy_batch=True)
 
-        def conform(t: pa.Table) -> pa.Table:
-            # validate before projecting: a hand-rolled JSONL/CSV file
-            # missing a column should name the column and the source,
-            # not surface as a bare KeyError deep inside a Ray task
-            missing = [c for c in FILES_COLUMNS if c not in t.column_names]
-            if missing and t.num_rows:
-                raise ValueError(
-                    f"{file_format} source {src_desc!r} is missing "
-                    f"required files-table column(s) {missing}; "
-                    f"expected {FILES_COLUMNS}, got {t.column_names}")
-            if t.num_rows == 0:
-                return pa.table({c: pa.array([], pa.string())
-                                 for c in FILES_COLUMNS})
-            out = pa.table({c: t[c].cast(pa.string())
-                            for c in FILES_COLUMNS})
-            if lang_set is not None:
-                out = out.filter(pc.is_in(
-                    out["lang"], value_set=pa.array(lang_set, pa.string())))
-            return out
-
-        ds = ds.map_batches(conform, batch_format="pyarrow",
-                            zero_copy_batch=True)
-
-    if exclude_path_prefixes or not include_hidden:
-        prefixes = tuple(exclude_path_prefixes or ())
-
+    if langs is not None or exclude_path_prefixes or not include_hidden:
         def _filter(batch: pa.Table) -> pa.Table:
-            mask = pa.array([True] * len(batch))
-            for p in prefixes:
-                mask = pc.and_(mask, pc.invert(pc.starts_with(batch["path"], p)))
-            if not include_hidden:
-                # any path segment starting with '.'
-                hidden = pc.match_substring_regex(batch["path"], r"(^|/)\.")
-                mask = pc.and_(mask, pc.invert(hidden))
-            return batch.filter(mask)
+            return batch.filter(row_mask(
+                batch, langs=langs, exclude_path_prefixes=exclude_path_prefixes,
+                include_hidden=include_hidden))
 
         ds = ds.map_batches(_filter, batch_format="pyarrow", zero_copy_batch=True)
     return ds
+
+
+def _input_files(paths: str | list[str], file_format: str) -> list[str]:
+    """The files a Ray Data read of ``paths`` opens, in its order: for
+    Parquet, the files PyArrow's dataset discovery finds (recursive,
+    skipping '.'- and '_'-prefixed names, as ``read_parquet`` does);
+    for JSONL/CSV, Ray's own path expansion (recursive, every file) and,
+    for JSONL, its extension filter."""
+    from ray.data._internal.datasource.json_datasource import \
+        JSON_FILE_EXTENSIONS
+    from ray.data.datasource.file_meta_provider import \
+        DefaultFileMetadataProvider
+    from ray.data.datasource.path_util import (_has_file_extension,
+                                               _resolve_paths_and_filesystem)
+
+    resolved, fs = _resolve_paths_and_filesystem(paths)
+    if file_format == "parquet":
+        return list(pq.ParquetDataset(
+            resolved[0] if len(resolved) == 1 else resolved,
+            filesystem=fs, partitioning=None).files)
+    files = [p for p, _ in DefaultFileMetadataProvider().expand_paths(resolved, fs)]
+    if file_format == "json":
+        files = [p for p in files if _has_file_extension(p, JSON_FILE_EXTENSIONS)]
+    return files
+
+
+def _with_partitions(t: pa.Table, path: str) -> pa.Table:
+    """``t`` plus the hive ``key=value`` directories of ``path`` as
+    columns it lacks (a column the file holds wins, as in Ray's read)."""
+    from ray.data.datasource.partitioning import (Partitioning,
+                                                  PathPartitionParser)
+
+    for k, v in PathPartitionParser(Partitioning("hive"))(path).items():
+        if k not in t.column_names:
+            t = t.append_column(k, pa.array([v] * t.num_rows, pa.string()))
+    return t
+
+
+@ray.remote(num_returns=3)
+def _content_task(path: str, file_format: str, ids, langs, prefixes):
+    """The ``(file_id, content)`` rows of one input file that pass
+    ``row_mask`` and, unless ``ids`` is None, whose ``file_id`` is in
+    ``ids``; returns ``(block, metadata, (row groups, row groups read))``.
+    A Parquet file is read row group by row group, and a row group's
+    ``content`` only when it holds a wanted row, so the task holds one
+    row group at a time. A JSONL or CSV file is one row group, read
+    whole."""
+    def wanted(t: pa.Table) -> tuple:
+        t = add_file_id(_with_partitions(t, path))
+        # never None: hidden paths are always dropped
+        keep = row_mask(t, langs=langs, exclude_path_prefixes=prefixes)
+        if ids is not None:
+            keep = pc.and_(keep, pc.is_in(t["file_id"], value_set=ids))
+        keep = pc.fill_null(keep, False)
+        return t["file_id"].filter(keep), keep
+
+    outs = []
+    if file_format == "parquet":
+        pf = pq.ParquetFile(path)
+        key_cols = [c for c in ("repo", "path", "commit", "lang")
+                    if c in pf.schema_arrow.names]
+        n_groups, n_read = pf.num_row_groups, 0
+        for i in range(n_groups):
+            fids, keep = wanted(pf.read_row_group(i, columns=key_cols))
+            if len(fids) == 0:
+                continue
+            content = pf.read_row_group(i, columns=["content"])["content"]
+            outs.append(pa.table({"file_id": fids,
+                                  "content": content.filter(keep)}))
+            n_read += 1
+    else:
+        if file_format == "json":
+            import pyarrow.json as pajson
+
+            # one block for the whole file: a line straddling the default
+            # 1 MiB block fails to parse (Ray's reader retries with larger
+            # blocks)
+            t = pajson.read_json(path, read_options=pajson.ReadOptions(
+                use_threads=False,
+                block_size=max(1 << 20, os.path.getsize(path) + 1)))
+        else:
+            import pyarrow.csv as pacsv
+
+            t = pacsv.read_csv(path, read_options=pacsv.ReadOptions(
+                use_threads=False))
+        t = _conform(_with_partitions(t, path), file_format, path)
+        fids, keep = wanted(t)
+        if len(fids):
+            outs.append(pa.table({"file_id": fids,
+                                  "content": t["content"].filter(keep)}))
+        n_groups, n_read = 1, int(bool(outs))
+    out = pa.concat_tables(outs) if outs else CONTENT_SCHEMA.empty_table()
+    return (*_with_meta(ensure_schema(out, CONTENT_SCHEMA)), (n_groups, n_read))
+
+
+def read_content(paths: str | list[str], ids: pa.Array | None, *,
+                 langs: list[str] | None = None,
+                 exclude_path_prefixes: list[str] | None = None) -> tuple:
+    """The ``(file_id, content)`` rows of ``ids`` in the files table at
+    ``paths``: the rows ``read_files(paths, langs=...,
+    exclude_path_prefixes=...)`` holds for those ids, read by one plain
+    Ray task per input file (no Ray Data execution). ``ids`` is
+    ``ray.put`` once; ``None`` gives every row. Returns the materialized
+    dataset (one block per input file, ``CONTENT_SCHEMA``) and the
+    counts ``files_read``, ``row_groups_total`` and ``row_groups_read``
+    (the row groups whose ``content`` was read)."""
+    file_format = _sniff_format(paths)
+    files = [] if ids is not None and len(ids) == 0 \
+        else _input_files(paths, file_format)
+    counts = {"files_read": len(files), "row_groups_total": 0,
+              "row_groups_read": 0}
+    if not files:
+        return table_dataset(CONTENT_SCHEMA.empty_table()), counts
+    ref = None if ids is None else ray.put(ids)
+    outs = [_content_task.remote(f, file_format, ref, langs,
+                                 exclude_path_prefixes) for f in files]
+    ds = _dataset_of([(b, m) for b, m, _ in outs])
+    for n_groups, n_read in ray.get([c for _, _, c in outs]):
+        counts["row_groups_total"] += n_groups
+        counts["row_groups_read"] += n_read
+    return ds, counts
 
 
 # extension -> canonical lang (detect_image_format analog,

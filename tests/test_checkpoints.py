@@ -30,3 +30,41 @@ def test_manifest_per_partition_lineage(tmp_path):
     m = ckpt.read_manifest(str(tmp_path), "stagex")
     assert m["rows"] == 64
     assert sum(m["partitions"].values()) == 64
+
+
+def test_read_stage_one_block_per_part(tmp_path, monkeypatch):
+    """``read_stage`` reads each part with one plain task into one block
+    (``columns`` honoured) and runs no Ray Data execution; ``lazy=True``
+    reads the same rows only when consumed."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    from ray.data.dataset import MaterializedDataset
+
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    d = tmp_path / "stagex"
+    d.mkdir()
+    t = pa.table({"file_id": [f"id{i}" for i in range(9)],
+                  "payload": [f"p{i}" for i in range(9)]})
+    for i in range(3):
+        pq.write_table(t.slice(3 * i, 3), str(d / f"part-{i:05d}.parquet"))
+
+    executions = []
+    real = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        executions.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    ds = ckpt.read_stage(str(tmp_path), "stagex", columns=["file_id"])
+    blocks = ray.get(ds.to_arrow_refs())
+    assert executions == []
+    assert isinstance(ds, MaterializedDataset)
+    assert [b.column_names for b in blocks] == [["file_id"]] * 3
+    assert pa.concat_tables(blocks)["file_id"] == t["file_id"]
+
+    lazy = ckpt.read_stage(str(tmp_path), "stagex", lazy=True)
+    assert not isinstance(lazy, MaterializedDataset)
+    assert sorted(lazy.to_pandas().file_id) == sorted(t["file_id"].to_pylist())

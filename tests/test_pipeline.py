@@ -319,14 +319,14 @@ def test_fresh_scan_reads_back_only_signatures(corpus_run, tmp_path,
 
 
 def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
-    """A fresh scan starts at most 3 Ray Data executions and exactly 7
-    hash shuffles. The 3 are the streamed signatures write, its one
-    read back, and the containment content read (the candidate filter
-    fused into it). Each shuffle's row prep runs in its own map tasks;
-    every map over a materialized stage (the joins' probes and their
-    ``post``, verify scoring, the edge filters and union, the cluster
-    meta) runs plain tasks through ``groups.map_blocks``, as do the
-    representatives' signature broadcast and a checkpoint's block
+    """A fresh scan starts at most 1 Ray Data execution, the streamed
+    signatures write, and exactly 7 hash shuffles. The signatures read
+    back and the containment content lookup run one plain task per
+    Parquet part or input file; each shuffle's row prep runs in its own
+    map tasks; every map over a materialized stage (the joins' probes
+    and their ``post``, verify scoring, the edge filters and union, the
+    cluster meta) runs plain tasks through ``groups.map_blocks``, as do
+    the representatives' signature broadcast and a checkpoint's block
     coalescing."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
@@ -350,7 +350,71 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
     d, _, _, _, _ = corpus_run
     run_pipeline(d, str(tmp_path / "out"))
     assert len(shuffles) == 7, shuffles
-    assert len(executions) <= 3, len(executions)
+    assert len(executions) <= 1, len(executions)
+
+
+def test_complete_rerun_reads_no_stage(corpus_run, monkeypatch):
+    """A rerun over an out dir whose every stage is complete reads no
+    checkpoint into the object store: each stage it returns is a lazy
+    read that the caller may never consume."""
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    eager = []
+    real = ckpt.read_stage
+
+    def counting(root, stage, *args, lazy=False, **kwargs):
+        if not lazy:
+            eager.append(stage)
+        return real(root, stage, *args, lazy=lazy, **kwargs)
+
+    monkeypatch.setattr(ckpt, "read_stage", counting)
+    d, out_dir, full, _, _ = corpus_run
+    res = run_pipeline(d, out_dir)
+    assert eager == []
+    assert res["clusters"].count() == full["clusters"].count()
+
+
+def test_edges_cont_metrics_count_row_groups_read(corpus_run, tmp_path):
+    """``edges_cont``'s metrics row reports the input files and row
+    groups its content lookup read. The ``corpus_run`` input rewritten
+    in row groups of 4 rows gives the same containment edges, and only
+    the row groups holding a candidate have their ``content`` read."""
+    import ast
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources.files import add_file_id
+
+    def cont_extra(out):
+        m = pq.read_table(os.path.join(out, "metrics")).to_pydict()
+        return ast.literal_eval(dict(zip(m["stage"], m["extra"]))["edges_cont"])
+
+    d, out_dir, full, table, _ = corpus_run
+    n_files = sum(f.endswith(".parquet") for f in os.listdir(d))
+    extra = cont_extra(out_dir)
+    assert extra["files_read"] == n_files
+    assert extra["row_groups_read"] == extra["row_groups_total"] == n_files
+
+    d2 = tmp_path / "rg"
+    d2.mkdir()
+    pq.write_table(table, str(d2 / "part-00000.parquet"), row_group_size=4)
+    out2 = str(tmp_path / "out")
+    res = run_pipeline(str(d2), out2)
+    assert _engine_clusters(res) == _engine_clusters(full)
+    edges = pq.read_table(os.path.join(out_dir, "edges_cont"))
+    assert edges.num_rows
+    assert (sorted(pq.read_table(os.path.join(out2, "edges_cont")).to_pylist(),
+                   key=str) == sorted(edges.to_pylist(), key=str))
+    v = pq.read_table(os.path.join(out2, "verified"))
+    v = v.filter(pc.equal(v["verdict"], "containment_cand"))
+    cand = set(v["a"].to_pylist() + v["b"].to_pylist())
+    fids = add_file_id(table)["file_id"].to_pylist()
+    groups_hit = {i // 4 for i, f in enumerate(fids) if f in cand}
+    extra = cont_extra(out2)
+    assert extra["files_read"] == 1
+    assert extra["row_groups_total"] == -(-table.num_rows // 4)
+    assert extra["row_groups_read"] == len(groups_hit) < extra["row_groups_total"]
 
 
 @pytest.mark.parametrize("stage", STAGES[1:])

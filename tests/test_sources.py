@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
-from image_deduper_ray.sources.files import read_files, with_path_ext
+from image_deduper_ray.sources.files import (CONTENT_SCHEMA, add_file_id,
+                                             read_content, read_files,
+                                             with_path_ext)
 
 
 def _write(tmp_path):
@@ -83,30 +89,165 @@ def test_row_format_sources_match_parquet(tmp_path):
         assert sorted(only_py.path) == [".hidden/c.py", "src/a.py"]
 
 
-def test_flagship_runs_over_jsonl_corpus(tmp_path):
-    """The full dedup pipeline over a JSONL files table must produce
-    the same clusters as the identical Parquet table."""
+def _rows(ds) -> list[tuple]:
+    return sorted((r["file_id"], r["content"]) for r in ds.take_all())
+
+
+def _lookup_matches_read_files(paths, ids, **kw) -> dict:
+    """Assert that ``read_content`` gives the rows of ``read_files``
+    semi-joined on ``file_id`` with ``ids`` (every row for ``ids=None``);
+    returns its counts."""
+    blocks = ray.get(read_files(paths, **kw).materialize().to_arrow_refs())
+    # empty blocks may come schema-less
+    files = add_file_id(pa.concat_tables(
+        [b for b in blocks if b.num_rows] or [_table(0)]))
+    if ids is not None:
+        files = files.filter(pc.is_in(files["file_id"], value_set=ids))
+    want = sorted(zip(files["file_id"].to_pylist(),
+                      files["content"].to_pylist()))
+    ds, counts = read_content(paths, ids, **kw)
+    assert _rows(ds) == want
+    assert ds.schema().base_schema == CONTENT_SCHEMA
+    return counts
+
+
+def _ids(t: pa.Table, rows) -> pa.Array:
+    fids = add_file_id(t)["file_id"]
+    return pa.array([fids[i].as_py() for i in rows], pa.string())
+
+
+def _table(n: int, tag: str = "") -> pa.Table:
+    return pa.table({
+        "repo": ["r"] * n, "path": [f"src/{tag}{i}.py" for i in range(n)],
+        "commit": ["c"] * n, "lang": ["py"] * n,
+        "content": [f"body {tag}{i}" for i in range(n)]})
+
+
+def test_content_lookup_reads_only_candidate_row_groups(tmp_path):
+    """Three row groups of 10 rows, candidates in the middle one only:
+    the lookup reads that row group's ``content`` and no other."""
+    t = _table(30)
+    p = str(tmp_path / "files.parquet")
+    pq.write_table(t, p, row_group_size=10)
+    counts = _lookup_matches_read_files(p, _ids(t, [11, 14, 19]))
+    assert counts == {"files_read": 1, "row_groups_total": 3,
+                      "row_groups_read": 1}
+    # no ids: every row, every row group
+    counts = _lookup_matches_read_files(p, None)
+    assert counts["row_groups_read"] == 3
+
+
+def test_content_lookup_lists_files_as_the_parquet_read(tmp_path):
+    """A marker file, a '.'-prefixed Parquet file and a hive
+    ``lang=py/`` subdirectory: the lookup reads the files the Parquet
+    read reads (the hidden one is skipped although its ids are asked
+    for), and a hive directory fills a column its files lack."""
+    d = tmp_path / "in"
+    (d / "lang=py").mkdir(parents=True)
+    top, hidden, hive = _table(4, "t"), _table(3, "h"), _table(5, "p")
+    pq.write_table(top, str(d / "part-0.parquet"))
+    pq.write_table(hidden, str(d / ".x.parquet"))
+    pq.write_table(hive, str(d / "lang=py" / "part-1.parquet"))
+    (d / "_SUCCESS").write_text("")
+    ids = pa.concat_arrays([_ids(top, [0, 3]), _ids(hidden, [0, 1, 2]),
+                            _ids(hive, [2])])
+    counts = _lookup_matches_read_files(str(d), ids)
+    assert counts["files_read"] == 2
+    assert _lookup_matches_read_files(str(d), ids, langs=["py"]) == counts
+
+    h = tmp_path / "hive"
+    for lang in ("py", "js"):
+        (h / f"lang={lang}").mkdir(parents=True)
+        pq.write_table(_table(3, lang).drop_columns(["lang"]),
+                       str(h / f"lang={lang}" / "part-0.parquet"))
+    ids = pa.concat_arrays([_ids(_table(3, lang), [0, 2])
+                            for lang in ("py", "js")])
+    _lookup_matches_read_files(str(h), ids, langs=["js"])
+    _lookup_matches_read_files(str(h), ids)
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"langs": ["py"]}, {"exclude_path_prefixes": ["vendor/"]},
+    {"langs": ["py", "rs"], "exclude_path_prefixes": ["src/n", "x"]}],
+    ids=["hidden", "langs", "prefix", "langs_prefixes"])
+def test_content_lookup_filters_as_read_files(tmp_path, kw):
+    """Langs, excluded prefixes and hidden paths drop the same rows as
+    in ``read_files``, even when their ids are asked for."""
+    p = _write(tmp_path)
+    t = pq.read_table(p)
+    _lookup_matches_read_files(p, _ids(t, range(t.num_rows)), **kw)
+
+
+def test_content_lookup_of_no_ids_is_typed_empty(tmp_path):
+    p = _write(tmp_path)
+    ds, counts = read_content(p, pa.array([], pa.string()))
+    assert ds.count() == 0
+    assert ds.schema().base_schema == CONTENT_SCHEMA
+    assert counts == {"files_read": 0, "row_groups_total": 0,
+                      "row_groups_read": 0}
+
+
+def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
+    import csv
     import json
 
+    if fmt == "jsonl":
+        with open(path, "w") as fh:
+            for r in rows:
+                fh.write(json.dumps(r) + "\n")
+    else:
+        with open(path, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_content_lookup_over_row_formats(tmp_path, fmt):
+    """A JSONL or CSV input is read whole, one row group per file, and
+    conformed and filtered as in ``read_files``."""
+    t = pq.read_table(_write(tmp_path))
+    d = tmp_path / fmt
+    d.mkdir()
+    rows = t.to_pylist()
+    _write_rows(rows[:3], str(d / f"a.{fmt}"), fmt)
+    _write_rows(rows[3:], str(d / f"b.{fmt}"), fmt)
+    ids = _ids(t, [0, 1, 2, 4])
+    counts = _lookup_matches_read_files(str(d), ids)
+    assert counts == {"files_read": 2, "row_groups_total": 2,
+                      "row_groups_read": 2}
+    _lookup_matches_read_files(str(d), ids, langs=["py"])
+    _lookup_matches_read_files(str(d), None, exclude_path_prefixes=["src/e"])
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_flagship_runs_over_row_format_corpus(tmp_path, fmt):
+    """The full dedup pipeline over a JSONL or CSV files table must
+    produce the same clusters and containment edges as the identical
+    Parquet table (the edges exercise the content lookup's row-format
+    read)."""
     import pyarrow.parquet as pq2
     from image_deduper_ray.corpus import write_corpus
     from image_deduper_ray.pipelines.dedup import run_pipeline
 
-    d, _ = write_corpus(str(tmp_path / "pq"), n_clusters=6)
-    # re-encode the same table as JSONL
-    jd = tmp_path / "jsonl"
-    jd.mkdir()
-    import os
+    d, _ = write_corpus(str(tmp_path / "pq"), n_clusters=10)
+    # re-encode the same table as JSONL / CSV
+    rd = tmp_path / fmt
+    rd.mkdir()
     rows = []
     for f in sorted(os.listdir(d)):
         if f.endswith(".parquet"):
             rows.extend(pq2.read_table(os.path.join(d, f)).to_pylist())
-    with open(jd / "files.jsonl", "w") as fh:
-        for r in rows:
-            fh.write(json.dumps(r) + "\n")
+    _write_rows(rows, str(rd / f"files.{fmt}"), fmt)
 
     res_pq = run_pipeline(d, str(tmp_path / "out_pq"))
-    res_js = run_pipeline(str(jd), str(tmp_path / "out_js"))
+    res_rf = run_pipeline(str(rd), str(tmp_path / "out_rf"))
     a = res_pq["clusters"].to_pandas().set_index("file_id")["cluster_id"]
-    b = res_js["clusters"].to_pandas().set_index("file_id")["cluster_id"]
+    b = res_rf["clusters"].to_pandas().set_index("file_id")["cluster_id"]
     assert a.sort_index().equals(b.sort_index())
+
+    def cont(res):
+        return sorted(zip(*(res["edges_cont"].to_pandas()[c]
+                            for c in ("a", "b"))))
+
+    assert cont(res_pq) and cont(res_rf) == cont(res_pq)
