@@ -82,7 +82,11 @@ def _key_hash(t: pa.Table, key_cols: list[str]) -> np.ndarray:
 
 def _with_meta(t: pa.Table) -> tuple:
     """A block a plain task made, with its metadata and schema, so the
-    caller builds a dataset over it without another task round."""
+    caller builds a dataset over it without another task round. The
+    schema's metadata (e.g. pandas') is dropped: Ray unifies block
+    schemas through a ``set``, and a schema carrying a metadata dict
+    does not hash (a logged warning per unification)."""
+    t = t.replace_schema_metadata(None)
     return t, BlockMetadataWithSchema.from_block(t)
 
 

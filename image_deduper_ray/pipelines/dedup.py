@@ -6,7 +6,7 @@ Discovery -> Processing -> Persistence -> DuplicateCheck -> Action) and
 of the ``ImageDeduper::run`` / ``hash_and_persist`` drivers
 (/root/reference/crates/image-deduper-core/src/lib.rs:110-243):
 
-  read files -> sign_batch (stateless tasks)   [checkpoint signatures]
+  read + sign_batch (a task per input unit)   [checkpoint signatures]
   -> exact sha256 edges (partition blocks)     [checkpoint edges_exact]
   -> signature-identical collapse              [checkpoint edges_sig]
   -> LSH candidate pairs (salted, on reps)     [checkpoint pairs]
@@ -19,30 +19,33 @@ of the ``ImageDeduper::run`` / ``hash_and_persist`` drivers
 Every stage writes Parquet + a manifest; a rerun skips completed stages
 and anti-joins partially-done signature work (the find_new_images
 discipline, db.rs:132-164). The checkpoints are written, never read
-back by the run that wrote them: each stage after signatures is
-materialized once, its blocks are written by plain tasks, and the next
-stage reads it from the object store. Only signatures (streamed to
-disk, so a killed run keeps its parts) and stages an earlier run
-completed are read from Parquet, each by one plain Ray task per part
+back by the run that wrote them. The signatures stage is one plain Ray
+task per input unit (``sign_input``: a file, or a run of a Parquet
+file's row groups), which drops the done ids, signs its rows and writes
+its own part to a temp name, then renames it, so a killed scan keeps
+whole parts only; the tasks' blocks are the stage, in memory. Each
+later stage is materialized once, its blocks are written by plain
+tasks, and the next stage reads it from the object store. Only stages
+an earlier run completed (and the parts a killed run left) are read
+from Parquet, each by one plain Ray task per part
 (``checkpoints.read_stage``) and only when a stage of this run needs
-it; a signatures part left without a Parquet footer by a killed scan
-is dropped before the resume. The signatures checkpoint is read ONCE
-per run, right after its stage: its six consumers (exact edges,
-signature collapse and its anti-join, pair resolution, the verify
-pack, the cluster meta) then take its blocks from the object store,
+it; a signatures part left without a Parquet footer, or a temp file, is
+dropped before the resume. The signatures stage's six consumers (exact
+edges, signature collapse and its anti-join, pair resolution, the
+verify pack, the cluster meta) take its blocks from the object store,
 and the shuffles among them run their row prep in their own map tasks
-(``functions/groups``), so none of them starts a Parquet read. Every
-other map over a materialized stage (the joins' probes and their
-per-block ``post``, verify scoring, the edge filters, the cluster meta)
-runs as plain Ray tasks through ``functions/groups.map_blocks``, and
-the edge union takes the blocks of its four inputs as they are
-(``union_blocks``). The containment stage looks up the content of its
-candidate ids with one plain task per input file
-(``sources/files.read_content``), which reads a Parquet file's
-``content`` only in the row groups that hold a candidate. A fresh scan
-thus starts one Ray Data execution: the streamed signatures write. The
-read's wall is the ``read_s`` of the ``signatures`` metrics row, or of
-a ``signatures_read`` row when an earlier run completed the stage.
+(``functions/groups``). Every other map over a materialized stage (the
+joins' probes and their per-block ``post``, verify scoring, the edge
+filters, the cluster meta) runs as plain Ray tasks through
+``functions/groups.map_blocks``, and the edge union takes the blocks of
+its four inputs as they are (``union_blocks``). The containment stage
+looks up the content of its candidate ids with one plain task per
+input file (``sources/files.read_content``), which reads a Parquet
+file's ``content`` only in the row groups that hold a candidate. A
+fresh scan thus starts no Ray Data execution. The read of an earlier
+run's signatures parts is the ``read_s`` of the ``signatures`` metrics
+row, or of a ``signatures_read`` row when an earlier run completed the
+stage.
 
 Every small-side lookup (signature-member filter, pair resolution,
 containment id prune and content attach, cluster label attach) is one
@@ -55,19 +58,28 @@ only the candidates' content leaves them, and never crosses a shuffle.
 
 from __future__ import annotations
 
+import os
 import time as _time
 
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data
 from ray.data.dataset import MaterializedDataset
 
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions.arrow_utils import ensure_schema, rename_drop
-from ..functions.groups import (coalesce_blocks, default_partitions,
-                                map_blocks, table_dataset, union_blocks)
+from ..functions.groups import (_dataset_of, _with_meta, coalesce_blocks,
+                                default_partitions, map_blocks,
+                                table_dataset, union_blocks)
 from ..functions.joins import broadcast_join, collect_under_cap
 from ..sources import checkpoints as ckpt
-from ..sources.files import add_file_id, read_content, read_files
+from ..sources.files import (UNIT_SCHEMA, input_units, read_content,
+                             read_unit)
+# the scan reads its input through ``sign_input``'s tasks;
+# perfbench/tracing.py wraps ``dedup.read_files`` by name: ROADMAP item 3
+# drops it
+from ..sources.files import read_files  # noqa: F401
 from ..stages.canonical import canonical_actions
 from ..stages.cc import connected_components
 from ..stages.lsh import candidate_pairs
@@ -96,6 +108,8 @@ STAGES = ("signatures", "edges_exact", "edges_sig", "pairs", "verified",
 EDGE_STAGES = STAGES[1:-2]
 
 
+# the scan signs with ``sign_input``'s plain tasks; perfbench/tracing.py
+# wraps this name and ``docdedup`` calls it: ROADMAP item 3 deletes it
 def compute_signatures(files: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     # plain tasks, not an actor pool: no worker holds a CPU between
     # batches, so the read and the next stage always find one
@@ -104,16 +118,97 @@ def compute_signatures(files: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Da
                              batch_size=cfg.sig_batch_size)
 
 
-def _fallback_counts(out_dir: str) -> dict[str, int]:
-    """``fallback`` and ``over_budget`` row counts of the signatures
-    checkpoint, read from two columns of its parts (no Ray job)."""
+def _fallback_counts(tables) -> dict[str, int]:
+    """``fallback`` and ``over_budget`` row counts of signature tables
+    (their ``sig_kind`` and ``error`` columns)."""
     counts = {"fallback": 0, "over_budget": 0}
-    for t in ckpt.part_columns(out_dir, "signatures", ["sig_kind", "error"]):
+    for t in tables:
         fb = pa.compute.equal(t["sig_kind"], "fallback")
         ob = pa.compute.equal(t["error"], "over-budget")
         counts["fallback"] += pa.compute.sum(fb).as_py() or 0
         counts["over_budget"] += pa.compute.sum(ob).as_py() or 0
     return counts
+
+
+@ray.remote(num_returns=3)
+def _sign_unit(path: str, file_format: str, row_groups, done, langs,
+               prefixes, cfg: DedupConfig, part: str) -> tuple:
+    """Sign the rows of one input unit whose ``file_id`` is not in
+    ``done`` (the resume anti-join), ``cfg.sig_batch_size`` rows per
+    ``sign_batch`` call, and write them, if any, as the Parquet part
+    ``part`` (atomically). Returns ``(block, metadata, fallback
+    counts)``."""
+    t, _, _ = read_unit(path, file_format, row_groups, langs=langs,
+                        exclude_path_prefixes=prefixes, ids=done,
+                        drop_ids=True)
+    n = cfg.sig_batch_size
+    # an empty unit still signs its empty table: the output schema
+    sig = pa.concat_tables([sign_batch(t.slice(i, n), cfg)
+                            for i in range(0, t.num_rows, n)]
+                           or [sign_batch(t, cfg)])
+    if sig.num_rows:
+        ckpt.write_part(sig, part)
+    return (*_with_meta(sig), _fallback_counts([sig]))
+
+
+def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
+               resume: bool = True, langs: list[str] | None = None,
+               exclude_path_prefixes: list[str] | None = None) -> tuple:
+    """Write the ``signatures`` stage: sign every input row the stage's
+    parts lack, with one plain Ray task per input unit
+    (``files.input_units``: a file, or a run of a Parquet file's row
+    groups), each writing its own part ``part-<run_id>-<unit>.parquet``,
+    then the manifest. Returns the stage as a materialized dataset (the
+    new blocks and the earlier parts, read by one task each, in part
+    name order) and its metrics ``extra``.
+
+    A resume keeps the parts an earlier run left (bar a torn one or a
+    temp file) and signs only the rows whose ``file_id`` they lack: the
+    done ids are ``ray.put`` once and each task drops them. No Ray Data
+    execution runs, and a fresh scan reads nothing back. A stage with
+    no row gets one schema-only part."""
+    d = ckpt.stage_dir(out_dir, "signatures")
+    # a forced rescan starts from nothing
+    if not resume:
+        ckpt.clear_stage(out_dir, "signatures")
+    ckpt.drop_torn_parts(out_dir, "signatures")
+    done = ckpt.done_key_set(out_dir, "signatures") if resume else set()
+    os.makedirs(d, exist_ok=True)
+    earlier = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    t0 = _time.monotonic()
+    parts = {f: ckpt._read_part.remote(os.path.join(d, f), None)
+             for f in earlier}
+    file_format, units = input_units(input_paths, cfg.sig_batch_size)
+    done_ref = ray.put(pa.array(list(done), pa.string())) if done else None
+    signed = {}
+    for i, (path, row_groups) in enumerate(units):
+        name = f"part-{run_id}-{i:05d}.parquet"
+        signed[name] = _sign_unit.remote(
+            path, file_format, row_groups, done_ref, langs,
+            exclude_path_prefixes, cfg, os.path.join(d, name))
+    read_metas = ray.get([m for _, m in parts.values()])
+    read_s = _time.monotonic() - t0
+    # waits for every task
+    metas = ray.get([m for _, m, _ in signed.values()])
+    counts = _fallback_counts(pq.read_table(os.path.join(d, f),
+                                            columns=["sig_kind", "error"])
+                              for f in earlier)
+    for c in ray.get([c for _, _, c in signed.values()]):
+        for k in counts:
+            counts[k] += c[k]
+    if any(m.metadata.num_rows for m in read_metas + metas):
+        parts.update((name, (b, m)) for name, (b, m, _) in signed.items())
+        sigs = _dataset_of([parts[name] for name in sorted(parts)])
+    else:
+        empty = sign_batch(UNIT_SCHEMA.empty_table(), cfg)
+        if not earlier:
+            # every row filtered: persist the schema so readers still work
+            ckpt.write_part(empty, os.path.join(d, f"part-{run_id}-empty.parquet"))
+        sigs = table_dataset(empty)
+    ckpt.write_manifest(out_dir, "signatures", cfg.to_json())
+    return sigs, {"resumed_from": len(done), "units": len(units),
+                  "units_signed": sum(m.metadata.num_rows > 0 for m in metas),
+                  "read_s": round(read_s, 2), **counts}
 
 
 def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
@@ -159,40 +254,19 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     # a run that finds the stage complete still reads it back for the
     # stages after it: that read gets a metrics row of its own. A run
     # that finds every later stage complete reads nothing
-    sign = not complete("signatures")
-    later_done = all(complete(name) for name in STAGES[1:])
-    with StageTimer(metrics, "signatures" if sign else "signatures_read") as t:
-        extra = {}
-        if sign:
-            files = read_files(input_paths, langs=langs,
-                               exclude_path_prefixes=exclude_path_prefixes)
-            # a resume keeps the parts already written and appends only
-            # the files they lack; a forced rescan starts from nothing
-            if not resume:
-                ckpt.clear_stage(out_dir, "signatures")
-            # a part a killed scan left without a footer is signed again
-            ckpt.drop_torn_parts(out_dir, "signatures")
-            done = ckpt.done_key_set(out_dir, "signatures") if resume else set()
-            if done:
-                files = files.map_batches(add_file_id, batch_format="pyarrow",
-                                          zero_copy_batch=True)
-                files = ckpt.anti_join_done(
-                    files, done, lambda b: b["file_id"])
-                files = files.map_batches(lambda b: b.drop_columns(["file_id"]),
-                                          batch_format="pyarrow")
-            # streamed, not materialized: a killed scan keeps the parts
-            # written so far for the anti-join above
-            ckpt.write_stage(compute_signatures(files, cfg), out_dir,
-                             "signatures", cfg_json)
-            extra = {"resumed_from": len(done), **_fallback_counts(out_dir)}
-        _t0 = _time.monotonic()
-        if not later_done:
+    if not complete("signatures"):
+        with StageTimer(metrics, "signatures") as t:
+            sigs, extra = sign_input(input_paths, out_dir, cfg, metrics.run_id,
+                                     resume, langs, exclude_path_prefixes)
+            mem["signatures"] = sigs
+            t.done(rows_of("signatures"), **extra)
+    elif not all(complete(name) for name in STAGES[1:]):
+        with StageTimer(metrics, "signatures_read") as t:
             # one Parquet read per run, a plain task per part; every
             # consumer below reads the blocks
             sigs = load("signatures")
-        if sign or not later_done:
             t.done(rows_of("signatures"),
-                   read_s=round(_time.monotonic() - _t0, 2), **extra)
+                   read_s=round(_time.monotonic() - t.t0, 2))
 
     # -- exact-dup edges (A1) --
     if not complete("edges_exact"):
@@ -274,15 +348,34 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     return verify_cont(
                         rename_drop(tb, {"content": "content_b"}, ()))
 
-                # both content attaches and the substring check ride as
-                # the joins' per-block ``post``
-                j = broadcast_join(
-                    cands, content, "a", "file_id", "inner",
-                    cfg.broadcast_max_bytes, cfg.num_partitions, post=with_a)
-                ce = broadcast_join(
-                    j, content, "b", "file_id", "inner",
-                    cfg.broadcast_max_bytes, cfg.num_partitions,
-                    post=contained)
+                ctbl = collect_under_cap(content, cfg.broadcast_max_bytes)
+                if ctbl is None:
+                    # past the cap, one hash join per endpoint; both
+                    # content attaches and the substring check ride as
+                    # the joins' per-block ``post``
+                    j = broadcast_join(
+                        cands, content, "a", "file_id", "inner",
+                        cfg.broadcast_max_bytes, cfg.num_partitions,
+                        post=with_a)
+                    ce = broadcast_join(
+                        j, content, "b", "file_id", "inner",
+                        cfg.broadcast_max_bytes, cfg.num_partitions,
+                        post=contained)
+                else:
+                    # below it the content is collected and put once, and
+                    # one task per run of blocks attaches both endpoints
+                    # and runs the substring check
+                    ref = ray.put(ctbl)
+
+                    def attach(tb: pa.Table) -> pa.Table:
+                        c = ray.get(ref)
+                        for key, post in (("a", with_a), ("b", contained)):
+                            tb = post(tb.join(c, keys=key, right_keys="file_id",
+                                              join_type="inner",
+                                              use_threads=False))
+                        return tb
+
+                    ce = map_blocks(cands, attach, _EDGE_SCHEMA)
             persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
             # sub-step attribution (the metrics 'extra' column):
             # candidate-id collect, pruned content scan (with the input

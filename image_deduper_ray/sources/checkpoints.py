@@ -6,14 +6,15 @@ src/persistence/db.rs:64-92), ``get_all_hashes`` (S5, db.rs:94-129) and
 the ``find_new_images`` anti-join (J1, db.rs:132-164) that lets a rerun
 hash only new files (lib.rs:246-264). Here every stage writes a Parquet
 directory plus a ``_MANIFEST.json`` (row count + config hash) written
-only after the data lands — the atomic 'stage done' marker — and resume
-anti-joins the done ``file_id`` set before the expensive signature
-stage.
+only after the data lands — the atomic 'stage done' marker. Each part
+is written to a temp name and renamed (``write_part``), so a killed
+scan leaves whole parts only, and resume anti-joins the done
+``file_id`` set before the expensive signature stage.
 
 Scale note: the anti-join ships the done-key set once via ``ray.put``
-and filters inside ``map_batches`` (no shuffle); it needs the done keys
-to fit in driver and worker memory (hundreds of millions of 32-char
-keys).
+to the signature tasks, which filter their rows by it (no shuffle); it
+needs the done keys to fit in driver and worker memory (hundreds of
+millions of 32-char keys).
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ def is_complete(root: str, stage: str) -> bool:
     return os.path.exists(os.path.join(stage_dir(root, stage), MANIFEST))
 
 
+def write_part(t, path: str) -> None:
+    """Write ``t`` as the Parquet part ``path`` atomically: to a temp
+    name that no reader lists (it does not end in ``.parquet``), then
+    renamed over ``path``, so a killed write leaves no torn part."""
+    tmp = path + ".tmp"
+    pq.write_table(t.replace_schema_metadata(None), tmp)
+    os.replace(tmp, path)
+
+
 @ray.remote
 def _write_part(block, path: str, schema) -> None:
     """Write one block as one Parquet part, cast to the stage schema."""
@@ -47,8 +57,8 @@ def _write_part(block, path: str, schema) -> None:
 
     from ..functions.arrow_utils import ensure_schema
 
-    t = ensure_schema(BlockAccessor.for_block(block).to_arrow(), schema)
-    pq.write_table(t.replace_schema_metadata(None), path)
+    write_part(ensure_schema(BlockAccessor.for_block(block).to_arrow(), schema),
+               path)
 
 
 def _write_blocks(ds: MaterializedDataset, d: str, schema) -> None:
@@ -71,11 +81,12 @@ def write_stage(ds: ray.data.Dataset, root: str, stage: str,
     A materialized Dataset is written block by block with plain tasks,
     no Ray Data job: the caller keeps it and feeds the next stage from
     memory, so nothing re-reads the parts in the run that wrote them. A
-    lazy Dataset streams through ``write_parquet``, so the parts land as
-    they are produced (a killed ``signatures`` stage keeps them for the
-    resume anti-join). ``schema`` is the caller-declared schema, used
-    when the Dataset reports none (an executed-empty Dataset in Ray
-    2.49)."""
+    lazy Dataset streams through ``write_parquet``; the scan writes
+    none (its ``signatures`` tasks write their own parts, and
+    ``write_manifest`` completes the stage), and ROADMAP item 3 deletes
+    that branch. ``schema`` is the
+    caller-declared schema, used when the Dataset reports none (an
+    executed-empty Dataset in Ray 2.49)."""
     d = stage_dir(root, stage)
     os.makedirs(d, exist_ok=True)
     if isinstance(ds, MaterializedDataset):
@@ -87,6 +98,16 @@ def write_stage(ds: ray.data.Dataset, root: str, stage: str,
             # zero-row dataset: persist the schema so readers still work
             pq.write_table((schema or arrow_schema_of(ds)).empty_table(),
                            os.path.join(d, "empty-0.parquet"))
+    return write_manifest(root, stage, config_json, extra)
+
+
+def write_manifest(root: str, stage: str, config_json: str = "",
+                   extra: dict | None = None) -> dict:
+    """Write the manifest of a stage whose parts are all on disk, and
+    return it: the rows of each part and in all, the config and
+    ``extra``. Written to a temp name and renamed, so it is the
+    stage's atomic 'done' marker."""
+    d = stage_dir(root, stage)
     per_part = {f: int(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows)
                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
     n = sum(per_part.values())
@@ -150,16 +171,20 @@ def part_columns(root: str, stage: str, columns: list[str]):
 
 def drop_torn_parts(root: str, stage: str) -> list[str]:
     """Delete every Parquet part of a (possibly partial) checkpoint
-    whose footer does not parse, and return their names. Ray's
-    ``write_parquet`` writes straight to the final path, so a killed
-    write can leave a part without a footer; its rows are then
-    recomputed instead of failing every later resume."""
+    whose footer does not parse, and every temp file a killed write
+    left (``*.tmp``), and return their names. The scan writes each part
+    to a temp name and renames it, but a part can still be cut short
+    outside the program (a full disk, a copied directory); its rows
+    are then recomputed instead of failing every later resume."""
     d = stage_dir(root, stage)
     if not os.path.isdir(d):
         return []
     torn = []
     for f in sorted(os.listdir(d)):
-        if f.endswith(".parquet"):
+        if f.endswith(".tmp"):
+            os.remove(os.path.join(d, f))
+            torn.append(f)
+        elif f.endswith(".parquet"):
             try:
                 pq.read_metadata(os.path.join(d, f))
             except (OSError, ValueError):   # ArrowInvalid is a ValueError
@@ -176,6 +201,10 @@ def done_key_set(root: str, stage: str, key_col: str = "file_id") -> set[str]:
     return keys
 
 
+# the scan drops done ids inside its signature tasks
+# (``files.read_unit(..., drop_ids=True)``); perfbench/tracing.py wraps
+# this name, and ``__ray_entry__`` and the tests call it: ROADMAP item 3
+# deletes it
 def anti_join_done(ds: ray.data.Dataset, done_keys: set,
                    key_fn) -> ray.data.Dataset:
     """J1: discovered ∖ done. Broadcast the done-key set once

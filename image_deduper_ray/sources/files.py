@@ -9,11 +9,16 @@ the hidden-path filter are one vectorized row mask (``row_mask``) that
 every reader applies. Per-file metadata (S3, discovery/mod.rs:119-128)
 becomes derived columns computed in the same batch pass.
 
-Two readers: ``read_files`` is the lazy Ray Data read the signature
-stage streams through; ``read_content`` looks up the content of a few
-file ids again (the containment candidates) with one plain Ray task per
-input file, no Ray Data execution, reading a Parquet file's ``content``
-only in the row groups that hold one of the ids.
+One reader: ``read_unit`` reads one input unit (a file, or some of a
+Parquet file's row groups) in a plain Ray task, with the file list of
+Ray's own reader (``_input_files``), the hive directory columns, the
+row mask and the ``file_id``. The scan's signature tasks read their
+units through it (``input_units``), and ``read_content`` looks up the
+content of a few file ids again (the containment candidates) with one
+task per input file, reading a Parquet file's ``content`` only in the
+row groups that hold one of the ids. Neither starts a Ray Data
+execution. ``read_files``, the lazy Ray Data read, is the reference the
+tests compare them with.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from ..functions.groups import _dataset_of, _with_meta, table_dataset
 
 
 FILES_COLUMNS = ["repo", "path", "commit", "lang", "content"]
+# the rows ``read_unit`` returns
+UNIT_SCHEMA = pa.schema([(c, pa.string()) for c in FILES_COLUMNS + ["file_id"]])
 CONTENT_SCHEMA = pa.schema([("file_id", pa.string()), ("content", pa.string())])
 
 
@@ -60,7 +67,7 @@ def row_mask(t: pa.Table, *, langs: list[str] | None = None,
     (discovery/mod.rs:68-72) and the hidden '.'-segment filter
     (discovery/mod.rs:61-66). A null ``lang`` or ``path`` gives a null,
     which ``Table.filter`` drops. Every reader of the files table
-    (``read_files``, ``read_content``) filters with it."""
+    (``read_files``, ``read_unit``) filters with it."""
     conds = []
     if langs is not None:
         conds.append(pc.is_in(t["lang"], value_set=pa.array(langs, pa.string())))
@@ -177,61 +184,111 @@ def _with_partitions(t: pa.Table, path: str) -> pa.Table:
     return t
 
 
-@ray.remote(num_returns=3)
-def _content_task(path: str, file_format: str, ids, langs, prefixes):
-    """The ``(file_id, content)`` rows of one input file that pass
-    ``row_mask`` and, unless ``ids`` is None, whose ``file_id`` is in
-    ``ids``; returns ``(block, metadata, (row groups, row groups read))``.
-    A Parquet file is read row group by row group, and a row group's
-    ``content`` only when it holds a wanted row, so the task holds one
-    row group at a time. A JSONL or CSV file is one row group, read
-    whole."""
-    def wanted(t: pa.Table) -> tuple:
+def _read_row_file(path: str, file_format: str) -> pa.Table:
+    """A whole JSONL or CSV input file, read with the options of Ray's
+    datasources and conformed to FILES_COLUMNS."""
+    if file_format == "json":
+        import pyarrow.json as pajson
+
+        # one block for the whole file: a line straddling the default
+        # 1 MiB block fails to parse (Ray's reader retries with larger
+        # blocks)
+        t = pajson.read_json(path, read_options=pajson.ReadOptions(
+            use_threads=False,
+            block_size=max(1 << 20, os.path.getsize(path) + 1)))
+    else:
+        import pyarrow.csv as pacsv
+
+        t = pacsv.read_csv(path, read_options=pacsv.ReadOptions(
+            use_threads=False))
+    return _conform(_with_partitions(t, path), file_format, path)
+
+
+def read_unit(path: str, file_format: str, row_groups: list[int] | None = None,
+              *, langs: list[str] | None = None,
+              exclude_path_prefixes: list[str] | None = None,
+              ids=None, drop_ids: bool = False) -> tuple:
+    """The rows of one input unit that pass ``row_mask`` (hidden paths
+    always dropped) and the id filter: unless ``ids`` is None, the rows
+    whose ``file_id`` is in ``ids`` or, with ``drop_ids``, is not.
+    Returns ``(table, row groups, row groups read)``; the table holds
+    FILES_COLUMNS and ``file_id``, in input order.
+
+    A unit is a JSONL or CSV file, read whole and counted as one row
+    group, or the ``row_groups`` of a Parquet file (``None``: all of
+    them). A Parquet file is read row group by row group, and a row
+    group's ``content`` only when it holds a kept row, so the caller
+    holds one unit's rows at a time. Every reader of the input
+    (``read_content``, the signature tasks) reads through here, so the
+    file and row rules live in one place."""
+    def kept(t: pa.Table) -> tuple:
         t = add_file_id(_with_partitions(t, path))
         # never None: hidden paths are always dropped
-        keep = row_mask(t, langs=langs, exclude_path_prefixes=prefixes)
+        keep = row_mask(t, langs=langs, exclude_path_prefixes=exclude_path_prefixes)
         if ids is not None:
-            keep = pc.and_(keep, pc.is_in(t["file_id"], value_set=ids))
+            hit = pc.is_in(t["file_id"], value_set=ids)
+            keep = pc.and_(keep, pc.invert(hit) if drop_ids else hit)
         keep = pc.fill_null(keep, False)
-        return t["file_id"].filter(keep), keep
+        return t.filter(keep), keep
 
+    columns = UNIT_SCHEMA.names
     outs = []
     if file_format == "parquet":
         pf = pq.ParquetFile(path)
         key_cols = [c for c in ("repo", "path", "commit", "lang")
                     if c in pf.schema_arrow.names]
-        n_groups, n_read = pf.num_row_groups, 0
-        for i in range(n_groups):
-            fids, keep = wanted(pf.read_row_group(i, columns=key_cols))
-            if len(fids) == 0:
-                continue
-            content = pf.read_row_group(i, columns=["content"])["content"]
-            outs.append(pa.table({"file_id": fids,
-                                  "content": content.filter(keep)}))
-            n_read += 1
+        groups = range(pf.num_row_groups) if row_groups is None else row_groups
+        for i in groups:
+            t, keep = kept(pf.read_row_group(i, columns=key_cols))
+            if t.num_rows:
+                content = pf.read_row_group(i, columns=["content"])["content"]
+                outs.append(t.append_column("content", content.filter(keep))
+                            .select(columns))
+        n_groups = len(groups)
     else:
-        if file_format == "json":
-            import pyarrow.json as pajson
+        t, _ = kept(_read_row_file(path, file_format))
+        if t.num_rows:
+            outs.append(t.select(columns))
+        n_groups = 1
+    if not outs:
+        return UNIT_SCHEMA.empty_table(), n_groups, 0
+    return pa.concat_tables(outs), n_groups, len(outs)
 
-            # one block for the whole file: a line straddling the default
-            # 1 MiB block fails to parse (Ray's reader retries with larger
-            # blocks)
-            t = pajson.read_json(path, read_options=pajson.ReadOptions(
-                use_threads=False,
-                block_size=max(1 << 20, os.path.getsize(path) + 1)))
-        else:
-            import pyarrow.csv as pacsv
 
-            t = pacsv.read_csv(path, read_options=pacsv.ReadOptions(
-                use_threads=False))
-        t = _conform(_with_partitions(t, path), file_format, path)
-        fids, keep = wanted(t)
-        if len(fids):
-            outs.append(pa.table({"file_id": fids,
-                                  "content": t["content"].filter(keep)}))
-        n_groups, n_read = 1, int(bool(outs))
-    out = pa.concat_tables(outs) if outs else CONTENT_SCHEMA.empty_table()
-    return (*_with_meta(ensure_schema(out, CONTENT_SCHEMA)), (n_groups, n_read))
+def input_units(paths: str | list[str], min_rows: int) -> tuple:
+    """The input's format and its ``(file, row groups)`` units, in read
+    order: each JSONL or CSV file whole (``None``), each Parquet file as
+    runs of consecutive whole row groups holding at least ``min_rows``
+    rows (the last run of a file may hold fewer). A Parquet file without
+    a row group gives no unit. Reads each Parquet footer on the driver."""
+    file_format = _sniff_format(paths)
+    units = []
+    for f in _input_files(paths, file_format):
+        if file_format != "parquet":
+            units.append((f, None))
+            continue
+        md = pq.read_metadata(f)
+        run, n = [], 0
+        for i in range(md.num_row_groups):
+            run.append(i)
+            n += md.row_group(i).num_rows
+            if n >= min_rows:
+                units.append((f, run))
+                run, n = [], 0
+        if run:
+            units.append((f, run))
+    return file_format, units
+
+
+@ray.remote(num_returns=3)
+def _content_task(path: str, file_format: str, ids, langs, prefixes):
+    """The ``(file_id, content)`` rows of one input file that pass
+    ``row_mask`` and, unless ``ids`` is None, whose ``file_id`` is in
+    ``ids`` (``read_unit``); returns ``(block, metadata, (row groups,
+    row groups read))``."""
+    t, n_groups, n_read = read_unit(path, file_format, langs=langs,
+                                    exclude_path_prefixes=prefixes, ids=ids)
+    return (*_with_meta(ensure_schema(t, CONTENT_SCHEMA)), (n_groups, n_read))
 
 
 def read_content(paths: str | list[str], ids: pa.Array | None, *,

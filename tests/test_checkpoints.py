@@ -22,6 +22,39 @@ def test_broadcast_anti_join():
     assert set(out.file_id).isdisjoint(done)
 
 
+def test_sign_unit_drops_done_ids(tmp_path):
+    """The scan's resume anti-join runs inside its read of each input
+    unit (``read_unit(..., drop_ids=True)``): the rows whose ``file_id``
+    is in the done set are dropped, ``ids`` without ``drop_ids`` keeps
+    only them, and both split the rows as ``anti_join_done`` does."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources.files import add_file_id, read_unit
+
+    t = pa.table({"repo": ["r"] * 100,
+                  "path": [f"src/f{i}.py" for i in range(100)],
+                  "commit": ["c"] * 100, "lang": ["py"] * 100,
+                  "content": [f"body {i}" for i in range(100)]})
+    p = str(tmp_path / "files.parquet")
+    pq.write_table(t, p, row_group_size=10)
+    fids = add_file_id(t)["file_id"].combine_chunks()
+    done = pa.array(fids.to_pylist()[::2], pa.string())
+
+    kept, n_groups, n_read = read_unit(p, "parquet", ids=done, drop_ids=True)
+    assert kept.num_rows == 50 and (n_groups, n_read) == (10, 10)
+    assert not pc.any(pc.is_in(kept["file_id"], value_set=done)).as_py()
+    hit, _, _ = read_unit(p, "parquet", ids=done)
+    assert sorted(hit["file_id"].to_pylist()) == sorted(done.to_pylist())
+
+    ref = anti_join_done(ray.data.from_arrow(add_file_id(t)),
+                         set(done.to_pylist()), lambda b: b["file_id"])
+    assert sorted(ref.to_pandas().file_id) == sorted(kept["file_id"].to_pylist())
+    # only the row groups holding a kept row have their content read
+    _, _, n_read = read_unit(p, "parquet", [0, 1], ids=fids[:5])
+    assert n_read == 1
+
+
 def test_manifest_per_partition_lineage(tmp_path):
     from image_deduper_ray.sources import checkpoints as ckpt
 

@@ -251,3 +251,124 @@ def test_flagship_runs_over_row_format_corpus(tmp_path, fmt):
                             for c in ("a", "b"))))
 
     assert cont(res_pq) and cont(res_rf) == cont(res_pq)
+
+
+# no row may trip the signing time budget on a slow host: these tests
+# compare signatures, not the budget rule
+def _sign_cfg(**kw):
+    from image_deduper_ray.config import DedupConfig
+
+    return DedupConfig(row_time_budget_s=1e9, row_time_budget_by_lang=(),
+                       **kw)
+
+
+def _sign_matches_read_files(paths, out_dir: str, cfg=None, **kw) -> dict:
+    """Assert that ``sign_input``'s dataset and the parts it writes hold
+    ``sign_batch`` over the rows of ``read_files`` (sorted by
+    ``file_id``), and that the manifest counts every part; returns the
+    metrics ``extra``."""
+    from image_deduper_ray.pipelines.dedup import sign_input
+    from image_deduper_ray.sources import checkpoints as ckpt
+    from image_deduper_ray.stages.signatures import sign_batch
+
+    cfg = cfg or _sign_cfg()
+    blocks = ray.get(read_files(paths, **kw).materialize().to_arrow_refs())
+    files = pa.concat_tables([b for b in blocks if b.num_rows] or [_table(0)])
+    want = sign_batch(files, cfg).sort_by("file_id")
+    ds, extra = sign_input(paths, out_dir, cfg, "run0", **kw)
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("file_id")
+    assert got.combine_chunks().equals(want.combine_chunks())
+    disk = pq.read_table(os.path.join(out_dir, "signatures"))
+    assert disk.sort_by("file_id").combine_chunks().equals(
+        want.combine_chunks())
+    m = ckpt.read_manifest(out_dir, "signatures")
+    assert m["rows"] == want.num_rows == sum(m["partitions"].values())
+    return extra
+
+
+def test_sign_units_cut_a_parquet_file_into_row_group_runs(tmp_path):
+    """Eight row groups of at most 4 rows at ``sig_batch_size=10``: three
+    units of consecutive whole row groups holding at least 10 rows (the
+    last fewer), one part each, named in unit order."""
+    from image_deduper_ray.sources.files import input_units
+
+    t = _table(30)
+    p = str(tmp_path / "files.parquet")
+    pq.write_table(t, p, row_group_size=4)
+    assert input_units(p, 10) == ("parquet", [(p, [0, 1, 2]), (p, [3, 4, 5]),
+                                              (p, [6, 7])])
+    out = str(tmp_path / "out")
+    extra = _sign_matches_read_files(p, out, _sign_cfg(sig_batch_size=10))
+    assert (extra["units"], extra["units_signed"]) == (3, 3)
+    parts = sorted(f for f in os.listdir(os.path.join(out, "signatures"))
+                   if f.endswith(".parquet"))
+    assert parts == [f"part-run0-{i:05d}.parquet" for i in range(3)]
+    assert [pq.read_table(os.path.join(out, "signatures", f))["path"]
+            .to_pylist() for f in parts] == [
+        t["path"].to_pylist()[:12], t["path"].to_pylist()[12:24],
+        t["path"].to_pylist()[24:]]
+
+
+def test_sign_units_list_files_as_the_parquet_read(tmp_path):
+    """A marker file, a '.'-prefixed Parquet file and a hive
+    ``lang=py/`` subdirectory: the signature tasks sign the rows the
+    Parquet read reads, and a hive directory fills a column its files
+    lack."""
+    d = tmp_path / "in"
+    (d / "lang=py").mkdir(parents=True)
+    pq.write_table(_table(4, "t"), str(d / "part-0.parquet"))
+    pq.write_table(_table(3, "h"), str(d / ".x.parquet"))
+    pq.write_table(_table(5, "p"), str(d / "lang=py" / "part-1.parquet"))
+    (d / "_SUCCESS").write_text("")
+    extra = _sign_matches_read_files(str(d), str(tmp_path / "out"))
+    assert extra["units"] == 2
+
+    h = tmp_path / "hive"
+    for lang in ("py", "js"):
+        (h / f"lang={lang}").mkdir(parents=True)
+        pq.write_table(_table(3, lang).drop_columns(["lang"]),
+                       str(h / f"lang={lang}" / "part-0.parquet"))
+    _sign_matches_read_files(str(h), str(tmp_path / "out_js"), langs=["js"])
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"langs": ["py"]}, {"exclude_path_prefixes": ["vendor/"]},
+    {"langs": ["py", "rs"], "exclude_path_prefixes": ["src/n", "x"]}],
+    ids=["hidden", "langs", "prefix", "langs_prefixes"])
+def test_sign_units_filter_as_read_files(tmp_path, kw):
+    """Langs, excluded prefixes and hidden paths drop the same rows from
+    the signature tasks as from ``read_files``."""
+    _sign_matches_read_files(_write(tmp_path), str(tmp_path / "out"), **kw)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_sign_units_over_row_formats(tmp_path, fmt):
+    """Each JSONL or CSV file is one unit, read whole, conformed and
+    filtered as in ``read_files``."""
+    rows = pq.read_table(_write(tmp_path)).to_pylist()
+    d = tmp_path / fmt
+    d.mkdir()
+    _write_rows(rows[:3], str(d / f"a.{fmt}"), fmt)
+    _write_rows(rows[3:], str(d / f"b.{fmt}"), fmt)
+    extra = _sign_matches_read_files(str(d), str(tmp_path / "out"))
+    assert extra["units"] == 2
+    _sign_matches_read_files(str(d), str(tmp_path / "out_py"), langs=["py"])
+
+
+def test_sign_units_of_an_all_filtered_input(tmp_path):
+    """When every row is filtered the stage still gets one schema-only
+    part, a manifest of 0 rows and a typed empty dataset."""
+    from image_deduper_ray.pipelines.dedup import sign_input
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    out = str(tmp_path / "out")
+    ds, extra = sign_input(_write(tmp_path), out, _sign_cfg(), "run0",
+                           langs=["go"])
+    assert (extra["units"], extra["units_signed"]) == (1, 0)
+    assert ds.count() == 0
+    assert {"file_id", "minhash", "sig_kind"} <= set(ds.schema().names)
+    m = ckpt.read_manifest(out, "signatures")
+    assert m["rows"] == 0 and len(m["partitions"]) == 1
+    schema = pq.read_schema(os.path.join(out, "signatures",
+                                         next(iter(m["partitions"]))))
+    assert schema.remove_metadata().equals(ds.schema().base_schema)
