@@ -1,2346 +1,99 @@
-"""Driver contract for the graft builder (Ray Data target).
-
-``entry()`` runs the flagship dedup pipeline (signatures -> salted LSH
+"""``entry()`` runs the flagship dedup pipeline (signatures -> salted LSH
 -> Jaccard verify -> substring containment -> connected components ->
 canonical pick) over the sf0.001 ``documents`` table mapped onto the
-engine's code-files schema. ``queries()`` exposes one callable per
-implemented operator family from SURVEY.md §2 plus the training-data
-operators (dedup variants, ANN, text analysis, multimodal plumbing);
-``oracle_sql()`` gives the DuckDB-checkable subset.
+engine's code-files schema.
 
-Ray is initialised by the driver BEFORE this module is imported: no
+Ray is initialised by the caller BEFORE this module is imported: no
 ``ray.init`` / ``ray.shutdown`` here or in the library code.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+import shutil
 from typing import Any
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data
+
+from image_deduper_ray.config import DedupConfig
+from image_deduper_ray.functions.groups import (group_starts,
+                                                partitioned_group_map)
+from image_deduper_ray.pipelines.dedup import run_pipeline
 
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001 documents; returns (doc_id, cluster_id)."""
-    from image_deduper_ray.pipelines.docdedup import minhash_lsh_clusters
-
     return minhash_lsh_clusters("/root/testdata/sf0.001",
                                 "/tmp/idr_entry_flagship")
 
 
-def _out_dir(sf_dir: str, tag: str) -> str:
-    safe = sf_dir.strip("/").replace("/", "_")
-    return os.path.join("/tmp", f"idr_{tag}_{safe}")
-
-
-# ---------------------------------------------------------------- queries
-
-def _q_m1_sha256(sf_dir: str):
-    import pyarrow as pa
-    import ray.data
-    from image_deduper_ray.functions import hashing
-
+def documents_as_files(sf_dir: str) -> ray.data.Dataset:
+    """Map documents(doc_id, text, lang, source) onto the engine's files
+    schema (repo, path, commit, lang, content)."""
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text"])
+                               columns=["doc_id", "text", "lang", "source"])
 
     def f(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        paths = pc.binary_join_element_wise(
+            pa.array(["doc"] * n), t["doc_id"].cast(pa.string()), "/")
         return pa.table({
-            "doc_id": t["doc_id"],
-            "sha256": pa.array(hashing.sha256_hex(t["text"].to_pylist()),
-                               pa.string())})
+            "repo": t["source"],
+            "path": paths,
+            "commit": pa.array([""] * n, pa.string()),
+            "lang": t["lang"],
+            "content": t["text"],
+        })
 
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _q_exact_dup_groups(sf_dir: str):
-    import pyarrow as pa
-    from image_deduper_ray.functions.arrow_utils import collect_arrow
-    from image_deduper_ray.pipelines.docdedup import exact_dup_groups
-
-    # the synthetic corpora have no exact-dup texts, so the unseeded
-    # query passes vacuously at 0 == 0 rows; seed_dup_mod unions in a
-    # deterministic duplicated slice (doc_id % 17 == 0, re-keyed) so the
-    # group-detect path is exercised with real groups — the oracle SQL
-    # applies the same UNION ALL. Possibly-empty result: collect with an
-    # explicit schema (Ray 2.49 drops columns from zero-row to_pandas)
-    return collect_arrow(exact_dup_groups(sf_dir, seed_dup_mod=17),
-                         pa.schema([
-        ("sha256", pa.string()), ("n_docs", pa.int64()),
-        ("min_doc_id", pa.int64())]))
-
-
-def _q_exact_dedup_keep_first(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import exact_dedup_keep_first
-    return exact_dedup_keep_first(sf_dir)
-
-
-def _q_canonical_pick(sf_dir: str):
-    import numpy as np
-    import pandas as pd
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "source", "n_chars"])
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_chars", "doc_id"], ascending=[False, True])
-        return pd.DataFrame({
-            "source": [g["source"].iloc[0]],
-            "canonical_doc_id": np.array([g["doc_id"].iloc[0]], np.int64)})
-
-    return ds.groupby("source").map_groups(pick, batch_format="pandas")
-
-
-def _q_discovery_filter(sf_dir: str):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "lang", "source", "n_chars"],
-        filter=pc.field("lang").isin(["en", "de"]))
-
-    def f(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(t["n_chars"], 100),
-                       pc.invert(pc.starts_with(t["source"], "src1")))
-        return t.filter(keep)
-
-    return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _q_stats_by_lang(sf_dir: str):
-    import numpy as np
-    import pandas as pd
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "lang", "n_chars"])
-
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "lang": [g["lang"].iloc[0]],
-            "n_docs": np.array([len(g)], np.int64),
-            "sum_chars": np.array([g["n_chars"].sum()], np.int64)})
-
-    return ds.groupby("lang").map_groups(agg, batch_format="pandas")
-
-
-def _q_anti_join_resume(sf_dir: str):
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data
-    from image_deduper_ray.sources.checkpoints import anti_join_done
-
-    done = {int(i) for i in
-            pq.read_table(f"{sf_dir}/documents.parquet",
-                          columns=["doc_id"])["doc_id"].to_pylist()
-            if i % 10 < 3}
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id"])
-    out = anti_join_done(ds, done, lambda b: b["doc_id"])
-    return out.map_batches(lambda t: pa.table({"doc_id": t["doc_id"]}),
-                           batch_format="pyarrow")
-
-
-def _q_token_count(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import token_count
-    return token_count(sf_dir)
-
-
-def _q_quality(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import quality_scores
-    return quality_scores(sf_dir)
-
-
-def _q_fingerprint(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import fingerprint
-    return fingerprint(sf_dir)
-
-
-def _q_lang_id(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import lang_id
-    return lang_id(sf_dir)
-
-
-def _q_mislabel(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import mislabel_flags
-    return mislabel_flags(sf_dir)
-
-
-def _q_ngram_jaccard(sf_dir: str):
-    import pyarrow as pa
-    from image_deduper_ray.functions.arrow_utils import collect_arrow
-    from image_deduper_ray.pipelines.docdedup import ngram_jaccard_pairs
-
-    return collect_arrow(ngram_jaccard_pairs(sf_dir, n=3, tau=0.1),
-                         pa.schema([("a", pa.int64()), ("b", pa.int64())]))
-
-
-def _q_ann_topk(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import knn_brute
-    return knn_brute(sf_dir, k=10, num_queries=8)
-
-
-def _q_ann_lsh(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import knn_lsh
-    return knn_lsh(sf_dir, k=10, num_queries=8)
-
-
-def _q_ann_range(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import range_search
-    return range_search(sf_dir, tau=0.35, num_queries=8)
-
-
-def _q_ann_ivf(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import knn_ivf
-    return knn_ivf(sf_dir, k=10, num_queries=8)
-
-
-def _q_emb_kmeans(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import kmeans_iter
-    return kmeans_iter(sf_dir, k=8)
-
-
-def _q_emb_near_dup(sf_dir: str):
-    import pyarrow as pa
-    from image_deduper_ray.functions.arrow_utils import collect_arrow
-    from image_deduper_ray.pipelines.ann import near_dup_pairs
-
-    return collect_arrow(near_dup_pairs(sf_dir, tau=0.35),
-                         pa.schema([("a", pa.int64()), ("b", pa.int64())]))
-
-
-def _q_minhash_clusters(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import minhash_lsh_clusters
-    return minhash_lsh_clusters(sf_dir, _out_dir(sf_dir, "mh"))
-
-
-def _q_simhash_groups(sf_dir: str):
-    # the md5-gram SimHash variant: same distributed banding / pair-gen
-    # / CC / label-attach machinery as the blake2b simhash_groups
-    # operator (which stays pinned by the scalar-equality pytest), but
-    # with a gram hash DuckDB can recompute — so the driver oracle
-    # checks the signature bits, the Hamming pair set AND the grouping
-    from image_deduper_ray.pipelines.docdedup import simhash_text_groups
-    return simhash_text_groups(sf_dir)
-
-
-def _q_media_decode(sf_dir: str):
-    import pyarrow as pa
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_media_table)
-
-    media = ray.data.from_arrow(synth_media_table(n=64))
-    feats = decode_features(media, fake=True)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "kind", "width", "height", "n_frames"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_real(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_bmp_table)
-
-    # the REAL (non-fake) decode branch: valid uncompressed 24-bit BMP
-    # payloads parsed by the built-in numpy decoder (no PIL needed);
-    # the oracle recomputes the decoded pixel-byte sum from the same
-    # sha256 hex the payloads were synthesized from
-    media = ray.data.from_arrow(synth_bmp_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_png(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_png_table)
-
-    # the REAL decode branch over PNG: valid non-interlaced 8-bit RGB
-    # payloads (row filters cycling None/Sub/Up/Average/Paeth) parsed
-    # by the pure-Python zlib+numpy decoder (no PIL needed); the oracle
-    # recomputes the decoded pixel-byte sum from the same sha256 hex
-    # the pixels were synthesized from — any drift in the inflate /
-    # unfilter / channel handling breaks the sum
-    media = ray.data.from_arrow(synth_png_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_png_gray(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_png_gray_table)
-
-    # the REAL decode branch over GRAYSCALE PNG (color type 0): the
-    # 1-channel unfilter path (bpp=1 for all five filter types); the
-    # palette branch (color type 3) rides inside media_decode_png's
-    # corpus since it expands back to the identical RGB pixels. Same
-    # digest-hex px_sum oracle, 12x8x1 = 96 bytes = 3 digests
-    media = ray.data.from_arrow(synth_png_gray_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_tiff(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_tiff_table)
-
-    # the REAL decode branch over TIFF: valid uncompressed 8-bit RGB
-    # payloads (byte order and strip layout cycling by media_id) parsed
-    # by the pure-Python IFD walker; the oracle recomputes the decoded
-    # pixel-byte sum from the digest hex — any drift in the endianness
-    # or strip reassembly breaks the sum
-    media = ray.data.from_arrow(synth_tiff_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_ppm(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (decode_features,
-                                                     synth_ppm_table)
-
-    # the REAL decode branch over binary PPM (P6): header-token parse
-    # (with comments) + raw RGB bytes, no imaging library; same
-    # digest-hex px_sum oracle as the other real-codec branches
-    media = ray.data.from_arrow(synth_ppm_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_jpeg(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.jpegcodec import synth_jpeg_table
-    from image_deduper_ray.stages.multimodal import decode_features
-
-    # the REAL decode branch over baseline JPEG — the reference's most-
-    # exercised format (jpeg.rs:8-31) — pure-Python Huffman + dequant +
-    # IDCT + upsample + YCbCr->RGB, no imaging library. The synth
-    # payloads are flat-per-8x8-block under unit quant tables, which
-    # makes the lossy format BIT-EXACT, so the oracle recomputes the
-    # decoded pixel sum from digest hex alone (3 channels x 64 px per
-    # digest-byte tile). Variants cycle grayscale / 4:4:4 / 4:2:0 /
-    # 4:2:0+restart-markers, and every 8th payload carries a garbage
-    # prefix so the 0xFFD8 scan-and-retry corruption recovery
-    # (jpeg.rs:34-66 analog) is driver-gated too.
-    media = ray.data.from_arrow(synth_jpeg_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_decode_gif(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.gifcodec import synth_gif_table
-    from image_deduper_ray.stages.multimodal import decode_features
-
-    # the REAL decode branch over GIF — variable-width LSB-first LZW
-    # (the convention validated against real-world GIFs), sub-block
-    # reassembly, global/local color tables, extension skipping and
-    # 4-pass interlace, no imaging library. Palette mapping is
-    # lossless, so the decoded RGB bytes ARE the digest bytes and the
-    # shared digest-hex px_sum oracle applies unchanged; variants
-    # cycle 87a/89a+GCE x global/local table x sequential/interlaced.
-    media = ray.data.from_arrow(synth_gif_table(n=64))
-    feats = decode_features(media, fake=False)
-    return feats.map_batches(
-        lambda t: t.select(["media_id", "width", "height", "px_sum"]),
-        batch_format="pyarrow")
-
-
-def _q_media_cross_format_groups(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (
-        cross_format_phash_groups, synth_cross_format_table)
-
-    # the reference's core promise across the WHOLE codec registry:
-    # the same image encoded six ways (BMP / PNG / TIFF / PPM / GIF /
-    # JPEG) must decode to identical pixels, hash to the identical
-    # Standard pHash, and land in one duplicate group. The corpus uses
-    # the JPEG-exact flat-tile construction so all six decodes are
-    # bit-identical and the oracle recomputes the pHash — and the
-    # grouping — from digest hex alone; any drift in ANY of the six
-    # decoders, the hash, or the grouping shuffle breaks the match.
-    media = ray.data.from_arrow(synth_cross_format_table(n_groups=12))
-    return cross_format_phash_groups(media)
-
-
-def _q_media_phash(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (bmp_phash,
-                                                     synth_bmp_table)
-
-    # the reference's Standard pHash (M2, core.rs:37-104) on REAL
-    # decoded image bytes: nearest-neighbor resize -> integer luma ->
-    # strict mean threshold -> packed 64-bit hash (hex). 16x8 BMPs so
-    # the resize actually resamples; the oracle recomputes every pixel
-    # byte, the luma sum, the threshold and the hex packing in exact
-    # integer arithmetic
-    media = ray.data.from_arrow(synth_bmp_table(n=64, width=16, height=8))
-    return bmp_phash(media)
-
-
-def _q_media_phash_groups(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (bmp_phash_groups,
-                                                     synth_bmp_near_dup_table)
-
-    # the reference's COMPLETE intended pipeline on real image bytes:
-    # decode -> Standard pHash -> Hamming<=3 grouping (dev_notes.md
-    # 'Hash Database -> Duplicate Groups'), over planted one-pixel-edit
-    # near-dup pairs; the oracle recomputes pixels, phash bits, the
-    # pair set and the components from digest hex alone
-    media = ray.data.from_arrow(synth_bmp_near_dup_table(n_groups=32))
-    return bmp_phash_groups(media)
-
-
-def _q_media_phash_enhanced(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (
-        enhanced_phash_groups, synth_bmp_variant_table)
-
-    # mixed-variant grouping with the reference's full PHash::distance
-    # semantics (types.rs:19-59): Standard pairs at Hamming<=3 on 64
-    # bits, Enhanced pairs at <=48 on 1024 bits (the is_similar x16
-    # scaling), and planted CROSS-VARIANT pairs grouped through the
-    # downgrade rule (standard word vs word 0 of enhanced); the oracle
-    # recomputes pixels, both bit grids, the variant-aware pair set and
-    # the components from digest hex alone
-    media = ray.data.from_arrow(synth_bmp_variant_table(n_groups=24))
-    return enhanced_phash_groups(media)
-
-
-def _q_media_external(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (external_probe,
-                                                     synth_media_table)
-
-    media = ray.data.from_arrow(synth_media_table(n=64))
-    return external_probe(media).map_batches(
-        lambda t: t.select(["media_id", "ext_sha256", "n_bytes"]),
-        batch_format="pyarrow")
-
-
-def _q_media_frames(sf_dir: str):
-    import ray.data
-    from image_deduper_ray.stages.multimodal import (frame_sample,
-                                                     synth_media_table)
-
-    media = ray.data.from_arrow(synth_media_table(n=64))
-    return frame_sample(media, k=4)
-
-
-def _q_windowed_counts(sf_dir: str):
-    from image_deduper_ray.pipelines.events import windowed_event_counts
-    return windowed_event_counts(sf_dir)
-
-
-def _q_sessionize(sf_dir: str):
-    from image_deduper_ray.pipelines.events import sessionize
-    return sessionize(sf_dir)
-
-
-def _q_orders_by_segment(sf_dir: str):
-    from image_deduper_ray.pipelines.events import orders_by_segment
-    return orders_by_segment(sf_dir)
-
-
-def _q_distinct_users_daily(sf_dir: str):
-    from image_deduper_ray.pipelines.events import distinct_users_daily
-    return distinct_users_daily(sf_dir)
-
-
-def _q_shipping_priority(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import shipping_priority
-    return shipping_priority(sf_dir)
-
-
-def _q_local_supplier_volume(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import local_supplier_volume
-
-    # TPC-H Q5 shape, six tables: region x nation reduce on the driver,
-    # customer + supplier as sorted-array broadcasts (byte-capped),
-    # orders and lineitem stream with date pruning at the read, and the
-    # same-nation predicate applies at the byte-capped order attach —
-    # no fact-table shuffle below the cap, one tiny nation merge
-    return local_supplier_volume(sf_dir)
-
-
-def _q_large_orders(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import large_orders
-
-    # TPC-H Q18 shape: a big-table self-aggregation (lineitem qty per
-    # order, combiner-first, HAVING inside the merge) whose tiny
-    # qualifying key set broadcasts back to prune the orders stream —
-    # the sum rides the broadcast so lineitem is scanned exactly once
-    return large_orders(sf_dir)
-
-
-def _q_hopping_counts(sf_dir: str):
-    from image_deduper_ray.pipelines.events import hopping_event_counts
-
-    # hopping/sliding windows (60 min advancing every 15): the explode
-    # into window/hop assignments happens inside the combiner, so the
-    # shuffle moves O(windows x types) partials, never the 4x-inflated
-    # event stream
-    return hopping_event_counts(sf_dir)
-
-
-def _q_source_overlap(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import source_overlap_matrix
-
-    # cross-source contamination matrix: one content-hash shuffle of
-    # per-batch-deduped (hash, source) pairs, vectorized pair explode
-    # per partition, O(sources^2) partial matrices merged driver-side
-    return source_overlap_matrix(sf_dir)
-
-
-def _q_lang_outliers(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import lang_token_outliers
-
-    # per-group statistics broadcast back to rows: O(langs) moment
-    # partials collect without a shuffle, the flag pass re-streams the
-    # table; the k-sigma test runs in exact integer arithmetic so the
-    # result hashes identically to the SQL oracle
-    return lang_token_outliers(sf_dir)
-
-
-def _q_snm_pairs(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import snm_pairs
-
-    # sorted-neighborhood dedup (merge/purge blocking): ONE sample-
-    # ranged sort instead of signature collisions; window candidates +
-    # exact gram-Jaccard verify inside each range partition, boundary
-    # pairs stitched driver-side from O(window x ranges) rows
-    return snm_pairs(sf_dir)
-
-
-def _q_returned_items(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import returned_item_report
-
-    # TPC-H Q10 shape: full-customer-grain revenue aggregation over
-    # one quarter's returned lineitems, top-20 with no global sort,
-    # and the wide customer/nation attributes attached to ONLY the 20
-    # winners by a row-group-pruned point read — the customer table
-    # never joins the fact stream
-    return returned_item_report(sf_dir)
-
-
-def _q_part_type_revenue(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import part_type_revenue
-
-    # TPC-H Q14 shape generalized to a per-type breakdown: the part
-    # dimension ships as sorted partkeys + int8 type codes (the string
-    # never rides the fact stream), lineitem is date-pruned at the
-    # read, each batch is a searchsorted probe + int8 take, and the
-    # per-block partial is O(types) rows
-    return part_type_revenue(sf_dir)
-
-
-def _q_stratified_sample(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import stratified_sample
-    return stratified_sample(sf_dir)
-
-
-def _q_hll_user_registers(sf_dir: str):
-    from image_deduper_ray.pipelines.events import hll_user_registers
-
-    # the sketch-based scale path beside the exact distinct shuffle:
-    # HyperLogLog registers merge associatively (MAX per bucket), so
-    # shuffle volume is O(4096) per block regardless of cardinality.
-    # Emitting registers (not the estimate) keeps it integer-exact and
-    # SQL-oracle-able: the oracle recomputes bucket and leading-zero
-    # rank from sha256 hex digits per user
-    return hll_user_registers(sf_dir)
-
-
-def _q_user_running_totals(sf_dir: str):
-    from image_deduper_ray.pipelines.events import user_running_totals
-
-    # per-user ROW_NUMBER + cumulative sum (the analytic-window family
-    # Ray Data lacks natively): one user_id hash shuffle, per-block
-    # mergesort, segment-offset cumsum — no per-user Python loop;
-    # event_id tie-break makes it deterministic under any arrival order
-    return user_running_totals(sf_dir)
-
-
-def _q_asof_join(sf_dir: str):
-    from image_deduper_ray.pipelines.events import asof_match
-    return asof_match(sf_dir)
-
-
-def _q_range_join(sf_dir: str):
-    from image_deduper_ray.pipelines.events import range_join
-    return range_join(sf_dir)
-
-
-def _q_topk_tokens(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import topk_tokens
-    return topk_tokens(sf_dir, k=20)
-
-
-def _q_vocab_stats(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import vocab_stats
-    return vocab_stats(sf_dir)
-
-
-def _q_token_quantiles(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import token_quantiles
-    return token_quantiles(sf_dir)
-
-
-def _q_top_docs(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import top_docs
-    return top_docs(sf_dir, limit=25)
-
-
-def _q_decontaminate(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import decontaminate
-    return decontaminate(sf_dir)
-
-
-def _q_repetition(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import repetition_stats
-    return repetition_stats(sf_dir)
-
-
-def _q_pii_counts(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import pii_counts
-    return pii_counts(sf_dir)
-
-
-def _q_normalized_dups(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import normalized_dup_groups
-    return normalized_dup_groups(sf_dir)
-
-
-def _q_dedup_against(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import dedup_against_reference
-    return dedup_against_reference(sf_dir)
-
-
-def _q_ngram_novelty(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import ngram_novelty
-    return ngram_novelty(sf_dir)
-
-
-def _q_dedup_report(sf_dir: str):
-    from image_deduper_ray.pipelines.docdedup import dedup_report
-    return dedup_report(sf_dir)
-
-
-def _q_containment_pairs(sf_dir: str):
-    import pyarrow as pa
-    from image_deduper_ray.functions.arrow_utils import collect_arrow
-    from image_deduper_ray.pipelines.docdedup import containment_pairs
-
-    return collect_arrow(containment_pairs(sf_dir),
-                         pa.schema([("inner_doc_id", pa.int64()),
-                                    ("host_doc_id", pa.int64())]))
-
-
-def _q_pricing_summary(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import pricing_summary
-    return pricing_summary(sf_dir)
-
-
-def _q_emb_dedup_canonical(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import dedup_canonical
-    return dedup_canonical(sf_dir, tau=0.35)
-
-
-def _q_priority_semijoin(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import order_priority_semijoin
-    return order_priority_semijoin(sf_dir)
-
-
-def _q_rollup_revenue(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import rollup_revenue
-    return rollup_revenue(sf_dir)
-
-
-def _q_topk_docs_per_lang(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import topk_docs_per_lang
-    return topk_docs_per_lang(sf_dir, k=3)
-
-
-def _q_bloom_decontaminate(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import bloom_decontaminate
-    return bloom_decontaminate(sf_dir)
-
-
-def _q_semantic_prune(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import semantic_prune
-    return semantic_prune(sf_dir, n_centroids=8, tau=0.35)
-
-
-def _q_forecast_revenue(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import forecast_revenue
-    return forecast_revenue(sf_dir)
-
-
-def _q_priority_line_counts(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import priority_line_counts
-    return priority_line_counts(sf_dir)
-
-
-def _q_order_count_distribution(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        order_count_distribution)
-    return order_count_distribution(sf_dir)
-
-
-def _q_top_supplier(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import top_supplier
-    return top_supplier(sf_dir)
-
-
-def _q_small_quantity_revenue(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        small_quantity_revenue)
-    return small_quantity_revenue(sf_dir)
-
-
-def _q_idle_customer_balance(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        idle_customer_balance)
-    return idle_customer_balance(sf_dir)
-
-
-def _q_disjunctive_revenue(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import disjunctive_revenue
-    return disjunctive_revenue(sf_dir)
-
-
-def _q_supplier_part_variety(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        supplier_part_variety)
-    return supplier_part_variety(sf_dir)
-
-
-def _q_nation_pair_volume(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import nation_pair_volume
-    return nation_pair_volume(sf_dir)
-
-
-def _q_min_unit_cost_supplier(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        min_unit_cost_supplier)
-    return min_unit_cost_supplier(sf_dir)
-
-
-def _q_national_market_share(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        national_market_share)
-    return national_market_share(sf_dir)
-
-
-def _q_waiting_suppliers(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import waiting_suppliers
-    return waiting_suppliers(sf_dir)
-
-
-def _q_important_parts(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import important_parts
-    return important_parts(sf_dir)
-
-
-def _q_concentrated_suppliers(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import (
-        concentrated_suppliers)
-    return concentrated_suppliers(sf_dir)
-
-
-def _q_funnel_counts(sf_dir: str):
-    from image_deduper_ray.pipelines.events import funnel_counts
-    return funnel_counts(sf_dir)
-
-
-def _q_tfidf_top_terms(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import tfidf_top_terms
-    return tfidf_top_terms(sf_dir, k=2)
-
-
-def _q_pack_sequences(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import pack_sequences
-    return pack_sequences(sf_dir)
-
-
-def _q_posting_lists(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import posting_lists
-    return posting_lists(sf_dir)
-
-
-def _q_leakfree_split(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import leakfree_split
-    return leakfree_split(sf_dir)
-
-
-def _q_retention_cohorts(sf_dir: str):
-    from image_deduper_ray.pipelines.events import retention_cohorts
-    return retention_cohorts(sf_dir)
-
-
-def _q_quality_weighted_sample(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import quality_weighted_sample
-    return quality_weighted_sample(sf_dir)
-
-
-def _q_product_type_profit(sf_dir: str):
-    from image_deduper_ray.pipelines.relational import product_type_profit
-    return product_type_profit(sf_dir)
-
-
-def _q_ann_filtered(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import knn_filtered
-    return knn_filtered(sf_dir, k=10, num_queries=8)
-
-
-def _q_label_centroids(sf_dir: str):
-    from image_deduper_ray.pipelines.ann import label_centroids
-    return label_centroids(sf_dir)
-
-
-def _q_fuzzy_decontaminate(sf_dir: str):
-    from image_deduper_ray.pipelines.textops import fuzzy_decontaminate
-    return fuzzy_decontaminate(sf_dir)
-
-
-def _q_value_mad_outliers(sf_dir: str):
-    from image_deduper_ray.pipelines.events import value_mad_outliers
-    return value_mad_outliers(sf_dir)
-
-
-def queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        "m1_sha256": _q_m1_sha256,
-        "a1_exact_dup_groups": _q_exact_dup_groups,
-        "a1_exact_dedup_keep_first": _q_exact_dedup_keep_first,
-        "a4_canonical_pick": _q_canonical_pick,
-        "s2_discovery_filter": _q_discovery_filter,
-        "a3_stats_by_lang": _q_stats_by_lang,
-        "j1_anti_join_resume": _q_anti_join_resume,
-        "t_token_count": _q_token_count,
-        "t_quality": _q_quality,
-        "t_fingerprint": _q_fingerprint,
-        "t_lang_id": _q_lang_id,
-        "t_mislabel_flags": _q_mislabel,
-        "t_stratified_sample": _q_stratified_sample,
-        "t_topk_tokens": _q_topk_tokens,
-        "t_vocab_stats": _q_vocab_stats,
-        "t_token_quantiles": _q_token_quantiles,
-        "t_top_docs": _q_top_docs,
-        "t_decontaminate": _q_decontaminate,
-        "t_repetition": _q_repetition,
-        "t_dedup_against": _q_dedup_against,
-        "t_ngram_novelty": _q_ngram_novelty,
-        "t_normalized_dup_groups": _q_normalized_dups,
-        "t_pii_counts": _q_pii_counts,
-        "doc_containment_pairs": _q_containment_pairs,
-        "a5_dedup_report": _q_dedup_report,
-        "l_pricing_summary": _q_pricing_summary,
-        "emb_dedup_canonical": _q_emb_dedup_canonical,
-        "ngram_jaccard_pairs": _q_ngram_jaccard,
-        "ann_topk_cosine": _q_ann_topk,
-        "ann_topk_lsh": _q_ann_lsh,
-        "ann_topk_ivf": _q_ann_ivf,
-        "ann_range_search": _q_ann_range,
-        "emb_near_dup_pairs": _q_emb_near_dup,
-        "emb_kmeans_iter": _q_emb_kmeans,
-        "minhash_lsh_clusters": _q_minhash_clusters,
-        "simhash_groups": _q_simhash_groups,
-        "media_decode_features": _q_media_decode,
-        "media_decode_real": _q_media_decode_real,
-        "media_decode_png": _q_media_decode_png,
-        "media_decode_png_gray": _q_media_decode_png_gray,
-        "media_decode_tiff": _q_media_decode_tiff,
-        "media_decode_ppm": _q_media_decode_ppm,
-        "media_decode_jpeg": _q_media_decode_jpeg,
-        "media_decode_gif": _q_media_decode_gif,
-        "media_cross_format_groups": _q_media_cross_format_groups,
-        "media_phash_bmp": _q_media_phash,
-        "media_phash_groups": _q_media_phash_groups,
-        "media_phash_enhanced": _q_media_phash_enhanced,
-        "media_external_probe": _q_media_external,
-        "media_frame_sample": _q_media_frames,
-        "e_windowed_counts": _q_windowed_counts,
-        "e_sessionize": _q_sessionize,
-        "e_asof_join": _q_asof_join,
-        "e_range_join": _q_range_join,
-        "j_orders_by_segment": _q_orders_by_segment,
-        "e_distinct_users_daily": _q_distinct_users_daily,
-        "e_hll_user_registers": _q_hll_user_registers,
-        "e_user_running_totals": _q_user_running_totals,
-        "q3_shipping_priority": _q_shipping_priority,
-        "q5_local_supplier_volume": _q_local_supplier_volume,
-        "q18_large_orders": _q_large_orders,
-        "q14_part_type_revenue": _q_part_type_revenue,
-        "q10_returned_items": _q_returned_items,
-        "snm_dedup_pairs": _q_snm_pairs,
-        "source_overlap_matrix": _q_source_overlap,
-        "t_lang_token_outliers": _q_lang_outliers,
-        "e_hopping_counts": _q_hopping_counts,
-        "l_rollup_revenue": _q_rollup_revenue,
-        "q4_priority_semijoin": _q_priority_semijoin,
-        "t_topk_docs_per_lang": _q_topk_docs_per_lang,
-        "t_bloom_decontaminate": _q_bloom_decontaminate,
-        "emb_semantic_prune": _q_semantic_prune,
-        "q6_forecast_revenue": _q_forecast_revenue,
-        "q12_priority_line_counts": _q_priority_line_counts,
-        "q13_order_count_distribution": _q_order_count_distribution,
-        "q15_top_supplier": _q_top_supplier,
-        "q17_small_quantity_revenue": _q_small_quantity_revenue,
-        "q22_idle_customer_balance": _q_idle_customer_balance,
-        "q19_disjunctive_revenue": _q_disjunctive_revenue,
-        "q16_supplier_part_variety": _q_supplier_part_variety,
-        "q7_nation_pair_volume": _q_nation_pair_volume,
-        "q2_min_unit_cost_supplier": _q_min_unit_cost_supplier,
-        "q8_national_market_share": _q_national_market_share,
-        "q21_waiting_suppliers": _q_waiting_suppliers,
-        "q11_important_parts": _q_important_parts,
-        "q20_concentrated_suppliers": _q_concentrated_suppliers,
-        "e_funnel_counts": _q_funnel_counts,
-        "t_tfidf_top_terms": _q_tfidf_top_terms,
-        "t_pack_sequences": _q_pack_sequences,
-        "t_posting_lists": _q_posting_lists,
-        "t_leakfree_split": _q_leakfree_split,
-        "e_retention_cohorts": _q_retention_cohorts,
-        "t_quality_weighted_sample": _q_quality_weighted_sample,
-        "q9_product_type_profit": _q_product_type_profit,
-        "ann_topk_filtered": _q_ann_filtered,
-        "emb_label_centroids": _q_label_centroids,
-        "t_fuzzy_decontaminate": _q_fuzzy_decontaminate,
-        "e_value_mad_outliers": _q_value_mad_outliers,
-    }
-
-
-def _sha_hex_word(lo: int) -> str:
-    """16-bit integer from sha256 hex digits ``lo..lo+3`` (column
-    ``hx``) — the Bloom-position arithmetic, same hex-digit recipe as
-    the HLL oracle's register rebuild."""
-    d = [f"(strpos('0123456789abcdef', substr(hx, {i}, 1)) - 1)"
-         for i in range(lo, lo + 4)]
-    return f"((({d[0]})*16 + ({d[1]}))*16 + ({d[2]}))*16 + ({d[3]})"
-
-
-def _px_sum_oracle(prefix: str, *, repeats: int = 3, n_bytes: int = 96,
-                   width: int = 8, height: int = 4,
-                   mult: int = 1) -> str:
-    """Shared oracle for every real-codec decode query: the synth
-    payloads' decoded pixel region derives from
-    unhex(repeat(sha256('<prefix>-i-seed'), repeats)) — 96 bytes =
-    8x4x3 RGB for BMP/PNG/TIFF/PPM; for JPEG each of the 32 digest
-    bytes fills one flat 8x8 tile over 3 channels (mult = 3*64, 64x32
-    px) — so the SQL recomputes each byte from hex digits and sums;
-    any drift in the engine's decode path (offsets, row order, byte
-    order, inflate, unfilter, strips, Huffman/IDCT) breaks the sum.
-    One body, parameterized, so the arithmetic can never desynchronize
-    across formats."""
-    return (
-        "WITH m AS (SELECT CAST(i AS BIGINT) AS media_id, "
-        f"repeat(sha256('{prefix}-' || i || '-42'), {repeats}) AS hx "
-        "FROM range(64) t(i)), "
-        "b AS (SELECT media_id, "
-        "  (strpos('0123456789abcdef', "
-        "    substr(hx, CAST(2 * j + 1 AS INT), 1)) - 1) * 16 "
-        "  + (strpos('0123456789abcdef', "
-        "    substr(hx, CAST(2 * j + 2 AS INT), 1)) - 1) AS byte "
-        f"  FROM m, range({n_bytes}) r(j)) "
-        f"SELECT media_id, CAST({width} AS BIGINT) AS width, "
-        f"CAST({height} AS BIGINT) AS height, "
-        f"CAST({mult} * SUM(byte) AS BIGINT) AS px_sum "
-        "FROM b GROUP BY media_id")
-
-
-def oracle_sql() -> dict[str, str]:
-    return {
-        "m1_sha256":
-            "SELECT doc_id, sha256(text) AS sha256 FROM documents",
-        # same deterministic seeded-duplicate slice as the engine query
-        # (doc_id % 17 == 0 re-keyed at +10M): exercises group detection
-        # with > 0 groups instead of a vacuous 0 == 0 pass
-        "a1_exact_dup_groups":
-            "WITH docs2 AS (SELECT doc_id, text FROM documents "
-            "  UNION ALL SELECT doc_id + 10000000, text FROM documents "
-            "  WHERE doc_id % 17 = 0) "
-            "SELECT sha256(text) AS sha256, COUNT(*) AS n_docs, "
-            "MIN(doc_id) AS min_doc_id FROM docs2 "
-            "GROUP BY sha256(text) HAVING COUNT(*) > 1",
-        "a1_exact_dedup_keep_first":
-            "SELECT MIN(doc_id) AS doc_id FROM documents GROUP BY sha256(text)",
-        "a4_canonical_pick":
-            "SELECT source, doc_id AS canonical_doc_id FROM ("
-            "  SELECT source, doc_id, ROW_NUMBER() OVER ("
-            "    PARTITION BY source ORDER BY n_chars DESC, doc_id) AS rn"
-            "  FROM documents) WHERE rn = 1",
-        "s2_discovery_filter":
-            "SELECT doc_id, lang, source, n_chars FROM documents "
-            "WHERE lang IN ('en', 'de') AND n_chars >= 100 "
-            "AND source NOT LIKE 'src1%'",
-        "a3_stats_by_lang":
-            "SELECT lang, COUNT(*) AS n_docs, "
-            "CAST(SUM(n_chars) AS BIGINT) AS sum_chars "
-            "FROM documents GROUP BY lang",
-        "j1_anti_join_resume":
-            "SELECT doc_id FROM documents WHERE doc_id NOT IN ("
-            "  SELECT doc_id FROM documents WHERE doc_id % 10 < 3)",
-        "t_token_count":
-            "SELECT doc_id, len(regexp_extract_all(text, '\\S+')) "
-            "AS n_tokens, len(regexp_extract_all(text, "
-            "'[A-Za-z]+|[0-9]+|[^A-Za-z0-9\\s]')) AS n_subtokens "
-            "FROM documents",
-        "t_quality":
-            "SELECT doc_id, length(text) AS n_chars_actual, "
-            "len(regexp_extract_all(text, '\\S+')) AS n_tokens, "
-            "length(text) - length(regexp_replace(text, '[.!?,;:]', '', 'g')) "
-            "AS n_punct, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(the|a|and|of|in|to|is|for|on|with)\\b')) AS n_stopwords "
-            "FROM documents",
-        "t_fingerprint":
-            "SELECT doc_id, sha256(lower(trim(regexp_replace(text, "
-            "'\\s+', ' ', 'g'), ' '))) AS fp FROM documents",
-        "ngram_jaccard_pairs":
-            "WITH toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i"
-            "    FROM toks)), "
-            "cnt AS (SELECT doc_id, COUNT(*) AS n FROM grams GROUP BY doc_id), "
-            "inter AS (SELECT ga.doc_id AS a_id, gb.doc_id AS b_id, "
-            "  COUNT(*) AS i FROM grams ga JOIN grams gb "
-            "  ON ga.g = gb.g AND ga.doc_id < gb.doc_id GROUP BY 1, 2) "
-            "SELECT a_id AS a, b_id AS b FROM inter "
-            "JOIN cnt ca ON ca.doc_id = a_id JOIN cnt cb ON cb.doc_id = b_id "
-            "WHERE CAST(i AS DOUBLE) / (ca.n + cb.n - i) >= 0.1",
-        "ann_topk_cosine":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8) "
-            "SELECT query_id, neighbor_id, rank FROM ("
-            "  SELECT q.query_id, e.vec_id AS neighbor_id, "
-            "    ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "      list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), "
-            "                             CAST(q.qe AS DOUBLE[])) DESC, "
-            "      e.vec_id) AS rank "
-            "  FROM embeddings e, q WHERE e.vec_id <> q.query_id) "
-            "WHERE rank <= 10",
-        "emb_near_dup_pairs":
-            "SELECT a.vec_id AS a, b.vec_id AS b FROM embeddings a "
-            "JOIN embeddings b ON a.vec_id < b.vec_id "
-            "WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-            "CAST(b.embedding AS DOUBLE[])) >= 0.35",
-        # one Lloyd iteration from the 8 lowest-vec_id seeds: nearest
-        # centroid by squared L2 (tie-break lowest seed id), then
-        # per-centroid counts + integer-quantized inertia / element-sum
-        # witnesses (floor(1000*x) per ROW, summed as integers — so the
-        # hash comparison never rides on float summation order)
-        "emb_kmeans_iter":
-            "WITH seeds AS ("
-            "  SELECT vec_id AS sid, CAST(embedding AS DOUBLE[]) AS se "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8), "
-            "assign AS ("
-            "  SELECT e.vec_id, s.sid, "
-            "    POWER(list_distance(CAST(e.embedding AS DOUBLE[]), "
-            "                        s.se), 2) AS d2, "
-            "    list_sum(CAST(e.embedding AS DOUBLE[])) AS esum, "
-            "    ROW_NUMBER() OVER (PARTITION BY e.vec_id ORDER BY "
-            "      list_distance(CAST(e.embedding AS DOUBLE[]), s.se), "
-            "      s.sid) AS rk "
-            "  FROM embeddings e, seeds s) "
-            "SELECT sid AS centroid_id, COUNT(*) AS n_assigned, "
-            "  CAST(SUM(FLOOR(d2 * 1000)) AS BIGINT) AS inertia_q3, "
-            "  CAST(SUM(FLOOR(esum * 1000)) AS BIGINT) AS elem_sum_q3 "
-            "FROM assign WHERE rk = 1 GROUP BY sid ORDER BY sid",
-        "ann_range_search":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8) "
-            "SELECT q.query_id, e.vec_id AS neighbor_id "
-            "FROM embeddings e, q WHERE e.vec_id <> q.query_id "
-            "AND list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), "
-            "CAST(q.qe AS DOUBLE[])) >= 0.35",
-        "t_lang_id":
-            "WITH s AS (SELECT doc_id, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(the|and|of|is|with|for)\\b')) AS c_en, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(der|die|das|und|nicht|ist)\\b')) AS c_de, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(le|la|les|des|est|une)\\b')) AS c_fr, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(el|los|las|una|que|para)\\b')) AS c_es, "
-            "len(regexp_extract_all(text, '[\\x{4e00}-\\x{9fff}]')) AS c_zh "
-            "FROM documents) "
-            "SELECT doc_id, CASE WHEN c_zh > 0 THEN 'zh' "
-            "WHEN greatest(c_en, c_de, c_fr, c_es) = 0 THEN 'und' "
-            "WHEN c_en >= c_de AND c_en >= c_fr AND c_en >= c_es THEN 'en' "
-            "WHEN c_de >= c_fr AND c_de >= c_es THEN 'de' "
-            "WHEN c_fr >= c_es THEN 'fr' ELSE 'es' END AS lang_pred "
-            "FROM s",
-        "t_mislabel_flags":
-            "WITH s AS (SELECT doc_id, lang, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(the|and|of|is|with|for)\\b')) AS c_en, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(der|die|das|und|nicht|ist)\\b')) AS c_de, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(le|la|les|des|est|une)\\b')) AS c_fr, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(el|los|las|una|que|para)\\b')) AS c_es, "
-            "len(regexp_extract_all(text, '[\\x{4e00}-\\x{9fff}]')) AS c_zh "
-            "FROM documents), "
-            "p AS (SELECT doc_id, lang, CASE WHEN c_zh > 0 THEN 'zh' "
-            "WHEN greatest(c_en, c_de, c_fr, c_es) = 0 THEN 'und' "
-            "WHEN c_en >= c_de AND c_en >= c_fr AND c_en >= c_es THEN 'en' "
-            "WHEN c_de >= c_fr AND c_de >= c_es THEN 'de' "
-            "WHEN c_fr >= c_es THEN 'fr' ELSE 'es' END AS lang_pred "
-            "FROM s) "
-            "SELECT doc_id, lang, lang_pred, lang <> lang_pred AS mismatch "
-            "FROM p",
-        "media_decode_features":
-            "WITH m AS (SELECT CAST(i AS BIGINT) AS media_id, "
-            "CASE CAST(i AS INT) % 3 WHEN 0 THEN 'image' "
-            "WHEN 1 THEN 'audio' ELSE 'video' END AS kind, "
-            "repeat(sha256('media-' || i || '-42'), "
-            "1 + (CAST(i AS INT) % 4)) AS p FROM range(64) t(i)) "
-            "SELECT media_id, kind, CAST(64 AS BIGINT) AS width, "
-            "CAST(64 AS BIGINT) AS height, "
-            "CAST(CASE WHEN kind = 'image' THEN 1 ELSE 1 + "
-            "((strpos('0123456789abcdef', substr(sha256(p), 17, 1)) - 1) "
-            "% 10) END AS BIGINT) AS n_frames FROM m",
-        # media_decode_real: the engine decodes ACTUAL BMP bytes with
-        # the numpy parser; the oracle never parses BMP — it recomputes
-        # the pixel region (unhex of the repeated digest) byte by byte
-        # from hex digits and sums, so any decoder drift (offset, row
-        # order, padding, channel handling) breaks the sum
-        "media_decode_real": _px_sum_oracle("bmp"),
-        # media_decode_png: same digest-hex reconstruction as
-        # media_decode_real, but the engine side must run zlib inflate
-        # + PNG row-unfiltering (all five filter types appear in the
-        # corpus) to recover the bytes the oracle computes directly
-        "media_decode_png": _px_sum_oracle("png"),
-        # media_decode_png_gray: 1-channel PNGs — 96 gray bytes as a
-        # 12x8 image, same digest arithmetic, exercising the bpp=1
-        # unfilter recurrences end to end
-        "media_decode_png_gray": _px_sum_oracle("pnggray", width=12,
-                                                height=8),
-        # media_decode_tiff: same digest-hex reconstruction; the engine
-        # side must walk the IFD, honor the byte order and reassemble
-        # strips to recover the bytes the oracle computes directly
-        "media_decode_tiff": _px_sum_oracle("tiff"),
-        "media_decode_ppm": _px_sum_oracle("ppm"),
-        # media_decode_jpeg: the engine runs the full baseline-JPEG
-        # decode (Huffman entropy, dequant, IDCT, chroma upsample,
-        # YCbCr->RGB, plus 0xFFD8 corruption recovery on every 8th
-        # payload); the flat-block + unit-quant construction makes the
-        # lossy roundtrip bit-exact, so the oracle is pure digest
-        # arithmetic: each of the 32 digest bytes is one 8x8x3 tile
-        "media_decode_jpeg": _px_sum_oracle(
-            "jpeg", repeats=1, n_bytes=32, width=64, height=32,
-            mult=3 * 64),
-        # media_decode_gif: the engine runs the GIF LZW decode
-        # (LSB-first variable-width codes), sub-block reassembly,
-        # palette mapping and interlace reordering; palette indexing is
-        # lossless so the decoded RGB bytes are exactly the digest
-        # bytes and the shared digest-hex arithmetic verifies the sum
-        "media_decode_gif": _px_sum_oracle("gif"),
-        # media_cross_format_groups: the oracle rebuilds each group's
-        # 8x8 sampled luma grid from digest hex (pixel (i,j) of the
-        # 64x32 flat-tile image samples digest byte (i//2)*8 + j; gray
-        # RGB makes luma 1000*byte, and the 1000 cancels in the strict
-        # mean threshold 64*v > sum), packs the bits into the same
-        # LSB-first hex phash, and fans each group out to its six
-        # media_ids with group_id = min id = 6*group — so the engine's
-        # six decoders, pHash and grouping shuffle must all agree
-        "media_cross_format_groups":
-            "WITH m AS (SELECT CAST(g AS BIGINT) AS grp, "
-            "    sha256('xf-' || g || '-42') AS hx FROM range(12) t(g)), "
-            "b AS (SELECT grp, r.j AS j, "
-            "    (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*r.j+1 AS INT), 1)) - 1) * 16 "
-            "  + (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*r.j+2 AS INT), 1)) - 1) AS v "
-            "  FROM m, range(32) r(j)), "
-            "lum AS (SELECT b.grp, p.p AS p, b.v AS v FROM range(64) p(p) "
-            "  JOIN b ON b.j = ((p.p // 8) // 2) * 8 + (p.p % 8)), "
-            "s AS (SELECT grp, SUM(v) AS s FROM lum GROUP BY grp), "
-            "bits AS (SELECT l.grp, l.p, "
-            "    CASE WHEN 64 * l.v > s.s THEN 1 ELSE 0 END AS bit "
-            "  FROM lum l JOIN s USING (grp)), "
-            "nib AS (SELECT grp, p // 4 AS q, "
-            "    SUM(bit * (1 << (p % 4))) AS val FROM bits "
-            "  GROUP BY grp, p // 4), "
-            "ph AS (SELECT grp, string_agg(substr('0123456789abcdef', "
-            "    CAST(val + 1 AS INT), 1), '' ORDER BY q DESC) AS phash "
-            "  FROM nib GROUP BY grp) "
-            "SELECT CAST(6 * ph.grp + f.f AS BIGINT) AS media_id, "
-            "ph.phash AS phash, CAST(6 * ph.grp AS BIGINT) AS group_id "
-            "FROM ph, range(6) f(f)",
-        # media_phash_bmp: engine decodes real BMP bytes and computes
-        # the reference-shape Standard pHash; the oracle rebuilds the
-        # pixel table from the digest hex (BGR bytes, bottom-up rows),
-        # samples the nearest-neighbor grid (sx=2x, sy=y for 16x8->8x8),
-        # takes integer luma 299R+587G+114B, thresholds strictly against
-        # the mean (64*luma > sum), and re-packs the 64 bits into the
-        # same LSB-first hex string — all integer-exact
-        "media_phash_bmp":
-            "WITH m AS (SELECT CAST(i AS BIGINT) AS media_id, "
-            "    repeat(sha256('bmp-' || i || '-42'), 12) AS hx "
-            "    FROM range(64) t(i)), "
-            "b AS (SELECT media_id, r.j AS j, "
-            "    (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*r.j+1 AS INT), 1)) - 1) * 16 "
-            "  + (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*r.j+2 AS INT), 1)) - 1) AS v "
-            "  FROM m, range(384) r(j)), "
-            "lum AS (SELECT bb.media_id, p.p AS p, "
-            "    299*br.v + 587*bg.v + 114*bb.v AS luma "
-            "  FROM range(64) p(p) "
-            "  JOIN b bb ON bb.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 "
-            "  JOIN b bg ON bg.media_id = bb.media_id "
-            "    AND bg.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 + 1 "
-            "  JOIN b br ON br.media_id = bb.media_id "
-            "    AND br.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 + 2), "
-            "s AS (SELECT media_id, SUM(luma) AS s FROM lum "
-            "  GROUP BY media_id), "
-            "bits AS (SELECT l.media_id, l.p, "
-            "    CASE WHEN 64 * l.luma > s.s THEN 1 ELSE 0 END AS bit "
-            "  FROM lum l JOIN s USING (media_id)), "
-            "nib AS (SELECT media_id, p // 4 AS q, "
-            "    SUM(bit * (1 << (p % 4))) AS val FROM bits "
-            "  GROUP BY media_id, p // 4) "
-            "SELECT media_id, string_agg(substr('0123456789abcdef', "
-            "    CAST(val + 1 AS INT), 1), '' ORDER BY q DESC) AS phash "
-            "FROM nib GROUP BY media_id",
-        # media_phash_groups: the full image-dedup flow oracled from
-        # first principles — bytes (with the m=1 one-pixel edit applied
-        # in the byte CTE), pixels, luma, threshold bits, Hamming<=3
-        # pairs via a 64-bit bitvec self-join, min-label components
-        "media_phash_groups":
-            "WITH RECURSIVE md AS (SELECT CAST(2*g.g + mm.m AS BIGINT) "
-            "  AS media_id, mm.m AS m, "
-            "  repeat(sha256('bmpg-' || g.g || '-42'), 12) AS hx "
-            "  FROM range(32) g(g), range(2) mm(m)), "
-            "b AS (SELECT media_id, r.j AS j, "
-            "  CASE WHEN r.j = 0 AND md.m = 1 THEN "
-            "    ((strpos('0123456789abcdef', "
-            "       substr(hx, CAST(2*r.j+1 AS INT), 1)) - 1) * 16 "
-            "   + (strpos('0123456789abcdef', "
-            "       substr(hx, CAST(2*r.j+2 AS INT), 1)) - 1) + 128) % 256 "
-            "  ELSE "
-            "     (strpos('0123456789abcdef', "
-            "       substr(hx, CAST(2*r.j+1 AS INT), 1)) - 1) * 16 "
-            "   + (strpos('0123456789abcdef', "
-            "       substr(hx, CAST(2*r.j+2 AS INT), 1)) - 1) "
-            "  END AS v "
-            "  FROM md, range(384) r(j)), "
-            "lum AS (SELECT bb.media_id, p.p AS p, "
-            "    299*br.v + 587*bg.v + 114*bb.v AS luma "
-            "  FROM range(64) p(p) "
-            "  JOIN b bb ON bb.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 "
-            "  JOIN b bg ON bg.media_id = bb.media_id "
-            "    AND bg.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 + 1 "
-            "  JOIN b br ON br.media_id = bb.media_id "
-            "    AND br.j = ((7 - p.p // 8) * 16 + 2 * (p.p % 8)) * 3 + 2), "
-            "s AS (SELECT media_id, SUM(luma) AS s FROM lum "
-            "  GROUP BY media_id), "
-            "bits AS (SELECT l.media_id, l.p, "
-            "    CASE WHEN 64 * l.luma > s.s THEN 1 ELSE 0 END AS bit "
-            "  FROM lum l JOIN s USING (media_id)), "
-            "prs AS (SELECT x.media_id AS a_id, y.media_id AS b_id "
-            "  FROM bits x JOIN bits y ON x.p = y.p "
-            "    AND x.media_id < y.media_id "
-            "  GROUP BY 1, 2 "
-            "  HAVING SUM(CASE WHEN x.bit <> y.bit THEN 1 ELSE 0 END) <= 3), "
-            "edges AS (SELECT a_id AS s2, b_id AS d FROM prs "
-            "  UNION ALL SELECT b_id, a_id FROM prs), "
-            "reach AS (SELECT media_id AS d, media_id AS r FROM md "
-            "  UNION "
-            "  SELECT e.d, reach.r FROM reach JOIN edges e ON e.s2 = reach.d) "
-            "SELECT d AS media_id, CAST(MIN(r) AS BIGINT) AS group_id "
-            "FROM reach GROUP BY d",
-        # media_phash_enhanced: mixed Standard/Enhanced grouping with
-        # the reference's variant-aware distance (types.rs:19-59) —
-        # the oracle rebuilds each image's bytes (constant-color for
-        # the cross-variant groups, digest hex with the m=1 byte-0
-        # edit otherwise), computes the 8x8 or 32x32 threshold bit
-        # grid by the image's size-policy variant, pairs with the
-        # variant-aware threshold (both-enhanced 48, else 3 over the
-        # 64 shared positions = the downgrade rule), and min-labels
-        # the components
-        "media_phash_enhanced":
-            "WITH RECURSIVE md AS (SELECT CAST(2*g.g + mm.m AS BIGINT) "
-            "  AS media_id, g.g AS g, mm.m AS m, "
-            "  CASE WHEN g.g % 8 = 7 THEN "
-            "    (CASE WHEN mm.m = 0 THEN 8 ELSE 32 END) "
-            "  WHEN g.g % 2 = 1 THEN 32 ELSE 8 END AS dim, "
-            "  sha256('bmpv-' || g.g || '-42') AS hx "
-            "  FROM range(24) g(g), range(2) mm(m)), "
-            "b AS (SELECT media_id, dim, r.j AS j, "
-            "  CASE WHEN g % 8 = 7 THEN "
-            "    (strpos('0123456789abcdef', substr(hx, 1, 1)) - 1) * 16 "
-            "    + (strpos('0123456789abcdef', substr(hx, 2, 1)) - 1) "
-            "  WHEN r.j = 0 AND m = 1 THEN "
-            "    ((strpos('0123456789abcdef', substr(hx, 1, 1)) - 1) * 16 "
-            "    + (strpos('0123456789abcdef', substr(hx, 2, 1)) - 1) "
-            "    + 128) % 256 "
-            "  ELSE "
-            "    (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*(r.j % 32) + 1 AS INT), 1)) - 1) * 16 "
-            "    + (strpos('0123456789abcdef', "
-            "      substr(hx, CAST(2*(r.j % 32) + 2 AS INT), 1)) - 1) "
-            "  END AS v "
-            "  FROM md, range(3072) r(j) WHERE r.j < dim*dim*3), "
-            "lum AS (SELECT bb.media_id, bb.dim AS dim, p.p AS p, "
-            "    299*br.v + 587*bg.v + 114*bb.v AS luma "
-            "  FROM range(1024) p(p) "
-            "  JOIN b bb ON p.p < bb.dim*bb.dim AND bb.j = "
-            "    ((bb.dim - 1 - p.p // bb.dim) * bb.dim + (p.p % bb.dim)) "
-            "    * 3 "
-            "  JOIN b bg ON bg.media_id = bb.media_id "
-            "    AND bg.j = bb.j + 1 "
-            "  JOIN b br ON br.media_id = bb.media_id "
-            "    AND br.j = bb.j + 2), "
-            "s AS (SELECT media_id, SUM(luma) AS s FROM lum "
-            "  GROUP BY media_id), "
-            "bits AS (SELECT l.media_id, l.dim, l.p, "
-            "    CASE WHEN l.dim*l.dim*l.luma > s.s THEN 1 ELSE 0 END "
-            "    AS bit FROM lum l JOIN s USING (media_id)), "
-            "prs AS (SELECT x.media_id AS a_id, y.media_id AS b_id "
-            "  FROM bits x JOIN bits y ON x.p = y.p "
-            "    AND x.media_id < y.media_id "
-            "  GROUP BY x.media_id, y.media_id, x.dim, y.dim "
-            "  HAVING SUM(CASE WHEN x.bit <> y.bit THEN 1 ELSE 0 END) "
-            "    <= CASE WHEN x.dim = 32 AND y.dim = 32 "
-            "       THEN 48 ELSE 3 END), "
-            "edges AS (SELECT a_id AS s2, b_id AS d FROM prs "
-            "  UNION ALL SELECT b_id, a_id FROM prs), "
-            "reach AS (SELECT media_id AS d, media_id AS r FROM md "
-            "  UNION "
-            "  SELECT e.d, reach.r FROM reach JOIN edges e "
-            "    ON e.s2 = reach.d) "
-            "SELECT r2.d AS media_id, CAST(MIN(r2.r) AS BIGINT) "
-            "    AS group_id, "
-            "  MIN(CASE WHEN md.dim = 32 THEN 'enhanced' "
-            "      ELSE 'standard' END) AS variant "
-            "FROM reach r2 JOIN md ON md.media_id = r2.d GROUP BY r2.d",
-        "media_external_probe":
-            "WITH m AS (SELECT CAST(i AS BIGINT) AS media_id, "
-            "repeat(sha256('media-' || i || '-42'), "
-            "1 + (CAST(i AS INT) % 4)) AS p FROM range(64) t(i)) "
-            "SELECT media_id, sha256(p) AS ext_sha256, "
-            "CAST(length(p) AS BIGINT) AS n_bytes FROM m",
-        "t_topk_tokens":
-            "WITH toks AS (SELECT lang, unnest(regexp_extract_all(text, "
-            "'\\S+')) AS token FROM documents), "
-            "cnt AS (SELECT lang, token, CAST(COUNT(*) AS BIGINT) AS n "
-            "FROM toks GROUP BY lang, token) "
-            "SELECT lang, token, n, CAST(rn AS BIGINT) AS rank FROM ("
-            "  SELECT lang, token, n, ROW_NUMBER() OVER ("
-            "    PARTITION BY lang ORDER BY n DESC, token) AS rn FROM cnt) "
-            "WHERE rn <= 20",
-        "t_vocab_stats":
-            "WITH toks AS (SELECT lang, unnest(regexp_extract_all(text, "
-            "'\\S+')) AS token FROM documents), "
-            "cnt AS (SELECT lang, token, COUNT(*) AS n "
-            "FROM toks GROUP BY lang, token) "
-            "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_distinct, "
-            "CAST(SUM(n) AS BIGINT) AS n_total, "
-            "CAST(SUM(CASE WHEN n = 1 THEN 1 ELSE 0 END) AS BIGINT) "
-            "AS n_hapax FROM cnt GROUP BY lang",
-        "t_token_quantiles":
-            "WITH tc AS (SELECT lang, len(regexp_extract_all(text, "
-            "'\\S+')) AS n FROM documents) "
-            "SELECT lang, quantile_disc(n, 0.25) AS p25, "
-            "quantile_disc(n, 0.5) AS p50, quantile_disc(n, 0.75) AS p75, "
-            "quantile_disc(n, 0.9) AS p90, quantile_disc(n, 0.99) AS p99 "
-            "FROM tc GROUP BY lang",
-        "t_top_docs":
-            "WITH s AS (SELECT doc_id, "
-            "len(regexp_extract_all(text, '\\S+')) AS n_tokens, "
-            "len(regexp_extract_all(lower(text), "
-            "'\\b(the|a|and|of|in|to|is|for|on|with)\\b')) AS n_stopwords "
-            "FROM documents) "
-            "SELECT doc_id, n_tokens, n_stopwords, CAST(rn AS BIGINT) "
-            "AS rank FROM ("
-            "  SELECT doc_id, n_tokens, n_stopwords, ROW_NUMBER() OVER ("
-            "    ORDER BY CAST(n_stopwords AS DOUBLE) / n_tokens DESC, "
-            "    doc_id) AS rn FROM s WHERE n_tokens > 0) "
-            "WHERE rn <= 25",
-        # t_decontaminate: benchmark = the deterministic doc_id % 29 = 0
-        # slice; a doc is contaminated when any of its distinct word
-        # 5-grams occurs in the benchmark's gram vocabulary
-        "t_decontaminate":
-            "WITH toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] || ' ' || t[i+3] "
-            "  || ' ' || t[i+4] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 4)) AS i"
-            "    FROM toks)), "
-            "bench AS (SELECT DISTINCT g FROM grams WHERE doc_id % 29 = 0), "
-            "hits AS (SELECT gr.doc_id, COUNT(*) AS n_hit FROM grams gr "
-            "  JOIN bench USING (g) GROUP BY gr.doc_id) "
-            "SELECT d.doc_id, CAST(COALESCE(h.n_hit, 0) AS BIGINT) "
-            "AS n_hit_grams, COALESCE(h.n_hit, 0) > 0 AS contaminated "
-            "FROM documents d LEFT JOIN hits h ON h.doc_id = d.doc_id",
-        "t_repetition":
-            "WITH l AS (SELECT doc_id, unnest(string_split(text, chr(10))) "
-            "AS line FROM documents) "
-            "SELECT doc_id, COUNT(*) AS n_lines, "
-            "CAST(COUNT(DISTINCT line) AS BIGINT) AS n_distinct_lines "
-            "FROM l GROUP BY doc_id",
-        # t_normalized_dup_groups: dedup after lowercase/collapse/trim
-        # normalization; the doc_id % 13 = 0 slice re-enters re-keyed
-        # (+10M) with a whitespace mutation both sides apply literally,
-        # so every seeded pair must collapse to one group
-        "t_normalized_dup_groups":
-            "WITH base AS (SELECT doc_id, text FROM documents "
-            "  UNION ALL SELECT doc_id + 10000000, "
-            "  chr(9) || replace(text, ' ', '  ') || ' ' || chr(10) "
-            "  FROM documents WHERE doc_id % 13 = 0), "
-            "n AS (SELECT doc_id, sha256(trim(regexp_replace("
-            "  lower(text), '\\s+', ' ', 'g'), ' ')) AS h FROM base) "
-            "SELECT h AS norm_sha256, COUNT(*) AS n_docs, "
-            "MIN(doc_id) AS min_doc_id FROM n GROUP BY h "
-            "HAVING COUNT(*) > 1",
-        # t_dedup_against: cross-corpus EXACT dedup — drop docs whose
-        # sha256 matches the reference slice (doc_id % 31 = 0); the
-        # engine broadcasts the reference hashes and streams the corpus
-        "t_dedup_against":
-            "WITH ref AS (SELECT DISTINCT sha256(text) AS h "
-            "  FROM documents WHERE doc_id % 31 = 0) "
-            "SELECT doc_id, sha256(text) AS sha256 FROM documents "
-            "WHERE sha256(text) NOT IN (SELECT h FROM ref)",
-        # t_ngram_novelty: per-doc counts of distinct word 3-grams and
-        # of those with corpus df == 1 (unique to the doc); gramless
-        # docs report zeros
-        "t_ngram_novelty":
-            "WITH toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i"
-            "    FROM toks)), "
-            "df AS (SELECT g, COUNT(*) AS df FROM grams GROUP BY g), "
-            "per AS (SELECT doc_id, COUNT(*) AS n_distinct, "
-            "  CAST(SUM(CASE WHEN df = 1 THEN 1 ELSE 0 END) AS BIGINT) "
-            "  AS n_unique FROM grams JOIN df USING (g) GROUP BY doc_id) "
-            "SELECT d.doc_id, CAST(COALESCE(p.n_distinct, 0) AS BIGINT) "
-            "AS n_distinct, CAST(COALESCE(p.n_unique, 0) AS BIGINT) "
-            "AS n_unique FROM documents d "
-            "LEFT JOIN per p ON p.doc_id = d.doc_id",
-        "t_pii_counts":
-            "SELECT doc_id, "
-            "len(regexp_extract_all(text, "
-            "'[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}')) AS n_emails, "
-            "len(regexp_extract_all(text, 'https?://[^\\s]+')) AS n_urls, "
-            "len(regexp_extract_all(text, "
-            "'\\b\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\.\\d{1,3}\\b')) AS n_ipv4 "
-            "FROM documents",
-        "a5_dedup_report":
-            "SELECT source, COUNT(*) AS n_docs, "
-            "CAST(COUNT(DISTINCT sha256(text)) AS BIGINT) AS n_unique, "
-            "COUNT(*) - CAST(COUNT(DISTINCT sha256(text)) AS BIGINT) "
-            "AS n_dup_docs FROM documents GROUP BY source",
-        # doc_containment_pairs: candidate completeness rests on the
-        # shingle premise (contained text spans >= 3 tokens, embeds on
-        # whitespace boundaries); the exact substring verify guarantees
-        # zero false positives. The >=3-token floor is written INTO the
-        # oracle so the SQL states the same contract the engine
-        # documents (a one-token >=64-char inner doc is outside the
-        # operator's claim, not a silent miss).
-        "doc_containment_pairs":
-            "SELECT a.doc_id AS inner_doc_id, b.doc_id AS host_doc_id "
-            "FROM documents a JOIN documents b ON a.doc_id <> b.doc_id "
-            "AND length(a.text) >= 64 AND length(a.text) < length(b.text) "
-            "AND len(regexp_extract_all(a.text, '\\S+')) >= 3 "
-            "AND strpos(b.text, a.text) > 0",
-        # e_distinct_users_daily: exact distinct users per (day, type) —
-        # the engine dedupes (day, type, user) triples through a
-        # triple-keyed hash shuffle, never a sketch
-        "e_distinct_users_daily":
-            "SELECT strftime(date_trunc('day', ts), '%Y-%m-%d') AS day, "
-            "event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) AS "
-            "n_users, COUNT(*) AS n_events FROM events GROUP BY 1, 2",
-        # e_hll_user_registers: the oracle recomputes each user's HLL
-        # register from sha256 hex — bucket = first 3 hex digits (p=12),
-        # rank = 49 - bit_length of the next 12 hex digits (length of
-        # the binary rendering; the v=0 row maps to rank 49) — then
-        # MAX per bucket; integer-exact, so any drift in the engine's
-        # hashing, bucketing or merge breaks the match
-        "e_hll_user_registers":
-            "WITH u AS (SELECT DISTINCT user_id FROM events), "
-            "h AS (SELECT sha256(CAST(user_id AS VARCHAR)) AS hx FROM u), "
-            "d AS (SELECT hx, "
-            "    (strpos('0123456789abcdef', substr(hx, 1, 1)) - 1) * 256 "
-            "  + (strpos('0123456789abcdef', substr(hx, 2, 1)) - 1) * 16 "
-            "  + (strpos('0123456789abcdef', substr(hx, 3, 1)) - 1) "
-            "    AS bucket FROM h), "
-            "v AS (SELECT d.hx, d.bucket, "
-            "    SUM((strpos('0123456789abcdef', "
-            "         substr(d.hx, CAST(4 + r.k AS INT), 1)) - 1) "
-            "        * (CAST(1 AS BIGINT) << CAST(4 * (11 - r.k) AS INT))) "
-            "    AS val "
-            "  FROM d, range(12) r(k) GROUP BY d.hx, d.bucket), "
-            "rk AS (SELECT bucket, CASE WHEN val = 0 THEN 49 "
-            "    ELSE 49 - length(bin(val)) END AS rank FROM v) "
-            "SELECT CAST(bucket AS BIGINT) AS bucket, "
-            "CAST(MAX(rank) AS BIGINT) AS max_rank FROM rk GROUP BY bucket",
-        # e_user_running_totals: analytic window — per-user sequence and
-        # cumulative exact-cents sum in (ts, event_id) order
-        "e_user_running_totals":
-            "SELECT event_id, user_id, "
-            "CAST(ROW_NUMBER() OVER w AS BIGINT) AS seq, "
-            "CAST(SUM(CAST(FLOOR(value * 100 + 0.5) AS BIGINT)) "
-            "OVER w AS BIGINT) AS cum_value_cents "
-            "FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)",
-        # q3_shipping_priority: TPC-H Q3 shape — revenue as exact integer
-        # cents (floor(x*100 + 0.5), the repo-wide money rule), top-10 by
-        # (revenue desc, orderkey) with dates rendered as strings
-        "q3_shipping_priority":
-            "WITH c AS (SELECT c_custkey FROM customer "
-            "  WHERE c_mktsegment = 'BUILDING'), "
-            "o AS (SELECT o_orderkey, o_orderdate FROM orders "
-            "  JOIN c ON o_custkey = c_custkey "
-            "  WHERE o_orderdate < TIMESTAMP '1997-06-30'), "
-            "l AS (SELECT l_orderkey, CAST(FLOOR(l_extendedprice * "
-            "  (1 - l_discount) * 100 + 0.5) AS BIGINT) AS cents "
-            "  FROM lineitem WHERE l_shipdate > TIMESTAMP '1997-06-30') "
-            "SELECT l_orderkey, CAST(SUM(cents) AS BIGINT) AS "
-            "revenue_cents, strftime(o_orderdate, '%Y-%m-%d') AS "
-            "o_orderdate, CAST(ROW_NUMBER() OVER (ORDER BY SUM(cents) "
-            "DESC, l_orderkey) AS BIGINT) AS rank "
-            "FROM l JOIN o ON l.l_orderkey = o.o_orderkey "
-            "GROUP BY l_orderkey, o_orderdate "
-            "ORDER BY revenue_cents DESC, l_orderkey LIMIT 10",
-        # q5_local_supplier_volume: TPC-H Q5 shape — six tables, the
-        # same-nation (customer == supplier) predicate, revenue as the
-        # repo-wide exact integer cents rule
-        "q5_local_supplier_volume":
-            "SELECT n_name, CAST(SUM(CAST(FLOOR(l_extendedprice * "
-            "(1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS "
-            "revenue_cents "
-            "FROM customer, orders, lineitem, supplier, nation, region "
-            "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
-            "AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey "
-            "AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey "
-            "AND r_name = 'ASIA' "
-            "AND o_orderdate >= TIMESTAMP '1996-01-01' "
-            "AND o_orderdate < TIMESTAMP '1997-01-01' "
-            "GROUP BY n_name ORDER BY revenue_cents DESC",
-        # q18_large_orders: TPC-H Q18 shape — orders whose total
-        # lineitem quantity exceeds the threshold, with customer name;
-        # totalprice as the repo-wide exact integer cents
-        "q18_large_orders":
-            "SELECT c_name, o_custkey, o_orderkey, "
-            "strftime(o_orderdate, '%Y-%m-%d') AS o_orderdate, "
-            "CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT) AS "
-            "total_cents, CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) "
-            "AS sum_qty "
-            "FROM customer, orders, lineitem "
-            "WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem "
-            "  GROUP BY l_orderkey "
-            "  HAVING SUM(CAST(l_quantity AS BIGINT)) > 280) "
-            "AND c_custkey = o_custkey AND o_orderkey = l_orderkey "
-            "GROUP BY c_name, o_custkey, o_orderkey, o_orderdate, "
-            "o_totalprice",
-        # e_hopping_counts: 60-min windows hopping every 15 — each
-        # event contributes to 4 windows on the epoch-aligned grid
-        # (integer floor on both sides, no time_bucket-origin issues)
-        "e_hopping_counts":
-            "WITH b AS (SELECT event_type, value, "
-            "  CAST(epoch_us(ts) // 900000000 AS BIGINT) * 900000000 "
-            "  AS tb FROM events), "
-            "x AS (SELECT event_type, value, "
-            "  make_timestamp(b.tb - 900000000 * CAST(t.u AS BIGINT)) "
-            "  AS window_start "
-            "  FROM b, (SELECT unnest([0, 1, 2, 3]) AS u) t) "
-            "SELECT window_start, event_type, COUNT(*) AS n_events, "
-            "CAST(SUM(CAST(FLOOR(value * 100 + 0.5) AS BIGINT)) "
-            "AS BIGINT) AS sum_value_cents "
-            "FROM x GROUP BY 1, 2",
-        # source_overlap_matrix: distinct shared exact texts per source
-        # pair; the engine's %13 seeding re-homes every 13th doc under
-        # 'src'||((doc_id*7)%20) so the matrix is non-vacuous
-        "source_overlap_matrix":
-            "WITH base AS (SELECT source, text FROM documents "
-            "  UNION ALL SELECT 'src' || CAST((doc_id * 7) % 20 AS "
-            "  VARCHAR), text FROM documents WHERE doc_id % 13 = 0), "
-            "h AS (SELECT DISTINCT source, sha256(text) AS h FROM base) "
-            "SELECT a.source AS source_a, b.source AS source_b, "
-            "COUNT(*) AS n_shared FROM h a "
-            "JOIN h b ON a.h = b.h AND a.source < b.source "
-            "GROUP BY 1, 2",
-        # t_lang_token_outliers: |n - mean| > 1 sigma per language, in
-        # exact integer arithmetic: (n*N - S)^2 > (N*SS - S^2); k=1
-        # because the synthetic token counts are near-uniform (no
-        # 2-sigma tail exists)
-        "t_lang_token_outliers":
-            "WITH tc AS (SELECT doc_id, lang, "
-            "  CAST(len(regexp_extract_all(text, '\\S+')) AS BIGINT) "
-            "  AS n_tokens FROM documents), "
-            "st AS (SELECT lang, COUNT(*) AS nn, "
-            "  CAST(SUM(n_tokens) AS BIGINT) AS s, "
-            "  CAST(SUM(n_tokens * n_tokens) AS BIGINT) AS ss "
-            "  FROM tc GROUP BY lang) "
-            "SELECT doc_id, tc.lang, n_tokens FROM tc "
-            "JOIN st ON tc.lang = st.lang "
-            "WHERE (n_tokens * nn - s) * (n_tokens * nn - s) "
-            "> (nn * ss - s * s)",
-        # snm_dedup_pairs: sorted-neighborhood near-dup pairs — window
-        # self-join on the normalized-prefix rank order, verified with
-        # the same exploded-gram Jaccard as ngram_jaccard_pairs
-        "snm_dedup_pairs":
-            "WITH norm AS (SELECT doc_id, substr(trim(regexp_replace("
-            "  lower(text), '\\s+', ' ', 'g'), ' '), 1, 16) AS key "
-            "  FROM documents), "
-            "r AS (SELECT doc_id, ROW_NUMBER() OVER (ORDER BY key, "
-            "  doc_id) AS rnk FROM norm), "
-            "cand AS (SELECT LEAST(x.doc_id, y.doc_id) AS a, "
-            "  GREATEST(x.doc_id, y.doc_id) AS b "
-            "  FROM r x JOIN r y ON y.rnk > x.rnk "
-            "  AND y.rnk <= x.rnk + 4), "
-            "toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t "
-            "  FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS g "
-            "  FROM (SELECT doc_id, t, "
-            "    unnest(generate_series(1, len(t) - 2)) AS i FROM toks)), "
-            "cnt AS (SELECT doc_id, COUNT(*) AS n FROM grams "
-            "  GROUP BY doc_id), "
-            "inter AS (SELECT c.a, c.b, COUNT(*) AS i FROM cand c "
-            "  JOIN grams ga ON ga.doc_id = c.a "
-            "  JOIN grams gb ON gb.doc_id = c.b AND gb.g = ga.g "
-            "  GROUP BY 1, 2) "
-            "SELECT iv.a, iv.b FROM inter iv "
-            "JOIN cnt ca ON ca.doc_id = iv.a "
-            "JOIN cnt cb ON cb.doc_id = iv.b "
-            "WHERE CAST(iv.i AS DOUBLE) / (ca.n + cb.n - iv.i) >= 0.2",
-        # q10_returned_items: one quarter's returned-item revenue per
-        # customer, top-20 by revenue with customer/nation attributes;
-        # per-row floor(x*100+0.5) cents matches the engine exactly
-        "q10_returned_items":
-            "WITH rev AS ("
-            "  SELECT o_custkey AS c_custkey, "
-            "  CAST(SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) "
-            "  * 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-            "  FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-            "  WHERE l_returnflag = 'R' "
-            "  AND o_orderdate >= TIMESTAMP '1996-07-01' "
-            "  AND o_orderdate < TIMESTAMP '1996-10-01' "
-            "  GROUP BY 1), "
-            "top AS (SELECT c_custkey, revenue_cents, "
-            "  ROW_NUMBER() OVER (ORDER BY revenue_cents DESC, "
-            "  c_custkey) AS rank FROM rev "
-            "  ORDER BY revenue_cents DESC, c_custkey LIMIT 20) "
-            "SELECT t.c_custkey, c.c_name, t.revenue_cents, "
-            "CAST(FLOOR(c.c_acctbal * 100 + 0.5) AS BIGINT) AS "
-            "acctbal_cents, n.n_name, t.rank "
-            "FROM top t JOIN customer c ON t.c_custkey = c.c_custkey "
-            "JOIN nation n ON c.c_nationkey = n.n_nationkey",
-        # q14_part_type_revenue: one month of lineitems joined to the
-        # part dimension, revenue per part type as exact integer cents
-        "q14_part_type_revenue":
-            "SELECT p_type, CAST(SUM(CAST(FLOOR(l_extendedprice * "
-            "(1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS "
-            "revenue_cents, COUNT(*) AS n_items "
-            "FROM lineitem JOIN part ON l_partkey = p_partkey "
-            "WHERE l_shipdate >= TIMESTAMP '1996-03-01' "
-            "AND l_shipdate < TIMESTAMP '1996-04-01' "
-            "GROUP BY p_type",
-        "l_pricing_summary":
-            "SELECT l_returnflag, l_linestatus, "
-            "CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice * 100 + 0.5) AS BIGINT)) "
-            "AS BIGINT) AS sum_base_cents, "
-            "CAST(SUM(CAST(FLOOR(l_discount * 10000 + 0.5) AS BIGINT)) "
-            "AS BIGINT) AS sum_disc_bp, "
-            "COUNT(*) AS n_rows FROM lineitem "
-            "WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
-            "GROUP BY l_returnflag, l_linestatus",
-        # emb_dedup_canonical: exact pair graph (same threshold as
-        # emb_near_dup_pairs) + recursive-CTE min-label components
-        "emb_dedup_canonical":
-            "WITH RECURSIVE jp AS ("
-            "  SELECT a.vec_id AS a_id, b.vec_id AS b_id FROM embeddings a "
-            "  JOIN embeddings b ON a.vec_id < b.vec_id "
-            "  WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), "
-            "    CAST(b.embedding AS DOUBLE[])) >= 0.35), "
-            "edges AS (SELECT a_id AS s, b_id AS d FROM jp "
-            "  UNION ALL SELECT b_id, a_id FROM jp), "
-            "reach AS (SELECT vec_id AS v, vec_id AS r FROM embeddings "
-            "  UNION "
-            "  SELECT e.d, reach.r FROM reach JOIN edges e ON e.s = reach.v) "
-            "SELECT v AS vec_id, CAST(MIN(r) AS BIGINT) AS canonical_id "
-            "FROM reach GROUP BY v",
-        "t_stratified_sample":
-            "SELECT doc_id, lang FROM ("
-            "  SELECT doc_id, lang, ROW_NUMBER() OVER ("
-            "    PARTITION BY lang "
-            "    ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) AS rn "
-            "  FROM documents) WHERE rn <= 50",
-        "media_frame_sample":
-            "WITH m AS (SELECT CAST(i AS BIGINT) AS media_id, "
-            "CASE CAST(i AS INT) % 3 WHEN 0 THEN 'image' "
-            "WHEN 1 THEN 'audio' ELSE 'video' END AS kind, "
-            "repeat(sha256('media-' || i || '-42'), "
-            "1 + (CAST(i AS INT) % 4)) AS p FROM range(64) t(i)), "
-            "f AS (SELECT media_id, p, CAST(CASE WHEN kind = 'image' "
-            "THEN 1 ELSE 1 + ((strpos('0123456789abcdef', "
-            "substr(sha256(p), 17, 1)) - 1) % 10) END AS BIGINT) "
-            "AS n_frames FROM m) "
-            "SELECT DISTINCT media_id, (j * n_frames) // 4 AS frame_idx, "
-            "sha256(p || ':' || ((j * n_frames) // 4)) AS frame_sha "
-            "FROM f, range(4) r(j) WHERE (j * n_frames) // 4 < n_frames",
-        "e_windowed_counts":
-            "SELECT date_trunc('hour', ts) AS window_start, event_type, "
-            "COUNT(*) AS n_events, "
-            "CAST(SUM(CAST(FLOOR(value * 100 + 0.5) AS BIGINT)) AS BIGINT) "
-            "AS sum_value_cents "
-            "FROM events GROUP BY 1, 2",
-        "e_sessionize":
-            "WITH x AS (SELECT user_id, ts, "
-            "  ts - LAG(ts) OVER (PARTITION BY user_id ORDER BY ts) AS gap "
-            "  FROM events) "
-            "SELECT user_id, "
-            "COUNT(CASE WHEN gap IS NULL OR gap > INTERVAL 1800 SECONDS "
-            "THEN 1 END) AS n_sessions, COUNT(*) AS n_events "
-            "FROM x GROUP BY user_id",
-        # e_asof_join: the deterministic as-of rule (most recent 'view'
-        # at-or-before each 'click', ties on ts -> largest event_id) is
-        # written out with a window function instead of DuckDB's native
-        # ASOF JOIN, whose tie choice is unspecified.
-        "e_asof_join":
-            "SELECT c.event_id, v.event_id AS matched_event_id, "
-            "v.ts AS matched_ts "
-            "FROM events c JOIN events v "
-            "ON v.user_id = c.user_id AND v.ts <= c.ts "
-            "AND v.event_type = 'view' "
-            "WHERE c.event_type = 'click' "
-            "QUALIFY ROW_NUMBER() OVER (PARTITION BY c.event_id "
-            "ORDER BY v.ts DESC, v.event_id DESC) = 1",
-        "e_range_join":
-            "SELECT e.event_id, c.event_id AS near_event_id "
-            "FROM events e JOIN events c ON c.user_id = e.user_id "
-            "AND c.ts BETWEEN e.ts - INTERVAL 3600 SECONDS AND e.ts "
-            "WHERE e.event_type = 'error' AND c.event_type = 'click'",
-        "j_orders_by_segment":
-            "SELECT c_mktsegment, COUNT(*) AS n_orders, "
-            "CAST(SUM(CAST(FLOOR(o_totalprice * 100 + 0.5) AS BIGINT)) "
-            "AS BIGINT) AS sum_total_cents FROM orders "
-            "JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment",
-        # ann_topk_lsh is approximate by algorithm, but with adaptive
-        # sketch width + Hamming<=2 multiprobe its candidate set covers
-        # the true top-k at these table sizes (verified identical to
-        # brute at sf0.001/0.01/0.1), so the exact-top-k SQL is a real
-        # driver-checkable gate: any probe-coverage regression shows as
-        # a hash mismatch.
-        "ann_topk_lsh":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8) "
-            "SELECT query_id, neighbor_id, rank FROM ("
-            "  SELECT q.query_id, e.vec_id AS neighbor_id, "
-            "    ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "      list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), "
-            "                             CAST(q.qe AS DOUBLE[])) DESC, "
-            "      e.vec_id) AS rank "
-            "  FROM embeddings e, q WHERE e.vec_id <> q.query_id) "
-            "WHERE rank <= 10",
-        # ann_topk_ivf: same contract as ann_topk_lsh — IVF with
-        # sqrt(n) cells and nprobe = n_cells/2 covers the true top-k at
-        # these table sizes (verified identical to brute), so the exact
-        # SQL is a real probe-coverage regression gate.
-        "ann_topk_ivf":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8) "
-            "SELECT query_id, neighbor_id, rank FROM ("
-            "  SELECT q.query_id, e.vec_id AS neighbor_id, "
-            "    ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "      list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), "
-            "                             CAST(q.qe AS DOUBLE[])) DESC, "
-            "      e.vec_id) AS rank "
-            "  FROM embeddings e, q WHERE e.vec_id <> q.query_id) "
-            "WHERE rank <= 10",
-        # minhash_lsh_clusters: the engine thresholds on MinHash
-        # est-Jaccard (tau=0.8) over code-token shingles; the corpus'
-        # pair-similarity distribution is cleanly bimodal (J <= ~0.15 or
-        # J >= ~0.85 on word 3-grams), so an exact word-3-gram Jaccard
-        # cut at 0.5 + connected components (recursive CTE, min-id
-        # label) reconstructs the clustering exactly — verified
-        # identical at sf0.001 and sf0.01. Borderline-free by data
-        # construction; any engine clustering drift is driver-visible.
-        "minhash_lsh_clusters":
-            "WITH RECURSIVE toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i"
-            "    FROM toks)), "
-            "cnt AS (SELECT doc_id, COUNT(*) AS n FROM grams GROUP BY doc_id), "
-            "inter AS (SELECT ga.doc_id AS a_id, gb.doc_id AS b_id, "
-            "  COUNT(*) AS i FROM grams ga JOIN grams gb "
-            "  ON ga.g = gb.g AND ga.doc_id < gb.doc_id GROUP BY 1, 2), "
-            "jp AS (SELECT a_id, b_id FROM inter "
-            "  JOIN cnt ca ON ca.doc_id = a_id JOIN cnt cb ON cb.doc_id = b_id "
-            "  WHERE CAST(i AS DOUBLE) / (ca.n + cb.n - i) >= 0.5), "
-            "edges AS (SELECT a_id AS s, b_id AS d FROM jp "
-            "  UNION ALL SELECT b_id, a_id FROM jp), "
-            "reach AS (SELECT doc_id AS d, doc_id AS r FROM documents "
-            "  UNION "
-            "  SELECT e.d, reach.r FROM reach JOIN edges e ON e.s = reach.d) "
-            "SELECT d AS doc_id, CAST(MIN(r) AS BIGINT) AS cluster_id "
-            "FROM reach GROUP BY d",
-        # simhash_groups (driver variant = simhash_text_groups): the
-        # per-doc 64-bit SimHash is a strict-majority vote over the low
-        # 64 bits of md5(word-3-gram) for the doc's DISTINCT grams —
-        # reconstructed here bit by bit with hex-digit arithmetic
-        # (nibble at 1-based position 16 - bit//4, bit bit%4 within it),
-        # docs with <3 tokens getting the all-zero signature via the
-        # LEFT JOIN + COALESCE. Pairs are exact Hamming<=3 (the engine's
-        # 4x16-bit pigeonhole banding is lossless for <=3 differing
-        # bits), components are min-label reachability. Any drift in
-        # the engine's signature kernel, banding, pair-gen, CC or label
-        # attach is a driver-visible hash mismatch. The bitvec self-join
-        # (64 x n^2/2 rows) is fine at oracle scales.
-        "simhash_groups":
-            "WITH RECURSIVE toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i"
-            "    FROM toks)), "
-            "gb AS (SELECT doc_id, substr(md5(g), 1, 16) AS h FROM grams), "
-            "votes AS (SELECT doc_id, r.b AS bit, "
-            "  SUM(((strpos('0123456789abcdef', "
-            "    substr(h, CAST(16 - (r.b // 4) AS INT), 1)) - 1) "
-            "    >> (r.b % 4)) & 1) AS ones, COUNT(*) AS total "
-            "  FROM gb CROSS JOIN range(64) r(b) GROUP BY doc_id, r.b), "
-            "v AS (SELECT d.doc_id, r.b AS bit, "
-            "  COALESCE(CASE WHEN 2 * vo.ones > vo.total THEN 1 ELSE 0 END, "
-            "           0) AS val "
-            "  FROM documents d CROSS JOIN range(64) r(b) "
-            "  LEFT JOIN votes vo ON vo.doc_id = d.doc_id AND vo.bit = r.b), "
-            "pairs AS (SELECT x.doc_id AS a_id, y.doc_id AS b_id "
-            "  FROM v x JOIN v y ON x.bit = y.bit AND x.doc_id < y.doc_id "
-            "  GROUP BY x.doc_id, y.doc_id "
-            "  HAVING SUM(CASE WHEN x.val <> y.val THEN 1 ELSE 0 END) <= 3), "
-            "edges AS (SELECT a_id AS s, b_id AS d FROM pairs "
-            "  UNION ALL SELECT b_id, a_id FROM pairs), "
-            "reach AS (SELECT doc_id AS d, doc_id AS r FROM documents "
-            "  UNION "
-            "  SELECT e.d, reach.r FROM reach JOIN edges e ON e.s = reach.d) "
-            "SELECT d AS doc_id, CAST(MIN(r) AS BIGINT) AS group_id "
-            "FROM reach GROUP BY d",
-        # l_rollup_revenue: multi-grain ROLLUP over the pricing-summary
-        # spine; rolled-up grains carry the 'ALL' sentinel (real values
-        # are single chars, no collision)
-        "l_rollup_revenue":
-            "SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag, "
-            "COALESCE(l_linestatus, 'ALL') AS l_linestatus, "
-            "CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice * 100 + 0.5) AS BIGINT)) "
-            "  AS BIGINT) AS sum_base_cents, "
-            "CAST(SUM(CAST(FLOOR(l_discount * 10000 + 0.5) AS BIGINT)) "
-            "  AS BIGINT) AS sum_disc_bp, COUNT(*) AS n_rows "
-            "FROM lineitem WHERE l_shipdate <= TIMESTAMP '1998-09-02' "
-            "GROUP BY ROLLUP (l_returnflag, l_linestatus)",
-        # q4_priority_semijoin: big-big semi-join (EXISTS against the
-        # fact table) — each order counted once regardless of how many
-        # lineitems qualify
-        "q4_priority_semijoin":
-            "SELECT o_orderpriority, COUNT(*) AS order_count "
-            "FROM orders o "
-            "WHERE o_orderdate >= TIMESTAMP '1996-01-01' "
-            "AND o_orderdate < TIMESTAMP '1996-07-01' "
-            "AND EXISTS (SELECT 1 FROM lineitem l "
-            "  WHERE l.l_orderkey = o.o_orderkey "
-            "  AND l.l_returnflag = 'R') "
-            "GROUP BY o_orderpriority",
-        # t_topk_docs_per_lang: grouped top-3 by whitespace-token count,
-        # ties to the lower doc_id
-        "t_topk_docs_per_lang":
-            "WITH s AS (SELECT lang, doc_id, "
-            "  len(regexp_extract_all(text, '\\S+')) AS n_tokens "
-            "  FROM documents) "
-            "SELECT lang, doc_id, CAST(n_tokens AS BIGINT) AS n_tokens, "
-            "CAST(rn AS BIGINT) AS rank FROM ("
-            "  SELECT *, ROW_NUMBER() OVER (PARTITION BY lang "
-            "    ORDER BY n_tokens DESC, doc_id) AS rn FROM s) "
-            "WHERE rn <= 3",
-        # t_bloom_decontaminate: Bloom membership, m = 65536 bits, k = 2
-        # positions per gram = the first two 16-bit words of
-        # sha256(gram) (hex digits 1-4 / 5-8 via the HLL oracle's digit
-        # arithmetic); a gram hits when BOTH positions are set by the
-        # benchmark side — deterministic false positives included
-        "t_bloom_decontaminate":
-            "WITH toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, "
-            "  t[i] || ' ' || t[i+1] || ' ' || t[i+2] || ' ' || t[i+3] "
-            "  || ' ' || t[i+4] AS g FROM ("
-            "    SELECT doc_id, t, unnest(generate_series(1, len(t) - 4)) AS i"
-            "    FROM toks)), "
-            f"gp AS (SELECT g, {_sha_hex_word(1)} AS p1, "
-            f"  {_sha_hex_word(5)} AS p2 "
-            "  FROM (SELECT g, sha256(g) AS hx "
-            "        FROM (SELECT DISTINCT g FROM grams))), "
-            "bench AS (SELECT DISTINCT g FROM grams WHERE doc_id % 29 = 0), "
-            "bset AS (SELECT p1 AS pos FROM gp JOIN bench USING (g) "
-            "  UNION SELECT p2 FROM gp JOIN bench USING (g)), "
-            "hitg AS (SELECT g FROM gp WHERE p1 IN (SELECT pos FROM bset) "
-            "  AND p2 IN (SELECT pos FROM bset)), "
-            "hits AS (SELECT gr.doc_id, COUNT(*) AS nh FROM grams gr "
-            "  JOIN hitg USING (g) GROUP BY gr.doc_id) "
-            "SELECT d.doc_id, CAST(COALESCE(h.nh, 0) AS BIGINT) "
-            "AS n_bloom_hits, COALESCE(h.nh, 0) > 0 AS bloom_contaminated "
-            "FROM documents d LEFT JOIN hits h ON h.doc_id = d.doc_id",
-        # emb_semantic_prune: SemDeDup shape — nearest of the 8
-        # lowest-vec_id centroids (cosine, ties to lower centroid id),
-        # then within-cluster keep-first prune at tau = 0.35 against
-        # ALL earlier cluster-mates (chain-independent)
-        "emb_semantic_prune":
-            "WITH c AS (SELECT vec_id AS cid, embedding AS ce "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8), "
-            "assign AS (SELECT vec_id, cid AS cluster_id FROM ("
-            "  SELECT e.vec_id, c.cid, ROW_NUMBER() OVER ("
-            "    PARTITION BY e.vec_id "
-            "    ORDER BY list_cosine_similarity(CAST(e.embedding "
-            "      AS DOUBLE[]), CAST(c.ce AS DOUBLE[])) DESC, c.cid) AS rn"
-            "  FROM embeddings e, c) WHERE rn = 1), "
-            "pruned AS (SELECT DISTINCT y.vec_id FROM assign x "
-            "  JOIN assign y ON x.cluster_id = y.cluster_id "
-            "    AND x.vec_id < y.vec_id "
-            "  JOIN embeddings ex ON ex.vec_id = x.vec_id "
-            "  JOIN embeddings ey ON ey.vec_id = y.vec_id "
-            "  WHERE list_cosine_similarity(CAST(ex.embedding AS DOUBLE[]), "
-            "    CAST(ey.embedding AS DOUBLE[])) >= 0.35) "
-            "SELECT a.vec_id, a.cluster_id, "
-            "a.vec_id IN (SELECT vec_id FROM pruned) AS pruned "
-            "FROM assign a",
-        # q6_forecast_revenue: whole-pipeline scalar reduce — discount
-        # matched in exact basis points, per-row revenue floored to
-        # cents BEFORE the sum (order-independent distributed sum)
-        "q6_forecast_revenue":
-            "SELECT CAST(COALESCE(SUM(CAST(FLOOR(l_extendedprice * "
-            "l_discount * 100 + 0.5) AS BIGINT)), 0) AS BIGINT) AS "
-            "revenue_cents, COUNT(*) AS n_rows "
-            "FROM lineitem "
-            "WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1997-01-01' "
-            "AND CAST(FLOOR(l_discount * 10000 + 0.5) AS BIGINT) "
-            "  BETWEEN 500 AND 700 "
-            "AND l_quantity < 24",
-        # q12_priority_line_counts: TPC-H Q12 shape — big-big payload
-        # join + CASE aggregation (l_returnflag stands in for the
-        # missing l_shipmode)
-        "q12_priority_line_counts":
-            "SELECT l_returnflag, "
-            "CAST(SUM(CASE WHEN o_orderpriority IN ('1-URGENT', "
-            "  '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT) AS "
-            "high_line_count, "
-            "CAST(SUM(CASE WHEN o_orderpriority NOT IN ('1-URGENT', "
-            "  '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT) AS "
-            "low_line_count "
-            "FROM orders, lineitem WHERE o_orderkey = l_orderkey "
-            "AND l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1997-01-01' "
-            "GROUP BY l_returnflag",
-        # q13_order_count_distribution: TPC-H Q13 shape — LEFT OUTER
-        # join (zero-order customers land in the c_count=0 bucket) +
-        # double aggregation; the o_comment NOT LIKE filter is adapted
-        # to an order-priority exclusion
-        "q13_order_count_distribution":
-            "SELECT c_count, COUNT(*) AS custdist FROM ("
-            "  SELECT c_custkey, CAST(COUNT(o_custkey) AS BIGINT) AS "
-            "  c_count FROM customer LEFT OUTER JOIN orders "
-            "  ON c_custkey = o_custkey "
-            "    AND o_orderpriority <> '4-NOT SPECIFIED' "
-            "  GROUP BY c_custkey) GROUP BY c_count",
-        # q15_top_supplier: global-max rebroadcast — ties included, as
-        # in the spec's view formulation
-        "q15_top_supplier":
-            "WITH revenue AS (SELECT l_suppkey AS supplier_no, "
-            "  CAST(SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) "
-            "  * 100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents "
-            "  FROM lineitem WHERE l_shipdate >= TIMESTAMP '1996-01-01' "
-            "  AND l_shipdate < TIMESTAMP '1996-04-01' "
-            "  GROUP BY l_suppkey) "
-            "SELECT s_suppkey, s_name, total_cents AS "
-            "total_revenue_cents FROM supplier, revenue "
-            "WHERE s_suppkey = supplier_no "
-            "AND total_cents = (SELECT MAX(total_cents) FROM revenue)",
-        # q17_small_quantity_revenue: per-part 20%-of-average quantity
-        # threshold in exact integers (5*qty*cnt < sum_qty), revenue of
-        # the below-threshold rows per brand
-        "q17_small_quantity_revenue":
-            "WITH pk AS (SELECT p_partkey, p_brand FROM part "
-            "  WHERE p_brand IN ('Brand#1', 'Brand#2')), "
-            "agg AS (SELECT l_partkey AS ak, "
-            "  SUM(CAST(l_quantity AS BIGINT)) AS sq, COUNT(*) AS cnt "
-            "  FROM lineitem JOIN pk ON l_partkey = p_partkey "
-            "  GROUP BY l_partkey) "
-            "SELECT p_brand, CAST(SUM(CAST(FLOOR(l_extendedprice * 100 "
-            "+ 0.5) AS BIGINT)) AS BIGINT) AS total_cents, "
-            "COUNT(*) AS n_rows "
-            "FROM lineitem JOIN pk ON l_partkey = p_partkey "
-            "JOIN agg ON ak = l_partkey "
-            "WHERE 5 * CAST(l_quantity AS BIGINT) * cnt < sq "
-            "GROUP BY p_brand",
-        # q22_idle_customer_balance: global scalar subquery (avg over
-        # positive balances as exact integers: bal*n > sum) + NOT
-        # EXISTS anti-join against the cutoff-windowed order stream
-        # (lapsed customers — the no-orders-at-all predicate is vacuous
-        # on this data); cntrycode = c_nationkey % 5 (no c_phone)
-        "q22_idle_customer_balance":
-            "WITH c AS (SELECT c_custkey, "
-            "  CAST(c_nationkey % 5 AS BIGINT) AS cntrycode, "
-            "  CAST(FLOOR(c_acctbal * 100 + 0.5) AS BIGINT) AS bal "
-            "  FROM customer WHERE c_nationkey % 5 IN (0, 1, 2)), "
-            "t AS (SELECT COALESCE(SUM(CASE WHEN bal > 0 THEN bal END), "
-            "  0) AS s, COUNT(CASE WHEN bal > 0 THEN 1 END) AS n FROM c) "
-            "SELECT cntrycode, COUNT(*) AS numcust, "
-            "CAST(SUM(bal) AS BIGINT) AS totacctbal_cents "
-            "FROM c, t WHERE bal * n > s "
-            "AND c_custkey NOT IN (SELECT o_custkey FROM orders "
-            "  WHERE o_orderdate >= TIMESTAMP '1999-01-01') "
-            "GROUP BY cntrycode",
-        # q19_disjunctive_revenue: OR-of-ANDs predicate coupling part
-        # attributes (brand+size) with fact attributes (quantity)
-        "q19_disjunctive_revenue":
-            "SELECT p_brand, CAST(SUM(CAST(FLOOR(l_extendedprice * "
-            "(1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS "
-            "revenue_cents, COUNT(*) AS n_rows "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "WHERE (p_brand = 'Brand#1' AND p_size BETWEEN 1 AND 5 "
-            "  AND l_quantity BETWEEN 1 AND 11) "
-            "OR (p_brand = 'Brand#2' AND p_size BETWEEN 1 AND 10 "
-            "  AND l_quantity BETWEEN 10 AND 20) "
-            "OR (p_brand = 'Brand#3' AND p_size BETWEEN 1 AND 15 "
-            "  AND l_quantity BETWEEN 20 AND 30) "
-            "GROUP BY p_brand",
-        # q16_supplier_part_variety: DISTINCT (part,supp) pairs from
-        # lineitem stand in for partsupp; complaint suppliers =
-        # s_suppkey % 4 = 0 (no s_comment in the schema)
-        "q16_supplier_part_variety":
-            "WITH ps AS (SELECT DISTINCT l_partkey, l_suppkey "
-            "  FROM lineitem) "
-            "SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size, "
-            "CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt "
-            "FROM ps JOIN part ON p_partkey = l_partkey "
-            "WHERE p_brand <> 'Brand#5' AND p_type <> 'PROMO' "
-            "AND p_size IN (1, 3, 5, 7, 9) "
-            "AND l_suppkey % 4 <> 0 "
-            "GROUP BY p_brand, p_type, p_size",
-        # q7_nation_pair_volume: revenue between the two lowest
-        # supplier nations in either direction, by ship year — the
-        # nation pair is derived from the data on BOTH sides so every
-        # scale picks the same pair
-        "q7_nation_pair_volume":
-            "WITH na AS (SELECT MIN(k) AS a, MAX(k) AS b FROM ("
-            "  SELECT DISTINCT s_nationkey AS k FROM supplier "
-            "  ORDER BY k LIMIT 2)) "
-            "SELECT ns.n_name AS supp_nation, nc.n_name AS cust_nation, "
-            "CAST(year(l_shipdate) AS BIGINT) AS l_year, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) "
-            "* 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-            "FROM lineitem, orders, customer, supplier, "
-            "nation ns, nation nc, na "
-            "WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey "
-            "AND l_suppkey = s_suppkey "
-            "AND ns.n_nationkey = s_nationkey "
-            "AND nc.n_nationkey = c_nationkey "
-            "AND ((s_nationkey = na.a AND c_nationkey = na.b) "
-            "  OR (s_nationkey = na.b AND c_nationkey = na.a)) "
-            "AND l_shipdate >= TIMESTAMP '1996-01-01' "
-            "AND l_shipdate < TIMESTAMP '1998-01-01' "
-            "GROUP BY 1, 2, 3",
-        # q2_min_unit_cost_supplier: groupwise argmin with an exact
-        # integer unit price (milli-cents, floor division) and ties to
-        # the lowest suppkey
-        "q2_min_unit_cost_supplier":
-            "WITH offers AS (SELECT l_partkey, l_suppkey, "
-            "  CAST(FLOOR(l_extendedprice * 100 + 0.5) AS BIGINT) "
-            "  * 1000 // CAST(l_quantity AS BIGINT) AS unit "
-            "  FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "  WHERE p_type = 'STANDARD') "
-            "SELECT l_partkey AS p_partkey, unit AS min_unit_milli, "
-            "l_suppkey AS s_suppkey, s_name FROM ("
-            "  SELECT *, ROW_NUMBER() OVER (PARTITION BY l_partkey "
-            "    ORDER BY unit, l_suppkey) AS rn FROM offers) "
-            "JOIN supplier ON s_suppkey = l_suppkey WHERE rn = 1",
-        # q8_national_market_share: ratio of conditional sums as
-        # integer basis points (floor division); the share nation is
-        # the lowest supplier nationkey inside the region
-        "q8_national_market_share":
-            "WITH rn AS (SELECT n_nationkey FROM nation JOIN region "
-            "  ON n_regionkey = r_regionkey WHERE r_name = 'ASIA'), "
-            "sn AS (SELECT MIN(s_nationkey) AS k FROM supplier "
-            "  WHERE s_nationkey IN (SELECT n_nationkey FROM rn)), "
-            "rows_ AS (SELECT CAST(year(l_shipdate) AS BIGINT) AS "
-            "  l_year, CAST(FLOOR(l_extendedprice * (1 - l_discount) "
-            "  * 100 + 0.5) AS BIGINT) AS cents, "
-            "  CASE WHEN s_nationkey = (SELECT k FROM sn) THEN 1 "
-            "  ELSE 0 END AS isn "
-            "  FROM lineitem, orders, customer, supplier "
-            "  WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey "
-            "  AND l_suppkey = s_suppkey "
-            "  AND c_nationkey IN (SELECT n_nationkey FROM rn) "
-            "  AND l_shipdate >= TIMESTAMP '1996-01-01' "
-            "  AND l_shipdate < TIMESTAMP '1998-01-01') "
-            "SELECT l_year, CAST(SUM(cents * isn) * 10000 "
-            "// SUM(cents) AS BIGINT) AS share_bp, "
-            "CAST(SUM(cents * isn) AS BIGINT) AS nation_cents, "
-            "CAST(SUM(cents) AS BIGINT) AS total_cents "
-            "FROM rows_ GROUP BY l_year",
-        # q21_waiting_suppliers: grouped EXISTS/NOT-EXISTS — finished
-        # orders where the supplier was the ONLY one with a returned
-        # line while the order had other suppliers
-        "q21_waiting_suppliers":
-            "WITH f AS (SELECT o_orderkey FROM orders "
-            "  WHERE o_orderstatus = 'F'), "
-            "w AS (SELECT DISTINCT l1.l_orderkey, l1.l_suppkey "
-            "  FROM lineitem l1 JOIN f ON f.o_orderkey = l1.l_orderkey "
-            "  WHERE l1.l_returnflag = 'R' "
-            "  AND EXISTS (SELECT 1 FROM lineitem l2 "
-            "    WHERE l2.l_orderkey = l1.l_orderkey "
-            "    AND l2.l_suppkey <> l1.l_suppkey) "
-            "  AND NOT EXISTS (SELECT 1 FROM lineitem l3 "
-            "    WHERE l3.l_orderkey = l1.l_orderkey "
-            "    AND l3.l_suppkey <> l1.l_suppkey "
-            "    AND l3.l_returnflag = 'R')) "
-            "SELECT s_name, COUNT(*) AS numwait FROM w "
-            "JOIN supplier ON s_suppkey = l_suppkey GROUP BY s_name",
-        # q11_important_parts: HAVING against a global scalar of the
-        # SAME aggregate — parts with value > 1.2x the per-part mean,
-        # compared by integer cross-multiplication
-        "q11_important_parts":
-            "WITH v AS (SELECT l_partkey AS p_partkey, "
-            "  CAST(SUM(CAST(FLOOR(l_extendedprice * 100 + 0.5) "
-            "  AS BIGINT)) AS BIGINT) AS value_cents "
-            "  FROM lineitem GROUP BY l_partkey) "
-            "SELECT p_partkey, value_cents FROM v "
-            "WHERE value_cents * (SELECT COUNT(*) FROM v) * 10 "
-            "> (SELECT SUM(value_cents) FROM v) * 12",
-        # q20_concentrated_suppliers: per-(supplier, part) two-window
-        # quantity comparison (more than half of everything the
-        # supplier ever shipped of the part went out inside the year),
-        # collapsed to DISTINCT suppliers
-        "q20_concentrated_suppliers":
-            "WITH q AS (SELECT l_suppkey, l_partkey, "
-            "  SUM(CASE WHEN l_shipdate >= TIMESTAMP '1996-01-01' "
-            "    AND l_shipdate < TIMESTAMP '1997-01-01' "
-            "    THEN CAST(l_quantity AS BIGINT) ELSE 0 END) AS q96, "
-            "  SUM(CAST(l_quantity AS BIGINT)) AS qall "
-            "  FROM lineitem GROUP BY l_suppkey, l_partkey) "
-            "SELECT DISTINCT s_suppkey, s_name FROM q "
-            "JOIN supplier ON s_suppkey = l_suppkey "
-            "WHERE 2 * q96 > qall",
-        # e_funnel_counts: ordered-sequence (funnel) matching — users
-        # reaching each stage in order, min-after-within-deadline
-        # semantics (stage k counts a stage-k event at-or-after the
-        # earliest stage-(k-1) completion and within 2 days of it)
-        "e_funnel_counts":
-            "WITH s1 AS (SELECT user_id, MIN(ts) AS t1 FROM events "
-            "  WHERE event_type = 'signup' GROUP BY user_id), "
-            "s2 AS (SELECT e.user_id, MIN(ts) AS t2 FROM events e "
-            "  JOIN s1 ON e.user_id = s1.user_id "
-            "  WHERE event_type = 'click' AND ts >= t1 "
-            "  AND epoch_us(ts) - epoch_us(t1) <= 172800000000 "
-            "  GROUP BY e.user_id), "
-            "s3 AS (SELECT e.user_id, MIN(ts) AS t3 FROM events e "
-            "  JOIN s2 ON e.user_id = s2.user_id "
-            "  WHERE event_type = 'purchase' AND ts >= t2 "
-            "  AND epoch_us(ts) - epoch_us(t2) <= 172800000000 "
-            "  GROUP BY e.user_id) "
-            "SELECT stage, n_users FROM ("
-            "  SELECT 1 AS stage, COUNT(*) AS n_users FROM s1 "
-            "  UNION ALL SELECT 2, COUNT(*) FROM s2 "
-            "  UNION ALL SELECT 3, COUNT(*) FROM s3)",
-        # t_tfidf_top_terms: integer-exact tf-idf surrogate
-        # (tf * N // df — no float log) with ties to token ascending
-        "t_tfidf_top_terms":
-            "WITH toks AS (SELECT doc_id, unnest("
-            "  regexp_extract_all(text, '\\S+')) AS token "
-            "  FROM documents), "
-            "tf AS (SELECT doc_id, token, COUNT(*) AS tf FROM toks "
-            "  GROUP BY doc_id, token), "
-            "df AS (SELECT token, COUNT(DISTINCT doc_id) AS df "
-            "  FROM toks GROUP BY token), "
-            "n AS (SELECT COUNT(*) AS n FROM documents), "
-            "sc AS (SELECT doc_id, token, "
-            "  CAST(tf * (SELECT n FROM n) // df AS BIGINT) AS score "
-            "  FROM tf JOIN df USING (token)) "
-            "SELECT doc_id, token, score, CAST(rn AS BIGINT) AS rank "
-            "FROM (SELECT *, ROW_NUMBER() OVER (PARTITION BY doc_id "
-            "  ORDER BY score DESC, token) AS rn FROM sc) "
-            "WHERE rn <= 2",
-        # t_pack_sequences: streaming concat packing — global exclusive
-        # prefix sum over doc_id order, bins of 2048 tokens
-        "t_pack_sequences":
-            "WITH s AS (SELECT doc_id, "
-            "  len(regexp_extract_all(text, '\\S+')) AS n "
-            "  FROM documents), "
-            "c AS (SELECT doc_id, n, COALESCE(SUM(n) OVER ("
-            "  ORDER BY doc_id ROWS BETWEEN UNBOUNDED PRECEDING "
-            "  AND 1 PRECEDING), 0) AS cb FROM s) "
-            "SELECT doc_id, CAST(n AS BIGINT) AS n_tokens, "
-            "CAST(cb // 2048 AS BIGINT) AS bin_id, "
-            "CAST(cb % 2048 AS BIGINT) AS offset_tokens FROM c",
-        # t_posting_lists: inverted index — exact df, first-20 doc_ids
-        # ascending comma-joined (the posting-list truncation)
-        "t_posting_lists":
-            "WITH pairs AS (SELECT DISTINCT token, doc_id FROM ("
-            "  SELECT doc_id, unnest(regexp_extract_all(text, "
-            "  '\\S+')) AS token FROM documents)), "
-            "r AS (SELECT token, doc_id, ROW_NUMBER() OVER ("
-            "  PARTITION BY token ORDER BY doc_id) AS rn FROM pairs), "
-            "agg AS (SELECT token, COUNT(*) AS n_docs FROM pairs "
-            "  GROUP BY token) "
-            "SELECT a.token, CAST(a.n_docs AS BIGINT) AS n_docs, "
-            "string_agg(CAST(r.doc_id AS VARCHAR), ',' "
-            "  ORDER BY r.doc_id) AS postings "
-            "FROM agg a JOIN r ON r.token = a.token AND r.rn <= 20 "
-            "GROUP BY a.token, a.n_docs",
-        # t_leakfree_split: content-hash split — first 8 hex digits of
-        # the normalized-text sha256 rebuilt as an integer from digit
-        # arithmetic (the HLL-oracle trick), val when % 10 == 0
-        "t_leakfree_split":
-            "WITH h AS (SELECT doc_id, sha256(lower(trim("
-            "  regexp_replace(text, '\\s+', ' ', 'g'), ' '))) AS hx "
-            "  FROM documents), "
-            "v AS (SELECT doc_id, "
-            + " + ".join(
-                f"(strpos('0123456789abcdef', substr(hx, {i + 1}, 1)) "
-                f"- 1) * {16 ** (7 - i)}" for i in range(8)) +
-            " AS w FROM h) "
-            "SELECT doc_id, CASE WHEN w % 10 = 0 THEN 'val' "
-            "ELSE 'train' END AS split FROM v",
-        # e_retention_cohorts: cohort = calendar day of the user's
-        # first event (integer epoch-day arithmetic, no tz); one row
-        # per (cohort, offset) with distinct returning users
-        "e_retention_cohorts":
-            "WITH p AS (SELECT DISTINCT user_id, "
-            "  epoch_us(ts) // 86400000000 AS day FROM events), "
-            "c AS (SELECT user_id, MIN(day) AS cohort FROM p "
-            "  GROUP BY user_id) "
-            "SELECT CAST(cohort AS BIGINT) AS cohort_day, "
-            "CAST(day - cohort AS BIGINT) AS day_offset, "
-            "COUNT(*) AS n_users "
-            "FROM p JOIN c USING (user_id) "
-            "GROUP BY cohort, day - cohort",
-        # t_quality_weighted_sample: CCNet-style importance sampler —
-        # keep rate from the stopword fluency proxy, keep decision from
-        # the first 16 bits of sha256(text) rebuilt by digit arithmetic
-        "t_quality_weighted_sample":
-            "WITH q AS (SELECT doc_id, sha256(text) AS hx, "
-            "  LEAST(2000 + 400 * len(regexp_extract_all(lower(text), "
-            "  '\\b(the|a|and|of|in|to|is|for|on|with)\\b')), 9000) "
-            "  AS rate FROM documents) "
-            f"SELECT doc_id, CAST(rate AS BIGINT) AS keep_rate_bp, "
-            f"(({_sha_hex_word(1)}) % 10000) < rate AS sampled FROM q",
-        # q9_product_type_profit: two-dimension attach + (nation, year)
-        # rollup — profit = discounted revenue (no partsupp supplycost
-        # in the synthetic schema)
-        "q9_product_type_profit":
-            "SELECT n_name AS nation, "
-            "CAST(year(l_shipdate) AS BIGINT) AS o_year, "
-            "CAST(SUM(CAST(FLOOR(l_extendedprice * (1 - l_discount) "
-            "* 100 + 0.5) AS BIGINT)) AS BIGINT) AS profit_cents "
-            "FROM lineitem JOIN part ON p_partkey = l_partkey "
-            "JOIN supplier ON s_suppkey = l_suppkey "
-            "JOIN nation ON n_nationkey = s_nationkey "
-            "WHERE p_name LIKE '%widget%' "
-            "GROUP BY n_name, year(l_shipdate)",
-        # ann_topk_filtered: filtered vector search — candidates
-        # restricted to label % 2 == 0 BEFORE ranking (filter-then-
-        # search, not post-filtering), same tie rule as the unfiltered
-        # operator
-        "ann_topk_filtered":
-            "WITH q AS (SELECT vec_id AS query_id, embedding AS qe "
-            "  FROM embeddings ORDER BY vec_id LIMIT 8) "
-            "SELECT query_id, neighbor_id, rank FROM ("
-            "  SELECT q.query_id, e.vec_id AS neighbor_id, "
-            "    ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "      list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), "
-            "                             CAST(q.qe AS DOUBLE[])) DESC, "
-            "      e.vec_id) AS rank "
-            "  FROM embeddings e, q "
-            "  WHERE e.vec_id <> q.query_id AND e.label % 2 = 0) "
-            "WHERE rank <= 10",
-        # emb_label_centroids: vector-valued aggregate — per-label
-        # embedding sums quantized PER ROW (floor(1e6 * x)) so the
-        # distributed integer sum is order-independent
-        "emb_label_centroids":
-            "WITH ex AS (SELECT label, unnest(embedding) AS x, "
-            "  unnest(generate_series(1, len(embedding))) AS i "
-            "  FROM embeddings) "
-            "SELECT CAST(label AS BIGINT) AS label, "
-            "CAST(i - 1 AS BIGINT) AS dim, "
-            "CAST(SUM(CAST(FLOOR(CAST(x AS DOUBLE) * 1000000) "
-            "  AS BIGINT)) AS BIGINT) AS sum_q, "
-            "COUNT(*) AS n_vecs FROM ex GROUP BY label, i",
-        # t_fuzzy_decontaminate: GPT-3-style fuzzy overlap check —
-        # 5-gram Jaccard >= 0.5 (integer cross-multiplication) against
-        # some benchmark doc (doc_id % 29 == 0, self excluded)
-        "t_fuzzy_decontaminate":
-            "WITH toks AS (SELECT doc_id, "
-            "  regexp_split_to_array(trim(text), '\\s+') AS t "
-            "  FROM documents), "
-            "grams AS (SELECT DISTINCT doc_id, t[i] || ' ' || t[i+1] "
-            "  || ' ' || t[i+2] || ' ' || t[i+3] || ' ' || t[i+4] AS g "
-            "  FROM (SELECT doc_id, t, "
-            "    unnest(generate_series(1, len(t) - 4)) AS i FROM toks)), "
-            "cnt AS (SELECT doc_id, COUNT(*) AS na FROM grams "
-            "  GROUP BY doc_id), "
-            "bench AS (SELECT doc_id AS b_id, g FROM grams "
-            "  WHERE doc_id % 29 = 0), "
-            "bcnt AS (SELECT b_id, COUNT(*) AS nb FROM bench "
-            "  GROUP BY b_id), "
-            "inter AS (SELECT grams.doc_id AS d, bench.b_id, "
-            "  COUNT(*) AS i FROM grams JOIN bench USING (g) "
-            "  WHERE grams.doc_id <> bench.b_id GROUP BY 1, 2), "
-            "hits AS (SELECT d, COUNT(*) AS nf FROM inter "
-            "  JOIN cnt ON cnt.doc_id = d JOIN bcnt USING (b_id) "
-            "  WHERE i * 10000 >= 5000 * (cnt.na + bcnt.nb - i) "
-            "  GROUP BY d) "
-            "SELECT documents.doc_id, "
-            "CAST(COALESCE(nf, 0) AS BIGINT) AS n_flagged_bench, "
-            "COALESCE(nf, 0) > 0 AS fuzzy_contaminated "
-            "FROM documents LEFT JOIN hits ON hits.d = documents.doc_id",
-        # e_value_mad_outliers: robust (median/MAD) outliers per event
-        # type — both medians are quantile_disc (Type-1) over integer
-        # cents, outlier when |x - med| > 5 * mad
-        "e_value_mad_outliers":
-            "WITH b AS (SELECT event_type, "
-            "  CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS cents "
-            "  FROM events), "
-            "m AS (SELECT event_type, quantile_disc(cents, 0.5) AS med "
-            "  FROM b GROUP BY event_type), "
-            "d AS (SELECT b.event_type, ABS(cents - med) AS dev "
-            "  FROM b JOIN m USING (event_type)), "
-            "md AS (SELECT event_type, quantile_disc(dev, 0.5) AS mad "
-            "  FROM d GROUP BY event_type) "
-            "SELECT m.event_type, CAST(med AS BIGINT) AS median_cents, "
-            "CAST(mad AS BIGINT) AS mad_cents, "
-            "CAST((SELECT COUNT(*) FROM d WHERE d.event_type = "
-            "  m.event_type AND dev > 5 * mad) AS BIGINT) AS n_outliers "
-            "FROM m JOIN md ON md.event_type = m.event_type",
-    }
+def minhash_lsh_clusters(sf_dir: str, out_dir: str,
+                         cfg: DedupConfig | None = None) -> ray.data.Dataset:
+    """The full flagship pipeline (signatures -> salted LSH -> verify ->
+    substring -> CC -> canonical) over documents. Returns
+    (doc_id, cluster_id) with cluster_id = min doc_id of the component
+    (stable, human-readable)."""
+    cfg = cfg or DedupConfig()
+    shutil.rmtree(out_dir, ignore_errors=True)
+
+    staged = os.path.join(out_dir, "_input")
+    os.makedirs(staged, exist_ok=True)
+    documents_as_files(sf_dir).write_parquet(staged)
+
+    res = run_pipeline(staged, out_dir, cfg)
+    clusters = res["clusters"]
+
+    def doc_ids(t: pa.Table) -> pa.Table:
+        dids = pc.cast(pc.utf8_slice_codeunits(t["path"], 4, 2**31 - 1),
+                       pa.int64())
+        return pa.table({"doc_id": dids, "cluster_key": t["cluster_id"]})
+
+    labeled = clusters.map_batches(doc_ids, batch_format="pyarrow")
+
+    # relabel via the raw-task hash shuffle + one vectorized segment-min
+    # per partition, not a sort-based groupby().map_groups
+    out_schema = pa.schema([("doc_id", pa.int64()),
+                            ("cluster_id", pa.int64())])
+
+    def relabel_block(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return pd.DataFrame(
+                {"doc_id": pd.Series([], dtype=np.int64),
+                 "cluster_id": pd.Series([], dtype=np.int64)})
+        df = df.sort_values("cluster_key", kind="mergesort")
+        keys = df["cluster_key"].to_numpy()
+        dids = df["doc_id"].to_numpy(np.int64)
+        starts = np.flatnonzero(group_starts(keys))
+        sizes = np.diff(np.append(starts, len(dids)))
+        mins = np.minimum.reduceat(dids, starts)
+        return pd.DataFrame({"doc_id": dids,
+                             "cluster_id": np.repeat(mins, sizes)})
+
+    return partitioned_group_map(labeled, ["cluster_key"], relabel_block,
+                                 cfg.resolved().num_partitions,
+                                 out_schema=out_schema)

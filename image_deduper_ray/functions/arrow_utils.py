@@ -50,23 +50,6 @@ def arrow_schema_of(ds) -> pa.Schema | None:
     return pa.schema(fields)
 
 
-def collect_arrow(ds, schema: pa.Schema) -> pa.Table:
-    """Materialize a (small) Dataset result as one Arrow table with a
-    guaranteed schema. Ray 2.49's ``Dataset.to_pandas()`` returns a
-    column-less frame for zero-row datasets, which breaks downstream
-    schema checks — use this for final, possibly-empty query results
-    only (never mid-pipeline)."""
-    import ray
-
-    tables = [t if isinstance(t, pa.Table) else pa.Table.from_pandas(t)
-              for t in ray.get(ds.to_arrow_refs())]
-    tables = [ensure_schema(t.select(schema.names), schema)
-              for t in tables if t.num_rows > 0]
-    if not tables:
-        return schema.empty_table()
-    return pa.concat_tables(tables)
-
-
 def rename_drop(tb: pa.Table, renames: dict[str, str], drops: tuple[str, ...]) -> pa.Table:
     names = [renames.get(c, c) for c in tb.column_names]
     tb = tb.rename_columns(names)

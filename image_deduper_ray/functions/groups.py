@@ -389,19 +389,6 @@ def group_starts(*key_arrays: np.ndarray) -> np.ndarray:
     return new
 
 
-def segmented_rank(*key_arrays: np.ndarray) -> np.ndarray:
-    """1-based rank of each row within its run of equal keys, for
-    already-sorted key arrays — the vectorized ROW_NUMBER() OVER
-    (PARTITION BY keys) for block functions (top-N per group, quota
-    sampling)."""
-    new = group_starts(*key_arrays)
-    if len(new) == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.flatnonzero(new)
-    gidx = np.cumsum(new, dtype=np.int64) - 1
-    return np.arange(len(new), dtype=np.int64) - starts[gidx] + 1
-
-
 def csr_expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand per-row half-open ranges [lo_i, hi_i) into flat gather
     indices: returns (row_idx, take) where ``take`` concatenates every

@@ -4,8 +4,8 @@ The sha256 column is the analog of the reference's blake3 cryptographic
 hash (/root/reference/crates/image-deduper-core/src/processing/core.rs:10-33);
 BASELINE.json's per-row invariant requires ``sha256(content)`` equality,
 so we use hashlib.sha256 over the UTF-8 bytes of ``content`` — the same
-value DuckDB's ``sha256(text)`` yields, which is what the driver's
-oracle checks.
+value DuckDB's ``sha256(text)`` yields (tests/test_functions.py checks
+it).
 
 ``file_id`` is the stable primary key (SURVEY.md §1.2): the reference
 keys its RocksDB rows by path (db.rs:79-85); at 10^12-file scale a

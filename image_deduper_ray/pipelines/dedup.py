@@ -76,9 +76,10 @@ from ..functions.joins import broadcast_join, collect_under_cap
 from ..sources import checkpoints as ckpt
 from ..sources.files import (UNIT_SCHEMA, input_units, read_content,
                              read_unit)
-# the scan reads its input through ``sign_input``'s tasks;
-# perfbench/tracing.py wraps ``dedup.read_files`` by name: ROADMAP item 3
-# drops it
+# the scan reads its input through ``sign_input``'s tasks; this name
+# stays because the benchmark's tracer (perfbench/tracing.py) looks up
+# ``dedup.read_files`` with no default, and test_sources checks
+# ``read_content`` and the sign units against ``read_files``
 from ..sources.files import read_files  # noqa: F401
 from ..stages.canonical import canonical_actions
 from ..stages.cc import connected_components
@@ -108,8 +109,9 @@ STAGES = ("signatures", "edges_exact", "edges_sig", "pairs", "verified",
 EDGE_STAGES = STAGES[1:-2]
 
 
-# the scan signs with ``sign_input``'s plain tasks; perfbench/tracing.py
-# wraps this name and ``docdedup`` calls it: ROADMAP item 3 deletes it
+# the scan signs with ``sign_input``'s plain tasks; this stays because
+# the benchmark's tracer (perfbench/tracing.py) looks the name up with
+# no default
 def compute_signatures(files: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     # plain tasks, not an actor pool: no worker holds a CPU between
     # batches, so the read and the next stage always find one

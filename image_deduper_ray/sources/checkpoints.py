@@ -73,31 +73,22 @@ def _write_blocks(ds: MaterializedDataset, d: str, schema) -> None:
              for i, ref in enumerate(refs)])
 
 
-def write_stage(ds: ray.data.Dataset, root: str, stage: str,
+def write_stage(ds: MaterializedDataset, root: str, stage: str,
                 config_json: str = "", extra: dict | None = None,
                 schema=None) -> dict:
-    """Write a stage checkpoint, then its manifest; returns the manifest.
+    """Write a materialized stage checkpoint, then its manifest; returns
+    the manifest.
 
-    A materialized Dataset is written block by block with plain tasks,
-    no Ray Data job: the caller keeps it and feeds the next stage from
-    memory, so nothing re-reads the parts in the run that wrote them. A
-    lazy Dataset streams through ``write_parquet``; the scan writes
-    none (its ``signatures`` tasks write their own parts, and
-    ``write_manifest`` completes the stage), and ROADMAP item 3 deletes
-    that branch. ``schema`` is the
-    caller-declared schema, used when the Dataset reports none (an
-    executed-empty Dataset in Ray 2.49)."""
+    The blocks are written with plain tasks, no Ray Data job: the caller
+    keeps the dataset and feeds the next stage from memory, so nothing
+    re-reads the parts in the run that wrote them. (The ``signatures``
+    tasks write their own parts, and ``write_manifest`` completes that
+    stage.) ``schema`` is the caller-declared schema, used when the
+    Dataset reports none (an executed-empty Dataset in Ray 2.49)."""
     d = stage_dir(root, stage)
     os.makedirs(d, exist_ok=True)
-    if isinstance(ds, MaterializedDataset):
-        target = schema if ds.schema() is None else arrow_schema_of(ds)
-        _write_blocks(ds, d, target.remove_metadata())
-    else:
-        ds.write_parquet(d)
-        if not any(f.endswith(".parquet") for f in os.listdir(d)):
-            # zero-row dataset: persist the schema so readers still work
-            pq.write_table((schema or arrow_schema_of(ds)).empty_table(),
-                           os.path.join(d, "empty-0.parquet"))
+    target = schema if ds.schema() is None else arrow_schema_of(ds)
+    _write_blocks(ds, d, target.remove_metadata())
     return write_manifest(root, stage, config_json, extra)
 
 
@@ -202,9 +193,9 @@ def done_key_set(root: str, stage: str, key_col: str = "file_id") -> set[str]:
 
 
 # the scan drops done ids inside its signature tasks
-# (``files.read_unit(..., drop_ids=True)``); perfbench/tracing.py wraps
-# this name, and ``__ray_entry__`` and the tests call it: ROADMAP item 3
-# deletes it
+# (``files.read_unit(..., drop_ids=True)``). This stays: the benchmark's
+# tracer (perfbench/tracing.py) looks the name up with no default, and
+# it is the reference that test_checkpoints compares ``read_unit`` with
 def anti_join_done(ds: ray.data.Dataset, done_keys: set,
                    key_fn) -> ray.data.Dataset:
     """J1: discovered ∖ done. Broadcast the done-key set once

@@ -317,31 +317,3 @@ def read_content(paths: str | list[str], ids: pa.Array | None, *,
         counts["row_groups_total"] += n_groups
         counts["row_groups_read"] += n_read
     return ds, counts
-
-
-# extension -> canonical lang (detect_image_format analog,
-# file_processing.rs:214-231): used when the lang column is absent/dirty
-EXT_LANG = {"py": "py", "pyw": "py", "js": "js", "mjs": "js", "ts": "ts",
-            "go": "go", "rs": "rs", "c": "c", "h": "c", "cc": "cpp",
-            "cpp": "cpp", "hpp": "cpp", "java": "java", "rb": "rb",
-            "sh": "sh", "txt": "txt", "md": "md"}
-
-
-def with_path_ext(ds: ray.data.Dataset, *, normalize_lang: bool = False) -> ray.data.Dataset:
-    """Add ``ext`` (lowercased final extension of ``path``; '' if none —
-    get_file_extension analog, file_validation.rs:82-87) and optionally
-    ``lang_from_ext`` (M19 dict-normalized lang). Vectorized pyarrow
-    regex — no Python rows."""
-
-    def f(t: pa.Table) -> pa.Table:
-        m = pc.extract_regex(t["path"], r"\.(?P<ext>[A-Za-z0-9_]+)$")
-        ext = pc.if_else(pc.is_valid(m),
-                         pc.ascii_lower(pc.struct_field(m, "ext")), "")
-        t = t.append_column("ext", ext)
-        if normalize_lang:
-            lang = pa.array([EXT_LANG.get(e, "other")
-                             for e in ext.to_pylist()], pa.string())
-            t = t.append_column("lang_from_ext", lang)
-        return t
-
-    return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)

@@ -219,8 +219,6 @@ def materialize_tree(clusters: ray.data.Dataset, content_src,
     ``root/repo/path`` so ``apply_actions`` has a real tree to act on.
     ``content_src``: the files-table parquet path(s). Returns the file
     count. Driver-side loop — small corpora only."""
-    import pyarrow.parquet as pq
-
     want = set()
     for b in clusters.iter_batches(batch_size=8192, batch_format="pyarrow"):
         for r, p in zip(b["repo"].to_pylist(), b["path"].to_pylist()):

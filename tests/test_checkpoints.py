@@ -58,7 +58,7 @@ def test_sign_unit_drops_done_ids(tmp_path):
 def test_manifest_per_partition_lineage(tmp_path):
     from image_deduper_ray.sources import checkpoints as ckpt
 
-    ds = _files_ds(64)
+    ds = _files_ds(64).materialize()
     ckpt.write_stage(ds, str(tmp_path), "stagex")
     m = ckpt.read_manifest(str(tmp_path), "stagex")
     assert m["rows"] == 64

@@ -398,25 +398,6 @@ def test_broadcast_join_routes(how, key_type):
         assert (reference(right).k == conv(9)).sum() == 2   # expanded
 
 
-def test_packed_keys_negative_ids_take_fallback():
-    """Negative user ids pass a bit_length check (magnitude only) but
-    would corrupt the packed band ordering — _packed_keys must refuse
-    them so the temporal joins route to the per-user-segment fallback."""
-    import numpy as np
-    from image_deduper_ray.pipelines.events import _packed_keys
-
-    u = np.array([5, -3, 9], dtype=np.int64)
-    dt = np.array([10, 20, 30], dtype=np.int64)
-    keys, _ = _packed_keys(u, dt)
-    assert keys is None
-
-    ok, span = _packed_keys(np.abs(u), dt)
-    assert ok is not None
-    # packed keys sort by (user, dt)
-    order = np.argsort(ok, kind="stable")
-    assert list(np.abs(u)[order]) == [3, 5, 9]
-
-
 def test_safe_coalesce_misaligned_chunks():
     """pyarrow 16.1.0's coalesce kernel leaks masked-out garbage values
     through the validity bitmap when its two arguments have MISALIGNED

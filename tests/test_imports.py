@@ -1,9 +1,11 @@
-"""Every relative import in the package resolves (no Ray, no imports run).
+"""Static checks of the package's imports (no Ray, no imports run).
 
 Many imports in ``image_deduper_ray`` sit inside functions, often on a
 fallback path that only runs past a size cap. A dangling one would fail
 only when that path runs, so each ``from .x import y`` is checked
-statically: the target module must exist and define ``y``.
+statically: the target module must exist and define ``y``. And every
+module must be imported, directly or in turn, from the scan's entry
+modules: code the scan does not use is deleted, not kept up to date.
 """
 
 from __future__ import annotations
@@ -78,3 +80,50 @@ def test_relative_import_resolves(importer, target, name):
         return
     assert name in _top_level_names(f), \
         f"{importer}: {'.'.join(target)} defines no {name}"
+
+
+# the modules the scan and its CLI start from; the package ``__init__``
+# is ``()``
+SCAN_ROOTS = [(), ("__main__",), ("pipelines", "dedup"),
+              ("pipelines", "oracle"), ("corpus",)]
+
+
+def _imported_modules(f: Path) -> set[tuple[str, ...]]:
+    """The package modules ``f`` imports, relatively or by their
+    ``image_deduper_ray.`` name, at any nesting depth."""
+    here = list(f.relative_to(PKG).parent.parts)
+    out = set()
+    for node in ast.walk(ast.parse(f.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(tuple(a.name.split(".")[1:]) for a in node.names
+                       if a.name.split(".")[0] == PKG.name)
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        mod = (node.module or "").split(".")
+        if node.level:
+            base = here[:len(here) - node.level + 1] + [m for m in mod if m]
+        elif mod[0] == PKG.name:
+            base = mod[1:]
+        else:
+            continue
+        out.add(tuple(base))
+        out.update(tuple(base + [a.name]) for a in node.names
+                   if _module_file(base + [a.name]) is not None)
+    return out
+
+
+def test_every_module_is_reachable_from_the_scan():
+    seen: set[tuple[str, ...]] = set()
+    todo = list(SCAN_ROOTS)
+    while todo:
+        m = todo.pop()
+        if m in seen:
+            continue
+        seen.add(m)
+        f = _module_file(list(m))
+        assert f is not None, f"no module {'.'.join(m)}"
+        todo += _imported_modules(f)
+    modules = {f.relative_to(PKG).with_suffix("").parts
+               for f in PKG.rglob("*.py") if f.name != "__init__.py"}
+    assert sorted(".".join(m) for m in modules - seen) == []

@@ -878,3 +878,15 @@ def test_one_cpu_session_does_not_hang(tmp_path):
     assert proc.returncode == 0, err[-2000:]
     table, _ = generate_corpus(N_CLUSTERS)
     assert int(out.strip().splitlines()[-1]) == table.num_rows
+
+
+def test_entry_smoke():
+    import pandas as pd
+
+    import __ray_entry__ as entry
+
+    ds = entry.entry()
+    df = ds.to_pandas() if hasattr(ds, "to_pandas") else pd.DataFrame(ds)
+    assert len(df) >= 0
+    assert {"doc_id", "cluster_id"} <= set(df.columns)
+    assert len(df) == 500

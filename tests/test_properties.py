@@ -69,89 +69,3 @@ def test_sha256_column_matches_python_hashlib(x, y):
     assert got[0] == hashlib.sha256(x.encode("utf-8", "surrogatepass")).hexdigest()
     assert (got[0] == got[1]) == (
         x.encode("utf-8", "surrogatepass") == y.encode("utf-8", "surrogatepass"))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 24), st.integers(1, 16), st.integers(0, 2**32 - 1))
-def test_bmp_roundtrip_any_dims(w, h, seed):
-    """encode/decode must round-trip for every width (padding!) and
-    height, including single-pixel rows and widths straddling the
-    4-byte stride boundary."""
-    from image_deduper_ray.stages.multimodal import decode_bmp, encode_bmp_24
-
-    rng = np.random.default_rng(seed)
-    px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-    w2, h2, out = decode_bmp(encode_bmp_24(px))
-    assert (w2, h2) == (w, h)
-    np.testing.assert_array_equal(out, px)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 16), st.integers(1, 12), st.integers(0, 4),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_png_roundtrip_any_dims_filters(w, h, filter_type, rgba, seed):
-    """encode_png/decode_png must round-trip for every dimension, both
-    RGB and RGBA, under every row-filter type (None/Sub/Up/Average/
-    Paeth) — the unfilter recurrences are the risky part."""
-    from image_deduper_ray.stages.multimodal import decode_png, encode_png
-
-    rng = np.random.default_rng(seed)
-    c = 4 if rgba else 3
-    px = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
-    w2, h2, out = decode_png(encode_png(px, filter_type=filter_type))
-    assert (w2, h2) == (w, h)
-    np.testing.assert_array_equal(out, px)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.text(alphabet=st.sampled_from("ab cd\nef\t"),
-                        max_size=80), min_size=1, max_size=12))
-def test_distinct_word_ngrams_matches_python_split(texts):
-    """The vectorized gram explode must agree with the plain-Python
-    reference (str.split + set of joined 3-grams) for arbitrary
-    whitespace shapes — the invariant every gram-based oracle rests
-    on."""
-    import pyarrow as pa
-    from image_deduper_ray.pipelines.docdedup import (
-        _distinct_word_ngrams_batch)
-
-    t = pa.table({"text": pa.array(texts, pa.string())})
-    d, gram = _distinct_word_ngrams_batch(t, 3)
-    got: dict[int, set] = {}
-    if d is not None:
-        for pos, g in zip(d, gram):
-            got.setdefault(int(pos), set()).add(g)
-    for i, s in enumerate(texts):
-        toks = s.split()
-        want = {" ".join(toks[j:j + 3]) for j in range(len(toks) - 2)}
-        assert got.get(i, set()) == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.binary(max_size=4000))
-def test_gif_lzw_roundtrip_arbitrary_bytes(mcs, raw):
-    """GIF LZW must invert itself for ANY index stream whose symbols
-    fit the minimum code size — including streams long enough to grow
-    the code width and pathological repetition."""
-    from image_deduper_ray.stages.gifcodec import (gif_lzw_decode,
-                                                   gif_lzw_encode)
-
-    data = bytes(b % (1 << mcs) for b in raw)
-    assert gif_lzw_decode(gif_lzw_encode(data, mcs), mcs) == data
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 24), st.integers(1, 16), st.booleans(),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_gif_roundtrip_any_dims(w, h, interlace, local, seed):
-    """encode_gif -> decode_gif is pixel-exact for any dimensions and
-    any palette size <= 256, across interlace and table placement."""
-    from image_deduper_ray.stages.gifcodec import decode_gif, encode_gif
-
-    rng = np.random.default_rng(seed)
-    # bounded palette: quantize to 64 possible colors
-    px = (rng.integers(0, 4, size=(h, w, 3)) * 85).astype(np.uint8)
-    payload = encode_gif(px, interlace=interlace, local_palette=local)
-    w2, h2, out = decode_gif(payload)
-    assert (w2, h2) == (w, h)
-    np.testing.assert_array_equal(out, px)

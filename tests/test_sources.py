@@ -11,8 +11,7 @@ import pytest
 import ray.data
 
 from image_deduper_ray.sources.files import (CONTENT_SCHEMA, add_file_id,
-                                             read_content, read_files,
-                                             with_path_ext)
+                                             read_content, read_files)
 
 
 def _write(tmp_path):
@@ -40,18 +39,6 @@ def test_lang_pushdown_and_filters(tmp_path):
 
     got3 = read_files(p, include_hidden=True, langs=["py"]).to_pandas()
     assert sorted(got3.path) == [".hidden/c.py", "src/.d.py", "src/a.py"]
-
-
-def test_with_path_ext(tmp_path):
-    p = _write(tmp_path)
-    ds = with_path_ext(read_files(p, include_hidden=True),
-                       normalize_lang=True)
-    df = ds.to_pandas().set_index("path")
-    assert df.loc["src/a.py", "ext"] == "py"
-    assert df.loc["src/e.RS", "ext"] == "rs"
-    assert df.loc["src/noext", "ext"] == ""
-    assert df.loc["src/e.RS", "lang_from_ext"] == "rs"
-    assert df.loc["src/noext", "lang_from_ext"] == "other"
 
 
 def test_row_format_sources_match_parquet(tmp_path):
