@@ -50,9 +50,11 @@ class DedupConfig:
 
     # --- batch / scale knobs ---
     sig_batch_size: int = 512        # rows per signature task batch
-    # reducer count of every hash shuffle (LSH pair-gen, the join route
-    # of every broadcast, CC, canonical pick): None = one per cluster
-    # CPU, filled by resolved() (functions/groups.default_partitions)
+    # cap on the reducer count of every hash shuffle (LSH pair-gen, the
+    # join route of every broadcast, CC, canonical pick): None = one per
+    # cluster CPU, filled by resolved() (functions/groups.
+    # default_partitions). Below it a shuffle runs one reducer per
+    # functions/groups.ROWS_PER_TASK rows, so a small one is one task
     num_partitions: int | None = None
     # byte cap of every small-side broadcast (functions/joins.
     # broadcast_join, verify_pairs' signature matrix): past it each

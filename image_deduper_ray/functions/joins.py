@@ -145,20 +145,20 @@ def collect_under_cap(ds: ray.data.Dataset,
     pipeline. Empty blocks are skipped (Ray 2.49's can arrive
     schema-less); an all-empty dataset gives its schema's empty table."""
     from .arrow_utils import as_table
+    from .groups import blocks_of
 
     refs = []
     total = 0
     schema = None
-    for bundle in ds.iter_internal_ref_bundles():
-        if schema is None and isinstance(bundle.schema, pa.Schema):
-            schema = bundle.schema
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            total += meta.size_bytes or 0
-            if total > max_bytes:
-                return None
-            refs.append(ref)
+    for ref, meta, block_schema in blocks_of(ds):
+        if schema is None and isinstance(block_schema, pa.Schema):
+            schema = block_schema
+        if meta.num_rows == 0:
+            continue
+        total += meta.size_bytes or 0
+        if total > max_bytes:
+            return None
+        refs.append(ref)
     if refs:
         return pa.concat_tables(
             [as_table(b) for b in ray.get(refs)]).combine_chunks()
@@ -194,7 +194,7 @@ def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
     reported) attaches no columns — Ray 2.49 reports the schema from
     BEFORE a transform of an executed-empty dataset, so pass an empty
     right side untransformed."""
-    from .groups import map_blocks
+    from .groups import map_blocks, materialized
 
     if how not in _JOIN_TYPES:
         raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}, "
@@ -202,8 +202,7 @@ def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
     filtering = how in ("semi", "anti")     # right keys only
     rtbl = collect_under_cap(right, max_bytes)
     if rtbl is None:
-        if not isinstance(left, MaterializedDataset):
-            left = left.materialize()
+        left = materialized(left)
         rs = pa.schema([] if filtering else
                        [f for f in arrow_schema_of(right)
                         if f.name != key_right])

@@ -70,8 +70,8 @@ from ray.data.dataset import MaterializedDataset
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions.arrow_utils import ensure_schema, rename_drop
 from ..functions.groups import (_dataset_of, _with_meta, coalesce_blocks,
-                                default_partitions, map_blocks,
-                                table_dataset, union_blocks)
+                                map_blocks, materialized, table_dataset,
+                                union_blocks)
 from ..functions.joins import broadcast_join, collect_under_cap
 from ..sources import checkpoints as ckpt
 from ..sources.files import (UNIT_SCHEMA, input_units, read_content,
@@ -233,13 +233,15 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     def persist(ds_, name, schema=None):
         # clear first: a torn or stale earlier write must not mix in
         ckpt.clear_stage(out_dir, name)
-        # shuffle stages leave one small block per partition, a union
-        # the blocks of all its inputs: coalesce to one block per CPU,
-        # or every downstream consumer and the write pay a task (and
-        # the checkpoint a part) per tiny block
-        m = coalesce_blocks(ds_.materialize(), default_partitions())
-        ckpt.write_stage(m, out_dir, name, cfg_json, schema=schema)
+        # a fanned-out shuffle leaves one block per partition, a union
+        # the blocks of all its inputs: coalesce to one block per
+        # ``groups.ROWS_PER_TASK`` rows (at most one per CPU), or every
+        # downstream consumer and the write pay a task (and the
+        # checkpoint a part) per small block
+        m = coalesce_blocks(materialized(ds_))
+        manifest = ckpt.write_stage(m, out_dir, name, cfg_json, schema=schema)
         mem[name] = m
+        return len(manifest["partitions"])      # the parts written
 
     def rows_of(name):
         return ckpt.read_manifest(out_dir, name)["rows"]
@@ -274,8 +276,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("edges_exact"):
         with StageTimer(metrics, "edges_exact") as t:
             e = exact_dup_edges(sigs, cfg.num_partitions)
-            persist(e, "edges_exact", schema=_EDGE_SCHEMA)
-            t.done(rows_of("edges_exact"), partitions=cfg.num_partitions)
+            parts = persist(e, "edges_exact", schema=_EDGE_SCHEMA)
+            t.done(rows_of("edges_exact"), partitions=cfg.num_partitions,
+                   parts=parts)
 
     # -- LSH candidate pairs (A2 part 1, salted) --
     # signature-identical rows (exact copies AND reformat-only twins)
@@ -292,8 +295,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             persist(sig_edges, "edges_sig", schema=_EDGE_SCHEMA)
             rep_sigs = pack_signatures(reps, cfg)
             p = candidate_pairs(reps, cfg, rep_sigs)
-            persist(p, "pairs", schema=_PAIR_SCHEMA)
-            t.done(rows_of("pairs"), partitions=cfg.num_partitions)
+            parts = persist(p, "pairs", schema=_PAIR_SCHEMA)
+            t.done(rows_of("pairs"), partitions=cfg.num_partitions,
+                   parts=parts)
 
     # -- Jaccard verification (J4) --
     if not complete("verified"):
@@ -305,8 +309,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                     load("pairs"), sigs, cfg,
                     n_sigs=ckpt.read_manifest(out_dir, "signatures")["rows"],
                     packed=rep_sigs)
-            persist(v, "verified", schema=_VERIFIED_SCHEMA)
-            t.done(rows_of("verified"), partitions=cfg.num_partitions)
+            parts = persist(v, "verified", schema=_VERIFIED_SCHEMA)
+            t.done(rows_of("verified"), partitions=cfg.num_partitions,
+                   parts=parts)
     rep_sigs = None  # frees the broadcast's plasma objects
 
     # -- containment (suffix-array substring) edges --
@@ -378,12 +383,13 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                         return tb
 
                     ce = map_blocks(cands, attach, _EDGE_SCHEMA)
-            persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
+            parts = persist(ce, "edges_cont", schema=_EDGE_SCHEMA)
             # sub-step attribution (the metrics 'extra' column):
             # candidate-id collect, pruned content scan (with the input
             # files and row groups it read), and the remainder (attach
             # + verify + persist)
             t.done(rows_of("edges_cont"), partitions=cfg.num_partitions,
+                   parts=parts,
                    cand_ids_s=round(_t_ids, 2),
                    n_cand_ids=n_cand_ids, content_scan_s=round(_t_scan, 2),
                    **scan)
@@ -400,8 +406,8 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
                 [near] + [load(name) for name in
                           ("edges_exact", "edges_sig", "edges_cont")],
                 _EDGE_SCHEMA)
-            persist(all_edges, "edges", schema=_EDGE_SCHEMA)
-            t.done(rows_of("edges"))
+            parts = persist(all_edges, "edges", schema=_EDGE_SCHEMA)
+            t.done(rows_of("edges"), parts=parts)
 
     # -- connected components (A2 part 2) --
     if not complete("clusters"):
@@ -434,8 +440,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
             full = broadcast_attach_str(
                 meta, labels, "file_id", "file_id", "left",
                 cfg.broadcast_max_bytes, cfg.num_partitions, post=fill)
-            persist(full, "clusters")
+            parts = persist(full, "clusters")
             t.done(rows_of("clusters"), partitions=cfg.num_partitions,
+                   parts=parts,
                    cc_s=round(_t_cc, 2),
                    attach_write_s=round(_time.monotonic() - _t0 - _t_cc, 2))
 
@@ -443,8 +450,9 @@ def run_pipeline(input_paths, out_dir: str, cfg: DedupConfig = DEFAULT_CONFIG,
     if not complete("actions"):
         with StageTimer(metrics, "actions") as t:
             acts = canonical_actions(load("clusters"), cfg)
-            persist(acts, "actions")
-            t.done(rows_of("actions"), partitions=cfg.num_partitions)
+            parts = persist(acts, "actions")
+            t.done(rows_of("actions"), partitions=cfg.num_partitions,
+                   parts=parts)
 
     # a stage no stage of this run needed stays on disk until the
     # caller reads it

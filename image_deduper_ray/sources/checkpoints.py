@@ -28,7 +28,7 @@ import ray.data
 from ray.data.dataset import MaterializedDataset
 
 from ..functions.arrow_utils import arrow_schema_of
-from ..functions.groups import _dataset_of, _with_meta
+from ..functions.groups import _dataset_of, _with_meta, blocks_of
 
 MANIFEST = "_MANIFEST.json"
 
@@ -64,8 +64,7 @@ def _write_part(block, path: str, schema) -> None:
 def _write_blocks(ds: MaterializedDataset, d: str, schema) -> None:
     """One plain Ray task per non-empty block writes ``part-NNNNN``;
     a stage whose every block is empty gets one schema-only part."""
-    refs = [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    refs = [ref for ref, meta, _ in blocks_of(ds) if meta.num_rows != 0]
     if not refs:
         refs = [ray.put(schema.empty_table())]
     ray.get([_write_part.remote(ref, os.path.join(d, f"part-{i:05d}.parquet"),

@@ -11,7 +11,7 @@ Two execution paths, picked by the edge count alone:
   - driver union-find when the edge count is at most
     ``cfg.cc_driver_max_edges``: the candidate graph after
     verification is tiny relative to the input, so this is the common
-    fast path; edges stream to the driver via iter_batches.
+    fast path; the edge blocks are fetched to the driver by ref.
   - distributed min-label propagation past it (repeated shuffle
     rounds, cf. PAPERS.md 'connected components in map-reduce in
     logarithmic rounds'): per round, each node sends its current label
@@ -128,7 +128,7 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
     (string/int64) follows the edge schema."""
     import pyarrow as pa
 
-    from ..functions.groups import (group_starts, map_blocks,
+    from ..functions.groups import (group_starts, map_blocks, materialized,
                                     partitioned_group_map)
 
     P = cfg.num_partitions
@@ -139,8 +139,8 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
         return pa.table({"key": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
                          "neigh": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()])})
 
-    bidir = map_blocks(edges, to_bidir, pa.schema(
-        [("key", nt), ("neigh", nt)])).materialize()
+    bidir = materialized(map_blocks(edges, to_bidir, pa.schema(
+        [("key", nt), ("neigh", nt)])))
 
     # label seed: every node starts labeled with itself, one row per
     # DISTINCT node. Seed label == key, so min-per-key is just distinct
@@ -222,13 +222,13 @@ def connected_components(edges: ray.data.Dataset,
     up to ``cfg.cc_driver_max_edges`` edges, label propagation past it."""
     cfg = cfg.resolved()
     if edges.count() <= cfg.cc_driver_max_edges:
-        # no projection: the union-find reads ``a`` and ``b`` itself, and
-        # iterating a materialized ``edges`` then runs no Ray Data job
-        df = _driver_union_find(
-            edges.iter_batches(batch_size=65536, batch_format="pyarrow"))
         import pyarrow as pa
 
-        from ..functions.groups import table_dataset
+        from ..functions.groups import table_dataset, tables_of
+
+        # no projection: the union-find reads ``a`` and ``b`` itself, and
+        # the blocks of a materialized ``edges`` are fetched by ref
+        df = _driver_union_find(tables_of(edges))
 
         if df.empty:
             nt = _node_type(edges)

@@ -185,6 +185,12 @@ class ExplodeBands:
             self._hot_combos = np.empty(0, dtype=np.uint64)
             self._hot_nsub = np.empty(0, dtype=np.int64)
 
+    @property
+    def bands(self) -> int:
+        """Band rows per signature row: the regular and containment
+        bands."""
+        return self.cfg.lsh_bands + CONTAINMENT_PERMS // CONTAINMENT_ROWS
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         mask = pa.compute.not_equal(batch["sig_kind"], "empty")
@@ -283,7 +289,7 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
                         np.full(t.num_rows, k, dtype=np.int64))
         return partial(t.filter(pa.array(sel == 0)))
 
-    from ..functions.groups import partitioned_sum
+    from ..functions.groups import partitioned_sum, tables_of
 
     # partitioned vectorized sum — Ray's native groupby().sum() is a
     # full sort-based shuffle, ~10x slower on this narrow key shape.
@@ -295,8 +301,7 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
                               ("sum(partial)", pa.int64())]),
         pre=sample_counts)
     bids, bkeys, nsubs = [], [], []
-    for b in counts.iter_batches(batch_size=65536,
-                                 batch_format="pyarrow"):
+    for b in tables_of(counts):
         # the hot threshold, on the driver: the counts are one row per
         # sampled bucket
         b = b.filter(pa.compute.greater(b["sum(partial)"], threshold))
@@ -572,12 +577,13 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
             return _pairs_block(t, cfg,
                                 (*ray.get(index_ref), ray.get(mat_refs)))
 
-    # the band explode runs in the shuffle's map tasks; the output is
-    # materialized, so the cand and rep reads below both take its blocks
+    # the band explode runs in the shuffle's map tasks, which are sized
+    # by the band rows it makes; the output is materialized, so the cand
+    # and rep reads below both take its blocks
+    explode = ExplodeBands(cfg, hot_ref)
     raw = partitioned_group_map_arrow(
         sigs, ["band_id", "band_key", "salt"], pairs, cfg.num_partitions,
-        out_schema=_RAW_SCHEMA,
-        pre=ExplodeBands(cfg, hot_ref))
+        out_schema=_RAW_SCHEMA, pre=explode, pre_rows=explode.bands)
 
     def kind_rows(kind: str, cols: list[str]):
         return lambda t: t.filter(pc.equal(t["kind"], kind)).select(cols)

@@ -27,7 +27,7 @@ import ray
 import ray.data
 
 from ..config import DedupConfig
-from ..functions.groups import map_blocks
+from ..functions.groups import blocks_of, map_blocks, materialized
 
 # containment candidates must clear this estimated Jaccard before the
 # (content-joining) substring pass: real containment of ratio r has
@@ -152,12 +152,11 @@ def pack_signatures(sigs: ray.data.Dataset, cfg: DedupConfig):
     non-parallelizable term that caps N->4N scaling efficiency. Row
     gathers happen inside the parallel consumers (``gather_rows``),
     reading the part objects zero-copy from plasma."""
-    bundles = list(sigs.iter_internal_ref_bundles())
-    rows = sum(b.num_rows() or 0 for b in bundles)
+    blocks = list(blocks_of(sigs))
+    rows = sum(meta.num_rows or 0 for _, meta, _ in blocks)
     if rows * cfg.num_perms * 8 > cfg.broadcast_max_bytes:
         return None
-    packed = [_pack.remote(r, cfg.num_perms)
-              for b in bundles for r in b.block_refs]
+    packed = [_pack.remote(ref, cfg.num_perms) for ref, _, _ in blocks]
     return [i for i, _ in packed], [m for _, m in packed]
 
 
@@ -337,9 +336,9 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
 
     # materialized: consumed by hot-bucket counting AND band explode
     # (and the narrow projection is small next to the corpus)
-    reps = broadcast_join(
+    reps = materialized(broadcast_join(
         map_blocks(sigs, signed, rep_schema), sig_edges, "file_id", "b",
-        "anti", cfg.broadcast_max_bytes, num_partitions).materialize()
+        "anti", cfg.broadcast_max_bytes, num_partitions))
     return reps, sig_edges
 
 

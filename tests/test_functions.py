@@ -469,14 +469,28 @@ def _odd_doubled():
     return pre
 
 
+def _set_fan_out(monkeypatch, fanned: bool) -> int:
+    """The partitions a 3-partition shuffle of a few hundred rows runs:
+    one task at the default ``ROWS_PER_TASK``, or all 3 when forced to
+    one row per task."""
+    from image_deduper_ray.functions import groups
+
+    if fanned:
+        monkeypatch.setattr(groups, "ROWS_PER_TASK", 1)
+    return 3 if fanned else 1
+
+
+@pytest.mark.parametrize("fanned", [False, True], ids=["one_task", "fanned"])
 @pytest.mark.parametrize("entry", [0, 1, 2])
-def test_shuffle_pre_equals_map_then_shuffle(entry):
+def test_shuffle_pre_equals_map_then_shuffle(entry, fanned, monkeypatch):
     """A shuffle's per-block ``pre`` gives the rows of ``map_batches``
     followed by the shuffle, and a two-input shuffle (each input with
-    its own ``pre``) gives the rows of the shuffle of the union."""
+    its own ``pre``) gives the rows of the shuffle of the union, both
+    as one task and fanned out to every partition."""
     import pyarrow as pa
     import ray.data
 
+    parts = _set_fan_out(monkeypatch, fanned)
     _, shuffle = _shuffle_entry_points()[entry]
     prep = _odd_doubled()
     v = np.arange(200, dtype=np.int64)
@@ -486,23 +500,27 @@ def test_shuffle_pre_equals_map_then_shuffle(entry):
     second = ray.data.from_arrow(pa.table({"k": v[:30] % 4, "w": v[:30]}))
 
     mapped = first.map_batches(prep, batch_format="pyarrow")
-    assert _sorted_rows(shuffle(first, pre=prep)) \
-        == _sorted_rows(shuffle(mapped))
+    out = shuffle(first, pre=prep)
+    assert out.num_blocks() == parts
+    assert _sorted_rows(out) == _sorted_rows(shuffle(mapped))
     assert _sorted_rows(shuffle([first, second], pre=[prep, None])) \
         == _sorted_rows(shuffle(mapped.union(second)))
     with pytest.raises(ValueError):
         shuffle([first, second], pre=[prep])
 
 
+@pytest.mark.parametrize("fanned", [False, True], ids=["one_task", "fanned"])
 @pytest.mark.parametrize("entry", [0, 1, 2])
-def test_shuffle_skips_empty_blocks_before_pre(entry):
+def test_shuffle_skips_empty_blocks_before_pre(entry, fanned, monkeypatch):
     """Empty and schema-less blocks (Ray 2.49 unions produce both) are
-    skipped by the map task: ``pre`` never sees them, and an input of
-    only such blocks gives the typed empty output."""
+    skipped by the map task, or by the one task of a shuffle sized to
+    one: ``pre`` never sees them, and an input of only such blocks
+    gives the typed empty output."""
     import pyarrow as pa
     import ray
     import ray.data
 
+    parts = _set_fan_out(monkeypatch, fanned)
     _, shuffle = _shuffle_entry_points()[entry]
     prep = _odd_doubled()
 
@@ -515,7 +533,9 @@ def test_shuffle_skips_empty_blocks_before_pre(entry):
                      "v": pa.array([1, 3, 5], pa.int64())})
     blocks = [rows, rows.slice(0, 0), pa.table({})]
     ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
-    assert _sorted_rows(shuffle(ds, pre=strict)) == [(1, 12), (2, 6)]
+    out = shuffle(ds, pre=strict)
+    assert out.num_blocks() == parts
+    assert _sorted_rows(out) == [(1, 12), (2, 6)]
     empty = ray.data.from_arrow_refs([ray.put(b) for b in blocks[1:]])
     out = shuffle(empty, pre=strict)
     assert out.count() == 0
@@ -564,6 +584,53 @@ def test_map_blocks_materialized_runs_plain_tasks(monkeypatch):
     assert calls == []
     assert got == want      # same rows, same order
     assert [r["w"] for r in got] == [2 * x for x in v if x % 2]
+
+
+@pytest.mark.parametrize("rows_per_task,tasks", [(None, 1), (100, 3), (1, 4)])
+def test_fan_out_follows_input_rows(rows_per_task, tasks, monkeypatch):
+    """``map_blocks`` and ``coalesce_blocks`` run one task per
+    ``ROWS_PER_TASK`` input rows, at least one and at most one per
+    cluster CPU (4 here), and keep the rows in order."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from image_deduper_ray.functions import groups
+
+    if rows_per_task is not None:
+        monkeypatch.setattr(groups, "ROWS_PER_TASK", rows_per_task)
+    v = np.arange(300, dtype=np.int64)
+    ds = ray.data.from_arrow_refs(
+        [ray.put(pa.table({"k": v[i:i + 30] % 7, "v": v[i:i + 30]}))
+         for i in range(0, 300, 30)]).materialize()
+    for out in (groups.map_blocks(ds, lambda t: t, ds.schema().base_schema),
+                groups.coalesce_blocks(ds)):
+        assert out.num_blocks() == tasks
+        assert [r["v"] for r in out.take_all()] == list(v)
+
+
+@pytest.mark.parametrize("pre_rows,parts", [(1, 1), (2, 2), (5, 3)])
+def test_shuffle_fan_out_counts_the_rows_pre_makes(pre_rows, parts,
+                                                   monkeypatch):
+    """A shuffle runs one partition per ``ROWS_PER_TASK`` rows of its
+    input times ``pre_rows`` (the rows an exploding ``pre`` makes of
+    each), at most its ``num_partitions``; the rows do not change."""
+    import pyarrow as pa
+    import ray.data
+
+    from image_deduper_ray.functions import groups
+
+    monkeypatch.setattr(groups, "ROWS_PER_TASK", 200)
+    _, shuffle = _shuffle_entry_points()[1]
+    v = np.arange(200, dtype=np.int64)
+    ds = ray.data.from_arrow(pa.table({"k": v % 7, "w": v}))
+    out = groups.partitioned_group_map_arrow(
+        ds, ["k"], lambda t: t.group_by("k").aggregate([("w", "sum")])
+        .rename_columns(["k", "s"]), 3,
+        pa.schema([("k", pa.int64()), ("s", pa.int64())]),
+        pre_rows=pre_rows)
+    assert out.num_blocks() == parts
+    assert _sorted_rows(out) == _sorted_rows(shuffle(ds))
 
 
 def test_map_blocks_keeps_a_lazy_input_lazy(monkeypatch):

@@ -332,10 +332,21 @@ def test_resume_mid_signatures_over_a_leftover_temp_file(corpus_run,
 _CAPS = {"broadcast_max_bytes": 0, "cc_driver_max_edges": 0}
 
 
+def _set_rows_per_task(monkeypatch, rows_per_task):
+    """``rows_per_task=1`` fans every shuffle, map and coalesce out to
+    its cap: the scan's inputs are far below ``groups.ROWS_PER_TASK``,
+    so without it the fanned-out path would go untested."""
+    from image_deduper_ray.functions import groups
+
+    if rows_per_task is not None:
+        monkeypatch.setattr(groups, "ROWS_PER_TASK", rows_per_task)
+
+
+@pytest.mark.parametrize("rows_per_task", [None, 1], ids=["sized", "fanned"])
 @pytest.mark.parametrize("caps", [{k: v} for k, v in _CAPS.items()]
                          + [_CAPS], ids=list(_CAPS) + ["all"])
 def test_forced_fallback_gives_fresh_partition(corpus_run, tmp_path, caps,
-                                               monkeypatch):
+                                               rows_per_task, monkeypatch):
     """Each cap at 0 forces its fallback path: ``broadcast_max_bytes=0``
     sends every ``broadcast_join`` (signature collapse, pair resolution,
     containment prune and content attach, label attach) and the verify
@@ -361,6 +372,7 @@ def test_forced_fallback_gives_fresh_partition(corpus_run, tmp_path, caps,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(joins, "hash_join", counting)
+    _set_rows_per_task(monkeypatch, rows_per_task)
     d, out_dir, full, _, _ = corpus_run
     out2 = str(tmp_path / "out")
     res = run_pipeline(d, out2, DedupConfig(**caps))
@@ -429,15 +441,20 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
     (the joins' probes and their ``post``, verify scoring, the edge
     filters and union, the cluster meta) runs plain tasks through
     ``groups.map_blocks``, as do the representatives' signature
-    broadcast and a checkpoint's block coalescing."""
+    broadcast and a checkpoint's block coalescing. No plan the scan
+    builds calls ``ExecutionPlan.execute`` either: the datasets are
+    built computed and their blocks read from that snapshot, so the
+    scan makes none of its GCS calls."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
+    from ray.data._internal.plan import ExecutionPlan
 
     from image_deduper_ray.functions import groups
 
-    executions, shuffles = [], []
+    executions, shuffles, plans = [], [], []
     real_execute = StreamingExecutor.execute
     real_shuffle = groups._manual_shuffle
+    real_plan_execute = ExecutionPlan.execute
 
     def execute(self, *args, **kwargs):
         executions.append(type(self).__name__)
@@ -447,12 +464,18 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
         shuffles.append(args[1])
         return real_shuffle(*args, **kwargs)
 
+    def plan_execute(self, *args, **kwargs):
+        plans.append(self)
+        return real_plan_execute(self, *args, **kwargs)
+
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     monkeypatch.setattr(groups, "_manual_shuffle", shuffle)
+    monkeypatch.setattr(ExecutionPlan, "execute", plan_execute)
     d, _, _, _, _ = corpus_run
     run_pipeline(d, str(tmp_path / "out"))
     assert len(shuffles) == 7, shuffles
     assert executions == [], len(executions)
+    assert plans == [], len(plans)
 
 
 def test_complete_rerun_reads_no_stage(corpus_run, monkeypatch):
@@ -700,15 +723,18 @@ def test_num_partitions_defaults_to_cluster_cpus():
     assert DedupConfig(num_partitions=48).resolved().num_partitions == 48
 
 
+@pytest.mark.parametrize("rows_per_task", [None, 1], ids=["sized", "fanned"])
 @pytest.mark.parametrize("num_partitions", [2, 48])
 def test_partition_count_does_not_change_result(corpus_run, tmp_path,
-                                                num_partitions):
+                                                num_partitions,
+                                                rows_per_task, monkeypatch):
     """Every salted sub-bucket, rep bucket and (a, b) dedup key lands
     whole in one partition, so the partition count does not change the
     partition. The pair and edge counts hold too: the in-bucket check's
     forest can depend on which sub-buckets share a partition, but on
     this corpus every forest is all of its near-dup pairs. Each wide
-    stage records the count it ran with in its metrics row."""
+    stage records the count it ran with in its metrics row (the cap;
+    ``ROWS_PER_TASK=1`` runs every shuffle at it)."""
     import ast
 
     import pyarrow.parquet as pq
@@ -716,6 +742,7 @@ def test_partition_count_does_not_change_result(corpus_run, tmp_path,
     from image_deduper_ray.config import DedupConfig
     from image_deduper_ray.sources import checkpoints as ckpt
 
+    _set_rows_per_task(monkeypatch, rows_per_task)
     d, out_dir, full, _, _ = corpus_run
     out2 = str(tmp_path / "out")
     res = run_pipeline(d, out2, DedupConfig(num_partitions=num_partitions))
@@ -729,6 +756,26 @@ def test_partition_count_does_not_change_result(corpus_run, tmp_path,
                   "clusters", "actions"]:
         assert ast.literal_eval(extra[stage])["partitions"] \
             == num_partitions, stage
+
+
+def test_wide_stages_report_parts(corpus_run):
+    """Each wide stage's metrics row reports ``parts``, the Parquet
+    parts it wrote; a stage of a few hundred rows, far below
+    ``groups.ROWS_PER_TASK``, writes one."""
+    import ast
+
+    import pyarrow.parquet as pq
+
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    _, out_dir, _, _, _ = corpus_run
+    m = pq.read_table(os.path.join(out_dir, "metrics")).to_pydict()
+    extra = dict(zip(m["stage"], m["extra"]))
+    for stage in ["edges_exact", "pairs", "verified", "edges_cont",
+                  "edges", "clusters", "actions"]:
+        parts = ast.literal_eval(extra[stage])["parts"]
+        assert parts == len(ckpt.read_manifest(out_dir, stage)["partitions"])
+        assert parts == 1, stage
 
 
 def test_row_over_budget_falls_back_in_the_same_call():
