@@ -70,8 +70,6 @@ def cmd_apply(args) -> int:
     ActionResult lineage to a fresh <out>/apply_results/run_NNNN dir
     (append-only: prior runs' audit records are preserved) and prints a
     summary."""
-    import os
-
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
@@ -137,8 +135,6 @@ def cmd_diagnose(args) -> int:
     edge/pair endpoints contained in signatures). Vectorized numpy
     membership on fixed-width keys, not Python sets. Stages absent on
     disk are reported 'absent' and skipped, not failed."""
-    import os
-
     import numpy as np
     import pyarrow.parquet as pq
 

@@ -416,10 +416,10 @@ def map_blocks(ds: ray.data.Dataset, fn, out_schema: pa.Schema
 def union_blocks(inputs: list, out_schema: pa.Schema) -> ray.data.Dataset:
     """The rows of every dataset in ``inputs`` as one materialized
     dataset over their existing blocks, in input order: no task and no
-    execution over materialized inputs (a lazy one, such as a
-    checkpoint a resume reads from Parquet, runs its own plan). Empty
-    blocks are left out; with no rows at all, ``out_schema``'s empty
-    table."""
+    execution over materialized inputs (a lazy one runs its own plan;
+    every input on the scan path is materialized, a checkpoint a resume
+    reads included). Empty blocks are left out; with no rows at all,
+    ``out_schema``'s empty table."""
     blocks = [b for ds in inputs for b in blocks_of(ds) if b[1].num_rows != 0]
     return _over_blocks(blocks) if blocks else table_dataset(out_schema.empty_table())
 

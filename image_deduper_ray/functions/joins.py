@@ -8,10 +8,11 @@ into ONE Arrow table, ``ray.put``s it once (zero-copy through plasma)
 and probes it per left block with Acero's ``pa.Table.join``, so the big
 side never shuffles. The probe, and the caller's per-block ``post``
 riding in the same task, go through ``groups.map_blocks``: over a
-materialized left side (every scan-path join but the containment
-content prune, which stays fused into its read) that is plain Ray
-tasks and no Ray Data execution. Past the cap it calls ``hash_join``
-with the same ``how``; both routes keep every matching right row.
+materialized left side (every scan-path join, the containment content
+prune too: ``read_content`` returns a materialized dataset) that is
+plain Ray tasks and no Ray Data execution. Past the cap it calls
+``hash_join`` with the same ``how``; both routes keep every matching
+right row.
 
 ``hash_join`` is the partitioned route. Ray 2.49's ``Dataset.join``
 (Acero-backed) intermittently loses block schemas for empty partitions,

@@ -73,30 +73,26 @@ def _write_blocks(ds: MaterializedDataset, d: str, schema) -> None:
 
 
 def write_stage(ds: MaterializedDataset, root: str, stage: str,
-                config_json: str = "", extra: dict | None = None,
-                schema=None) -> dict:
-    """Write a materialized stage checkpoint, then its manifest; returns
-    the manifest.
+                config_json: str = "") -> dict:
+    """Write a materialized stage checkpoint in its own schema, then its
+    manifest; returns the manifest.
 
     The blocks are written with plain tasks, no Ray Data job: the caller
     keeps the dataset and feeds the next stage from memory, so nothing
     re-reads the parts in the run that wrote them. (The ``signatures``
     tasks write their own parts, and ``write_manifest`` completes that
-    stage.) ``schema`` is the caller-declared schema, used when the
-    Dataset reports none (an executed-empty Dataset in Ray 2.49)."""
+    stage.)"""
     d = stage_dir(root, stage)
     os.makedirs(d, exist_ok=True)
-    target = schema if ds.schema() is None else arrow_schema_of(ds)
-    _write_blocks(ds, d, target.remove_metadata())
-    return write_manifest(root, stage, config_json, extra)
+    _write_blocks(ds, d, arrow_schema_of(ds).remove_metadata())
+    return write_manifest(root, stage, config_json)
 
 
-def write_manifest(root: str, stage: str, config_json: str = "",
-                   extra: dict | None = None) -> dict:
+def write_manifest(root: str, stage: str, config_json: str = "") -> dict:
     """Write the manifest of a stage whose parts are all on disk, and
-    return it: the rows of each part and in all, the config and
-    ``extra``. Written to a temp name and renamed, so it is the
-    stage's atomic 'done' marker."""
+    return it: the rows of each part and in all, and the config.
+    Written to a temp name and renamed, so it is the stage's atomic
+    'done' marker."""
     d = stage_dir(root, stage)
     per_part = {f: int(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows)
                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
@@ -105,7 +101,6 @@ def write_manifest(root: str, stage: str, config_json: str = "",
     # how many rows — a resume or audit can account for every block
     manifest = {"stage": stage, "rows": int(n), "config": config_json,
                 "partitions": per_part}
-    manifest.update(extra or {})
     tmp = os.path.join(d, MANIFEST + ".tmp")
     with open(tmp, "w") as fh:
         json.dump(manifest, fh)

@@ -109,8 +109,8 @@ def spanning_forest(u: np.ndarray, v: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def _node_type(edges: ray.data.Dataset):
-    """pyarrow type of the edge endpoints (string file_ids in the
-    flagship; int64 doc_ids in the documents-table pipelines)."""
+    """pyarrow type of the edge endpoints, from the schema (string
+    file_ids on the scan path)."""
     import pyarrow as pa
     s = edges.schema(fetch_if_missing=True)
     if s is None:        # executed-empty dataset: Ray 2.49 reports None

@@ -1,13 +1,14 @@
-"""Signature stage: one stateless ``map_batches`` task function.
+"""Signature stage: one stateless batch function, ``sign_batch``.
 
 Analog of ``process_single_image`` composition (validate -> crypto hash
 -> perceptual hash, with timeouts and fallbacks) at
 crates/image-deduper-core/src/processing/utils/image_processor.rs:12-72
 of the reference, run per batch by ``process_image_batch``
-(src/processing/utils/batch_processor.rs:30-69). Here it is
-``map_batches(sign_batch, fn_kwargs={"cfg": cfg}, batch_format="pyarrow")``
-over plain Ray tasks: nothing outlives one call, so a batch's output
-depends only on the batch and the config.
+(src/processing/utils/batch_processor.rs:30-69). Here the scan's plain
+Ray tasks (``pipelines/dedup._sign_unit``, one per input unit) call
+``sign_batch(batch, cfg)`` on each ``sig_batch_size`` slice of their
+rows: nothing outlives one call, so a batch's output depends only on
+the batch and the config.
 
 Per batch: MinHash permutation coefficients and a token hash memo, then
 per row validate (M16/M17) -> sha256 (M1) -> tokenize via lang registry

@@ -188,14 +188,11 @@ def _index(*id_parts):
 
 
 def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
-                 cfg: DedupConfig, n_sigs: int | None = None,
-                 packed=None) -> ray.data.Dataset:
+                 cfg: DedupConfig, packed=None) -> ray.data.Dataset:
     """-> (a, b, jaccard, verdict) for every candidate pair.
-    ``n_sigs``: pass the known signature row count (stage manifest) to
-    skip a full counting pass over the checkpoint. ``packed``: a
-    ``pack_signatures`` broadcast that already holds every pair
-    endpoint (a fresh scan passes the representatives' one that built
-    the pairs), scored against instead of packing ``sigs``.
+    ``packed``: a ``pack_signatures`` broadcast that already holds every
+    pair endpoint (a fresh scan passes the representatives' one that
+    built the pairs), scored against instead of packing ``sigs``.
 
     Fast path: the signature matrix fits the broadcast budget — ship it
     ONCE as per-part plasma objects plus a sorted (id -> part, row)
@@ -207,10 +204,8 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
     partitioned hash joins."""
     cfg = cfg.resolved()
     if packed is None:
-        if n_sigs is None:
-            n_sigs = sigs.count()
-        if n_sigs * cfg.num_perms * 8 <= cfg.broadcast_max_bytes:
-            packed = pack_signatures(sigs, cfg)
+        # None past the byte cap, sized from ``sigs``' block metadata
+        packed = pack_signatures(sigs, cfg)
     if packed is not None:
         P = cfg.num_perms
         id_refs, mat_refs = packed

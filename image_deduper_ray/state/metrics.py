@@ -50,18 +50,3 @@ class MetricsSink:
         path = os.path.join(self.dir, f"{self.run_id}-{self._seq:04d}-{stage}.parquet")
         pq.write_table(t, path)
         self._seq += 1
-
-
-class StageTimer:
-    def __init__(self, sink: MetricsSink, stage: str):
-        self.sink, self.stage = sink, stage
-
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def done(self, rows: int, **extra):
-        self.sink.record(self.stage, rows, time.monotonic() - self.t0, **extra)
-
-    def __exit__(self, *exc):
-        return False

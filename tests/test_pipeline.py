@@ -16,7 +16,8 @@ import shutil
 import pytest
 
 from image_deduper_ray.corpus import generate_corpus, write_corpus
-from image_deduper_ray.pipelines.dedup import STAGES, run_pipeline
+from image_deduper_ray.pipelines.dedup import (STAGE_TABLE, STAGES,
+                                               run_pipeline)
 from image_deduper_ray.pipelines.oracle import (dup_pair_recall, oracle_pairs,
                                                 oracle_signatures)
 
@@ -555,6 +556,86 @@ def test_resume_from_each_kill_point(corpus_run, tmp_path, stage):
     shutil.copytree(out_dir, out2)
     for later in STAGES[STAGES.index(stage):]:
         os.remove(os.path.join(out2, later, ckpt.MANIFEST))
+    res = run_pipeline(d, out2)
+    assert _engine_clusters(res) == _engine_clusters(full)
+    for s in STAGES:
+        assert (ckpt.read_manifest(out2, s)["rows"]
+                == ckpt.read_manifest(out_dir, s)["rows"]), s
+
+
+def _last_run_stages(out_dir: str) -> list[str]:
+    """The stages of the metrics rows the latest run wrote, in order."""
+    import pyarrow.parquet as pq
+
+    mdir = os.path.join(out_dir, "metrics")
+    rows = [pq.read_table(os.path.join(mdir, f)).to_pylist()[0]
+            for f in sorted(os.listdir(mdir))]
+    last = max(r["run_id"] for r in rows)
+    return [r["stage"] for r in rows if r["run_id"] == last]
+
+
+@pytest.mark.parametrize("entry", STAGE_TABLE,
+                         ids=[written[-1] for written, _, _ in STAGE_TABLE])
+def test_rerun_of_one_entry_reads_only_its_inputs(corpus_run, tmp_path,
+                                                  monkeypatch, entry):
+    """With the manifests of only one table entry's stages removed from
+    a complete out dir, a rerun runs exactly that entry: it reads from
+    Parquet exactly the stages the entry declares, writes one metrics
+    row (and a ``signatures_read`` row only if it reads ``signatures``),
+    and gives the fresh scan's partition and manifests."""
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    written, reads, _ = entry
+    d, out_dir, full, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out_dir, out2)
+    for stage in written:
+        os.remove(os.path.join(out2, stage, ckpt.MANIFEST))
+    read = []
+    real = ckpt.read_stage
+
+    def counting(root, stage, *args, lazy=False, **kwargs):
+        if not lazy:
+            read.append(stage)
+        return real(root, stage, *args, lazy=lazy, **kwargs)
+
+    monkeypatch.setattr(ckpt, "read_stage", counting)
+    res = run_pipeline(d, out2)
+    assert sorted(read) == sorted(reads)
+    assert _last_run_stages(out2) == (
+        ["signatures_read"] if "signatures" in reads else []) + [written[-1]]
+    assert _engine_clusters(res) == _engine_clusters(full)
+    for s in STAGES:
+        got, want = (ckpt.read_manifest(root, s) for root in (out2, out_dir))
+        assert (got["rows"], got["partitions"]) == (want["rows"],
+                                                    want["partitions"]), s
+
+
+@pytest.mark.parametrize("build,stage", [
+    ("connected_components", "clusters"), ("canonical_actions", "actions")])
+def test_failing_build_leaves_its_stage_incomplete(corpus_run, tmp_path,
+                                                   monkeypatch, build, stage):
+    """A build that raises ends the scan with its exception: the failing
+    stage and every later one have no manifest, the earlier stages keep
+    theirs, and a rerun completes the scan with the fresh partition."""
+    from image_deduper_ray.pipelines import dedup
+    from image_deduper_ray.sources import checkpoints as ckpt
+
+    class Boom(RuntimeError):
+        pass
+
+    def boom(*args, **kwargs):
+        raise Boom(build)
+
+    d, out_dir, full, _, _ = corpus_run
+    out2 = str(tmp_path / "out")
+    monkeypatch.setattr(dedup, build, boom)
+    with pytest.raises(Boom):
+        run_pipeline(d, out2)
+    k = STAGES.index(stage)
+    assert all(ckpt.is_complete(out2, s) for s in STAGES[:k])
+    assert not any(ckpt.is_complete(out2, s) for s in STAGES[k:])
+    monkeypatch.undo()
     res = run_pipeline(d, out2)
     assert _engine_clusters(res) == _engine_clusters(full)
     for s in STAGES:
