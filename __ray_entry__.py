@@ -14,7 +14,6 @@ import shutil
 from typing import Any
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -23,6 +22,22 @@ from image_deduper_ray.config import DedupConfig
 from image_deduper_ray.functions.groups import (group_starts,
                                                 partitioned_group_map)
 from image_deduper_ray.pipelines.dedup import run_pipeline
+
+
+_RELABELED = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
+
+
+def _relabel_block(t: pa.Table) -> pa.Table:
+    """(doc_id, cluster_id) of one partition, in (cluster_key) order
+    (stable): each cluster's id is the min doc_id of its rows."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("cluster_key", "ascending")]))
+    dids = t["doc_id"].to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(group_starts(
+        t["cluster_key"].to_numpy(zero_copy_only=False)))
+    sizes = np.diff(np.append(starts, len(dids)))
+    return pa.table({"doc_id": dids,
+                     "cluster_id": np.repeat(np.minimum.reduceat(dids, starts),
+                                             sizes)}, schema=_RELABELED)
 
 
 def entry() -> Any:
@@ -77,23 +92,6 @@ def minhash_lsh_clusters(sf_dir: str, out_dir: str,
 
     # relabel via the raw-task hash shuffle + one vectorized segment-min
     # per partition, not a sort-based groupby().map_groups
-    out_schema = pa.schema([("doc_id", pa.int64()),
-                            ("cluster_id", pa.int64())])
-
-    def relabel_block(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype=np.int64),
-                 "cluster_id": pd.Series([], dtype=np.int64)})
-        df = df.sort_values("cluster_key", kind="mergesort")
-        keys = df["cluster_key"].to_numpy()
-        dids = df["doc_id"].to_numpy(np.int64)
-        starts = np.flatnonzero(group_starts(keys))
-        sizes = np.diff(np.append(starts, len(dids)))
-        mins = np.minimum.reduceat(dids, starts)
-        return pd.DataFrame({"doc_id": dids,
-                             "cluster_id": np.repeat(mins, sizes)})
-
-    return partitioned_group_map(labeled, ["cluster_key"], relabel_block,
+    return partitioned_group_map(labeled, ["cluster_key"], _relabel_block,
                                  cfg.resolved().num_partitions,
-                                 out_schema=out_schema)
+                                 out_schema=_RELABELED)

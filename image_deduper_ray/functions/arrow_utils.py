@@ -5,12 +5,6 @@ from __future__ import annotations
 import pyarrow as pa
 
 
-def as_table(block) -> pa.Table:
-    """A Ray block (Arrow table or pandas frame) as an Arrow table."""
-    return block if isinstance(block, pa.Table) \
-        else pa.Table.from_pandas(block, preserve_index=False)
-
-
 def ensure_schema(tb: pa.Table, schema: pa.Schema) -> pa.Table:
     """Ray's hash-join emits schema-less empty blocks for empty
     partitions; downstream joins then fail with 'No match for key
@@ -25,29 +19,11 @@ def ensure_schema(tb: pa.Table, schema: pa.Schema) -> pa.Table:
 
 
 def arrow_schema_of(ds) -> pa.Schema | None:
-    """Arrow schema of a Dataset even when its blocks are pandas
-    (PandasBlockSchema): numpy dtypes map via pandas; ``object`` columns
-    in this engine are always strings. ``None`` while the schema is
-    unknown (an executed-empty Dataset in Ray 2.49)."""
-    import numpy as np
-
+    """Arrow schema of a Dataset (every block on the scan path is an
+    Arrow table), ``None`` while the schema is unknown (an
+    executed-empty Dataset in Ray 2.49)."""
     schema = ds.schema()
-    if schema is None:
-        return None
-    if isinstance(schema, pa.Schema):
-        return schema
-    base = getattr(schema, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    fields = []
-    for name, typ in zip(schema.names, schema.types):
-        if isinstance(typ, pa.DataType):
-            fields.append(pa.field(name, typ))
-        elif isinstance(typ, np.dtype) and typ != np.dtype("O"):
-            fields.append(pa.field(name, pa.from_numpy_dtype(typ)))
-        else:
-            fields.append(pa.field(name, pa.string()))
-    return pa.schema(fields)
+    return None if schema is None else schema.base_schema
 
 
 def rename_drop(tb: pa.Table, renames: dict[str, str], drops: tuple[str, ...]) -> pa.Table:

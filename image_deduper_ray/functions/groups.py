@@ -1,12 +1,21 @@
 """Partition-level group processing.
 
 ``Dataset.groupby(key).map_groups(fn)`` invokes ``fn`` once per GROUP —
-per-group pandas slicing dominates wall time when groups are tiny and
+per-group slicing dominates wall time when groups are tiny and
 numerous (one per file / per bucket), which is exactly the dedup shape.
 The scale-correct pattern: hash-partition on the key (ONE shuffle into
 ``num_partitions`` groups — all rows of a key land together), then run
 a vectorized block function once per PARTITION that handles all its
 groups with numpy segment operations.
+
+Arrow is the one block format: every block function here, and every
+``pre``, is ``pa.Table -> pa.Table``, so a signature or id column stays
+a C buffer from the map side to the reducer's output. pandas is used
+for one thing, the key hash that assigns rows to partitions
+(``_key_hash``), which must not move: which rows share a partition
+decides each shuffled stage's row order and which forest edges the LSH
+pair-gen emits (stages/lsh), so a new hash would change the
+checkpoints of scans that earlier runs wrote.
 
 Every fan-out here is sized by its input rows: one task per
 ``ROWS_PER_TASK`` rows, read from the blocks' metadata at no cost, and
@@ -61,8 +70,6 @@ from ray.data.block import (BlockMetadataWithSchema,
                             _take_first_non_empty_schema)
 from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
-
-from .arrow_utils import as_table
 
 # rows per task of every fan-out (shuffle partitions and map tasks,
 # ``map_blocks`` tasks, ``coalesce_blocks`` parts). With 4 Ray CPUs
@@ -182,7 +189,7 @@ def tables_of(ds: ray.data.Dataset):
     batching pipeline runs, as ``iter_batches`` would start."""
     for ref, meta, _ in blocks_of(ds):
         if meta.num_rows != 0:
-            yield as_table(ray.get(ref))
+            yield ray.get(ref)
 
 
 def table_dataset(t: pa.Table) -> MaterializedDataset:
@@ -197,8 +204,7 @@ def _prepped(key_cols: list[str], pre, blocks) -> list[pa.Table]:
     columns. Schema-less / empty blocks do arrive from upstream unions
     (Ray 2.49): they are skipped, before ``pre`` and after it."""
     ts = []
-    for block in blocks:
-        t = as_table(block)
+    for t in blocks:
         if t.num_rows and pre is not None:
             t = pre(t)
         if t.num_rows and all(c in t.column_names for c in key_cols):
@@ -214,21 +220,15 @@ def _concat(ts: list[pa.Table]) -> pa.Table:
     return pa.concat_tables([x.select(cols) for x in ts])
 
 
-def _reduce(block_fn, out_schema: pa.Schema, as_pandas: bool,
-            ts: list[pa.Table]) -> tuple:
+def _reduce(block_fn, out_schema: pa.Schema, ts: list[pa.Table]) -> tuple:
     """Run the block function once over the rows of ``ts`` (no call
-    when there are none) and conform the result to ``out_schema``."""
+    when there are none, so no block function handles zero rows) and
+    conform the result to ``out_schema``."""
     from .arrow_utils import ensure_schema
 
     if not ts:
         return _with_meta(out_schema.empty_table())
-    t = pa.concat_tables(ts).combine_chunks()
-    if as_pandas:
-        out = block_fn(t.to_pandas())
-        out = pa.Table.from_pandas(out, preserve_index=False) \
-            if not isinstance(out, pa.Table) else out
-    else:
-        out = block_fn(t)
+    out = block_fn(pa.concat_tables(ts).combine_chunks())
     return _with_meta(ensure_schema(out, out_schema))
 
 
@@ -257,17 +257,16 @@ def _shuffle_map_task(key_cols: list[str], num_partitions: int, pre,
 
 
 @ray.remote(num_returns=2)
-def _shuffle_reduce_task(block_fn, out_schema: pa.Schema, as_pandas: bool,
-                         *parts) -> tuple:
+def _shuffle_reduce_task(block_fn, out_schema: pa.Schema, *parts) -> tuple:
     """One reduce task: concat this partition's slices from every map
     task, run the block function once, conform to ``out_schema``."""
-    return _reduce(block_fn, out_schema, as_pandas,
+    return _reduce(block_fn, out_schema,
                    [p for p in parts if p is not None and p.num_rows > 0])
 
 
 @ray.remote(num_returns=2)
 def _shuffle_one_task(key_cols: list[str], block_fn, out_schema: pa.Schema,
-                      as_pandas: bool, runs: list, *blocks) -> tuple:
+                      runs: list, *blocks) -> tuple:
     """A shuffle of one partition: every input's blocks after its
     ``pre`` (``runs``: one ``(pre, n_blocks)`` per input, in order),
     then the block function once, as one task."""
@@ -275,14 +274,12 @@ def _shuffle_one_task(key_cols: list[str], block_fn, out_schema: pa.Schema,
     for pre, n in runs:
         ts += _prepped(key_cols, pre, blocks[i:i + n])
         i += n
-    return _reduce(block_fn, out_schema, as_pandas,
-                   [_concat(ts)] if ts else [])
+    return _reduce(block_fn, out_schema, [_concat(ts)] if ts else [])
 
 
 def _manual_shuffle(ds, key_cols: list[str], block_fn,
                     num_partitions: int | None, out_schema: pa.Schema,
-                    as_pandas: bool, pre=None,
-                    pre_rows: int = 1) -> ray.data.Dataset:
+                    pre=None, pre_rows: int = 1) -> ray.data.Dataset:
     """Raw-task hash shuffle: map tasks over the upstream blocks (the
     driver only ever handles refs), one reduce task per partition.
     Replaces Ray Data's sort-based ``groupby().map_groups`` for the
@@ -319,7 +316,7 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
     n = _fan_out(pre_rows * rows, num_partitions)
     if n == 1:
         return _dataset_of([_shuffle_one_task.remote(
-            key_cols, block_fn, out_schema, as_pandas,
+            key_cols, block_fn, out_schema,
             [(fn, len(rs)) for rs, fn in zip(refs, pres)],
             *(r for rs in refs for r in rs))])
     # runs of consecutive upstream blocks: one map task per partition's
@@ -331,7 +328,7 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
         for rs, fn in zip(refs, pres)
         for i in range(0, len(rs), per)]
     outs = [
-        _shuffle_reduce_task.remote(block_fn, out_schema, as_pandas,
+        _shuffle_reduce_task.remote(block_fn, out_schema,
                                     *(m[p] for m in maps))
         for p in range(n)]
     # a materialized dataset is read (iterated, counted, shuffled
@@ -341,7 +338,7 @@ def _manual_shuffle(ds, key_cols: list[str], block_fn,
 
 @ray.remote(num_returns=2)
 def _concat_blocks(*blocks) -> tuple:
-    ts = [as_table(b) for b in blocks]
+    ts = list(blocks)
     # empty blocks may be schema-less (Ray 2.49): keep one only when
     # nothing else is left
     full = [t for t in ts if t.num_rows]
@@ -370,8 +367,7 @@ def _map_task(fn, out_schema: pa.Schema, *blocks) -> tuple:
     in order; a run with no output rows gives ``out_schema``'s empty
     table, so no block downstream is schema-less."""
     outs = []
-    for block in blocks:
-        t = as_table(block)
+    for t in blocks:
         if t.num_rows:
             out = fn(t)
             if out.num_rows:
@@ -427,35 +423,21 @@ def union_blocks(inputs: list, out_schema: pa.Schema) -> ray.data.Dataset:
 def partitioned_group_map(ds, key_cols: list[str],
                           block_fn, num_partitions: int | None,
                           out_schema: pa.Schema,
-                          pre=None) -> ray.data.Dataset:
+                          pre=None, pre_rows: int = 1) -> ray.data.Dataset:
     """Hash-partition ``ds`` on ``key_cols`` and apply ``block_fn``
-    (pandas DataFrame -> pandas DataFrame) once per partition. The block
-    function sees every row of every key assigned to its partition and
-    is responsible for its own group segmentation (sort + boundaries).
-    ``num_partitions`` caps the partitions; None = one per cluster CPU.
+    (``pa.Table -> pa.Table``) once per partition that has rows. The
+    block function sees every row of every key assigned to its
+    partition and is responsible for its own group segmentation (sort +
+    boundaries). ``num_partitions`` caps the partitions; None = one per
+    cluster CPU.
 
     The shuffle runs on raw Ray tasks (``_manual_shuffle``) — Ray
     Data's sort-based groupby costs ~9 s serial overhead per shuffle at
     bench scale. ``out_schema`` types every partition's output, an
-    empty one included. ``ds`` and ``pre``: see ``_manual_shuffle``."""
+    empty one included. ``ds``, ``pre`` and ``pre_rows``: see
+    ``_manual_shuffle``."""
     return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
-                           out_schema, as_pandas=True, pre=pre)
-
-
-def partitioned_group_map_arrow(ds, key_cols: list[str],
-                                block_fn, num_partitions: int | None,
-                                out_schema: pa.Schema,
-                                pre=None, pre_rows: int = 1
-                                ) -> ray.data.Dataset:
-    """``partitioned_group_map`` with an Arrow block function
-    (pa.Table -> pa.Table). Use when the payload carries binary/string
-    columns (e.g. 1 KB minhash signatures): the pandas path would turn
-    every value into a Python object on both sides of the block call,
-    while Arrow blocks keep them as C buffers end to end. ``pre_rows``:
-    see ``_manual_shuffle``."""
-    return _manual_shuffle(ds, key_cols, block_fn, num_partitions,
-                           out_schema, as_pandas=False, pre=pre,
-                           pre_rows=pre_rows)
+                           out_schema, pre=pre, pre_rows=pre_rows)
 
 
 def partitioned_sum(ds, key_cols: list[str],
@@ -474,9 +456,6 @@ def partitioned_sum(ds, key_cols: list[str],
     out_name = out_name or f"sum({value_col})"
 
     def block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.select(key_cols + [value_col]).rename_columns(
-                key_cols + [out_name])
         keys = [t[c].to_numpy(zero_copy_only=False) for c in key_cols]
         vals = t[value_col].to_numpy(zero_copy_only=False)
         order = np.lexsort(tuple(reversed(keys)))
@@ -489,8 +468,8 @@ def partitioned_sum(ds, key_cols: list[str],
         cols[out_name] = pa.array(sums)
         return pa.table(cols)
 
-    return partitioned_group_map_arrow(ds, key_cols, block, num_partitions,
-                                       out_schema=out_schema, pre=pre)
+    return partitioned_group_map(ds, key_cols, block, num_partitions,
+                                 out_schema=out_schema, pre=pre)
 
 
 def group_starts(*key_arrays: np.ndarray) -> np.ndarray:

@@ -18,14 +18,14 @@ right row.
 (Acero-backed) intermittently loses block schemas for empty partitions,
 which poisons chained joins, so this module implements the portable
 pattern instead: ONE raw-task hash shuffle on the key over both sides
-(``partitioned_group_map_arrow`` — Ray's sort-based groupby costs
+(``groups.partitioned_group_map`` — Ray's sort-based groupby costs
 seconds of serial overhead per shuffle at bench scale), whose map tasks
-conform each side to one superset schema (tagged with a side column),
-and a C-speed ``pd.merge`` (or an ``is_in`` mask for semi/anti) per
-partition. ``num_partitions`` bounds reducer memory; skewed keys can be
-salted by raising it. Each side is converted to pandas separately
-inside the reducer so the null padding of the other side's columns
-never upcasts real values.
+conform each side to one superset schema (tagged with a side column).
+Each partition splits back into its left and right rows and joins them
+with the broadcast probe's kernel, Acero's ``pa.Table.join``, so both
+routes match rows one way: every matching right row, unmatched left
+rows of a left join padded with nulls. ``num_partitions`` bounds
+reducer memory; skewed keys can be salted by raising it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     """
     import pyarrow.compute as pc
 
-    from .groups import partitioned_group_map_arrow
+    from .groups import partitioned_group_map
 
     if right_dup not in ("unique", "expand"):
         raise ValueError(f"right_dup must be 'unique' or 'expand', "
@@ -89,44 +89,24 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     out_schema = pa.schema(list(left_schema) + list(right_schema))
 
     def merge_block(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
-        if how in ("semi", "anti"):
-            lt = t.filter(pc.equal(t[_SIDE], 0))
-            rkeys = t.filter(pc.equal(t[_SIDE], 1))[_KEY].combine_chunks()
-            hit = pc.is_in(lt[_KEY], value_set=rkeys)
-            keep = hit if how == "semi" else pc.invert(hit)
-            return lt.filter(keep).select(lcols).cast(out_schema)
-        # sides pandas-ified SEPARATELY: the other side's null padding
-        # never touches a side's real columns, so int64 stays int64
-        ldf = t.filter(pc.equal(t[_SIDE], 0)) \
-            .select([_KEY] + lcols).to_pandas()
-        rdf = t.filter(pc.equal(t[_SIDE], 1)) \
-            .select([_KEY] + rcols).to_pandas()
-        if right_dup == "unique":
-            # supply semantics: ONE right row per key. Duplicate right
-            # keys are dropped — observable, never silent.
-            n_dup = len(rdf)
-            rdf = rdf.drop_duplicates(subset=[_KEY])
-            n_dup -= len(rdf)
-            if n_dup:
+        lt = t.filter(pc.equal(t[_SIDE], 0)).select([_KEY] + lcols)
+        rt = t.filter(pc.equal(t[_SIDE], 1)).select([_KEY] + rcols)
+        if right_dup == "unique" and how in ("inner", "left"):
+            # supply semantics: ONE right row per key, its first.
+            # Duplicate right keys are dropped — observable, never silent.
+            keys = rt[_KEY]
+            first = pc.index_in(pc.unique(keys), value_set=keys)
+            if len(first) < rt.num_rows:
                 import logging
                 logging.getLogger(__name__).warning(
                     "hash_join: dropped %d duplicate right-side key rows "
-                    "(supply-unique semantics)", n_dup)
-        # right_dup == "expand": keep every right row; pd.merge expands
-        # many-to-many, as the broadcast route's Acero join does
-        m = ldf.merge(rdf, on=_KEY, how="left" if how == "left" else "inner",
-                      suffixes=(False, False))
-        cols = {}
-        for f in out_schema:
-            # from_pandas=True: unmatched-left NaN padding becomes null
-            # (not a float upcast) for any output type
-            cols[f.name] = pa.array(m[f.name], type=f.type, from_pandas=True)
-        return pa.table(cols, schema=out_schema)
+                    "(supply-unique semantics)", rt.num_rows - len(first))
+                rt = rt.take(first)
+        out = lt.join(rt, _KEY, join_type=_JOIN_TYPES[how], use_threads=False)
+        return out.select(out_schema.names)
 
     # each side is conformed in the shuffle's own map tasks
-    return partitioned_group_map_arrow(
+    return partitioned_group_map(
         [left, right], [_KEY], merge_block, num_partitions,
         out_schema=out_schema,
         pre=[conform(key_left, left_schema, right_schema, 0),
@@ -145,7 +125,6 @@ def collect_under_cap(ds: ray.data.Dataset,
     fetched by ref: over a materialized dataset that costs no batching
     pipeline. Empty blocks are skipped (Ray 2.49's can arrive
     schema-less); an all-empty dataset gives its schema's empty table."""
-    from .arrow_utils import as_table
     from .groups import blocks_of
 
     refs = []
@@ -161,8 +140,7 @@ def collect_under_cap(ds: ray.data.Dataset,
             return None
         refs.append(ref)
     if refs:
-        return pa.concat_tables(
-            [as_table(b) for b in ray.get(refs)]).combine_chunks()
+        return pa.concat_tables(ray.get(refs)).combine_chunks()
     schema = schema or arrow_schema_of(ds)
     return pa.table({}) if schema is None else schema.empty_table()
 

@@ -12,22 +12,43 @@ filesystem moves.
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..config import DedupConfig
+from ..functions.groups import group_starts, partitioned_group_map
+
+_ACTIONS_SCHEMA = pa.schema([
+    ("file_id", pa.string()), ("cluster_id", pa.string()),
+    ("role", pa.string()), ("canonical_file_id", pa.string()),
+    ("action", pa.string()), ("success", pa.bool_())])
 
 
-def _sort_key_cols(cfg: DedupConfig) -> tuple[list[str], list[bool]]:
-    cols, asc = [], []
-    for spec in cfg.canonical_order:
-        if spec.startswith("-"):
-            cols.append(spec[1:])
-            asc.append(False)
-        else:
-            cols.append(spec)
-            asc.append(True)
-    return cols, asc
+def _sort_keys(cfg: DedupConfig) -> list[tuple[str, str]]:
+    """``canonical_order`` as Arrow sort keys: a ``-`` prefix sorts
+    that column descending."""
+    return [(spec[1:], "descending") if spec.startswith("-")
+            else (spec, "ascending") for spec in cfg.canonical_order]
+
+
+def _pick_block(t: pa.Table, sort_keys: list[tuple[str, str]],
+                action: str) -> pa.Table:
+    """Action rows of one partition's clusters: each cluster's rows in
+    ``sort_keys`` order (a stable sort: ties keep their input order),
+    the first one ``keep``, every other one a ``dup`` of it."""
+    t = t.take(pc.sort_indices(
+        t, sort_keys=[("cluster_id", "ascending")] + sort_keys))
+    new = group_starts(t["cluster_id"].to_numpy(zero_copy_only=False))
+    fid = t["file_id"]
+    return pa.table({
+        "file_id": fid, "cluster_id": t["cluster_id"],
+        "role": pa.array(np.where(new, "keep", "dup")),
+        "canonical_file_id": fid.take(np.flatnonzero(new)[np.cumsum(new) - 1]),
+        "action": pa.array(np.where(new, "none", action)),
+        "success": pa.array(np.ones(t.num_rows, dtype=bool))},
+        schema=_ACTIONS_SCHEMA)
 
 
 def canonical_actions(members: ray.data.Dataset, cfg: DedupConfig,
@@ -38,39 +59,8 @@ def canonical_actions(members: ray.data.Dataset, cfg: DedupConfig,
     (SURVEY.md §2.6). Partition-level blocks: one shuffle on
     hash(cluster_id), all clusters of a partition picked in one
     vectorized pass."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ..functions.groups import group_starts, partitioned_group_map
-
-    cols, asc = _sort_key_cols(cfg)
-
-    def block(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({
-                "file_id": pd.Series([], dtype=object),
-                "cluster_id": pd.Series([], dtype=object),
-                "role": pd.Series([], dtype=object),
-                "canonical_file_id": pd.Series([], dtype=object),
-                "action": pd.Series([], dtype=object),
-                "success": pd.Series([], dtype=bool)})
-        g = (g.sort_values(["cluster_id"] + cols, ascending=[True] + asc,
-                           kind="mergesort").reset_index(drop=True))
-        cid = g["cluster_id"].to_numpy()
-        fid = g["file_id"].to_numpy()
-        new = group_starts(cid)
-        group_idx = np.cumsum(new, dtype=np.int32) - 1
-        canonical = fid[new][group_idx]
-        return pd.DataFrame({
-            "file_id": fid, "cluster_id": cid,
-            "role": np.where(new, "keep", "dup"),
-            "canonical_file_id": canonical,
-            "action": np.where(new, "none", action),
-            "success": np.ones(len(g), dtype=bool)})
-
-    out_schema = pa.schema([
-        ("file_id", pa.string()), ("cluster_id", pa.string()),
-        ("role", pa.string()), ("canonical_file_id", pa.string()),
-        ("action", pa.string()), ("success", pa.bool_())])
-    return partitioned_group_map(members, ["cluster_id"], block,
-                                 cfg.num_partitions, out_schema=out_schema)
+    sort_keys = _sort_keys(cfg)
+    return partitioned_group_map(
+        members, ["cluster_id"],
+        lambda t: _pick_block(t, sort_keys, action),
+        cfg.num_partitions, out_schema=_ACTIONS_SCHEMA)

@@ -15,29 +15,36 @@ Two execution paths, picked by the edge count alone:
   - distributed min-label propagation past it (repeated shuffle
     rounds, cf. PAPERS.md 'connected components in map-reduce in
     logarithmic rounds'): per round, each node sends its current label
-    to its neighbors (one shuffle on node to attach labels to edges),
-    then each node takes the min of incoming labels (second shuffle).
-    A label moves one hop per round, so a component needs up to as
-    many rounds as its diameter; the loop runs until no label changes,
-    with no round cap.
+    to its neighbors (one shuffle on node to attach labels to edges:
+    an Acero join per partition), then each node takes the min of
+    incoming labels (second shuffle: a stable sort and a segment scan
+    per partition). A label moves one hop per round, so a component
+    needs up to as many rounds as its diameter; the loop runs until no
+    label changes, with no round cap.
+
+Both paths hand the label attach an Arrow table: the union-find's is
+typed with the edge schema's node type, an empty one included.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..config import DedupConfig
+from ..functions.groups import (group_starts, map_blocks, materialized,
+                                partitioned_group_map, table_dataset,
+                                tables_of)
 
 
-def _driver_union_find(edge_batches) -> pd.DataFrame:
-    """Vectorized driver-side CC: factorize node ids (np.unique sorts,
-    so min label index == min node id), then min-label relaxation over
-    the edge arrays + pointer jumping until fixpoint — O(log n) rounds
-    of pure C kernels, no per-edge Python loop."""
-    import pyarrow as pa
-
+def _driver_union_find(edge_batches, node_type: pa.DataType) -> pa.Table:
+    """Vectorized driver-side CC -> (file_id, cluster_id) of every node,
+    typed ``node_type``: factorize node ids (np.unique sorts, so min
+    label index == min node id), then min-label relaxation over the
+    edge arrays + pointer jumping until fixpoint — O(log n) rounds of
+    pure C kernels, no per-edge Python loop."""
     from ..functions.arrow_utils import fixed_str_view
 
     parts_a, parts_b = [], []
@@ -55,7 +62,8 @@ def _driver_union_find(edge_batches) -> pd.DataFrame:
             parts_a.append(batch["a"].to_numpy(zero_copy_only=False))
             parts_b.append(batch["b"].to_numpy(zero_copy_only=False))
     if not parts_a:
-        return pd.DataFrame({"file_id": [], "cluster_id": []})
+        return pa.table({"file_id": pa.array([], node_type),
+                         "cluster_id": pa.array([], node_type)})
     a = np.concatenate(parts_a)
     b = np.concatenate(parts_b)
     uniq, idx = np.unique(np.concatenate([a, b]), return_inverse=True)
@@ -74,7 +82,8 @@ def _driver_union_find(edge_batches) -> pd.DataFrame:
     if str_nodes:
         # back to str so downstream Arrow columns stay utf8, not binary
         uniq = uniq.astype("U32")
-    return pd.DataFrame({"file_id": uniq, "cluster_id": uniq[label]})
+    return pa.table({"file_id": pa.array(uniq, node_type),
+                     "cluster_id": pa.array(uniq[label], node_type)})
 
 
 def spanning_forest(u: np.ndarray, v: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -111,26 +120,65 @@ def spanning_forest(u: np.ndarray, v: np.ndarray, n_nodes: int) -> np.ndarray:
 def _node_type(edges: ray.data.Dataset):
     """pyarrow type of the edge endpoints, from the schema (string
     file_ids on the scan path)."""
-    import pyarrow as pa
     s = edges.schema(fetch_if_missing=True)
     if s is None:        # executed-empty dataset: Ray 2.49 reports None
         return pa.string()
     return dict(zip(s.names, s.types))["a"]
 
 
+def _seed_block(t: pa.Table) -> pa.Table:
+    """Label seed: every distinct node of a partition, labeled with
+    itself."""
+    u = pc.unique(t["key"])
+    return pa.table({"key": u, "label": u})
+
+
+def _messages_block(t: pa.Table) -> pa.Table:
+    """One partition of labels (``neigh`` null) and edges (``label``
+    null), both keyed on ``key``: each edge carries its key's label to
+    its ``neigh`` (``is_self`` 0), and each label row keeps its own
+    label (``is_self`` 1)."""
+    lab = t.filter(pc.is_valid(t["label"])).select(["key", "label"])
+    edg = t.filter(pc.is_valid(t["neigh"])).select(["key", "neigh"])
+    m = edg.join(lab, "key", join_type="inner", use_threads=False)
+    return pa.table({
+        "node": pa.concat_arrays([m["neigh"].combine_chunks(),
+                                  lab["key"].combine_chunks()]),
+        "label": pa.concat_arrays([m["label"].combine_chunks(),
+                                   lab["label"].combine_chunks()]),
+        "is_self": pa.array(np.repeat(np.array([0, 1], dtype=np.int8),
+                                      [m.num_rows, lab.num_rows]))})
+
+
+def _min_label_block(t: pa.Table) -> pa.Table:
+    """Each node's new label, the min over its messages, and
+    ``changed`` 1 when that differs from its own label (``is_self``
+    row) or it had none."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("node", "ascending"),
+                                             ("label", "ascending")]))
+    new = group_starts(t["node"].to_numpy(zero_copy_only=False))
+    starts = np.flatnonzero(new)
+    best = t["label"].take(starts)
+    # a node's own label, where it has one: one is_self row per node
+    self_pos = np.flatnonzero(t["is_self"].to_numpy(zero_copy_only=False))
+    group = (np.cumsum(new) - 1)[self_pos]
+    changed = np.ones(len(starts), dtype=np.int64)
+    changed[group] = pc.not_equal(t["label"].take(self_pos),
+                                  best.take(group)).to_numpy(
+                                      zero_copy_only=False)
+    return pa.table({"key": t["node"].take(starts), "label": best,
+                     "changed": changed})
+
+
 def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.data.Dataset:
     """Min-label propagation with partition-level blocks: per round, one
-    shuffle keyed on node to attach labels to outgoing edges (pandas
-    C-speed merge per partition), one shuffle keyed on receiving node to
-    take the min (vectorized segment-min per partition). Runs until a
-    round changes no label (one round per hop from each node to its
-    component's min node), so it never stops on a split component. Node type
+    shuffle keyed on node to attach labels to outgoing edges (an Acero
+    join per partition, ``_messages_block``), one shuffle keyed on
+    receiving node to take the min (a sort and segment scan per
+    partition, ``_min_label_block``). Runs until a round changes no
+    label (one round per hop from each node to its component's min
+    node), so it never stops on a split component. Node type
     (string/int64) follows the edge schema."""
-    import pyarrow as pa
-
-    from ..functions.groups import (group_starts, map_blocks, materialized,
-                                    partitioned_group_map)
-
     P = cfg.num_partitions
     nt = _node_type(edges)
 
@@ -147,12 +195,8 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
     # keys — run it on the raw-task hash shuffle like every other wide
     # op here (Ray's sort-based groupby costs ~9 s serial per shuffle
     # at bench scale; this was the last native-groupby call in CC).
-    def seed_block(df: pd.DataFrame) -> pd.DataFrame:
-        u = df["key"].drop_duplicates()
-        return pd.DataFrame({"key": u.to_numpy(), "label": u.to_numpy()})
-
     labels = partitioned_group_map(
-        bidir, ["key"], seed_block, P,
+        bidir, ["key"], _seed_block, P,
         out_schema=pa.schema([("key", nt), ("label", nt)]),
         pre=lambda t: t.select(["key"]))
 
@@ -160,35 +204,6 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
                             ("is_self", pa.int8())])
     lab_schema = pa.schema([("key", nt), ("label", nt),
                             ("changed", pa.int64())])
-
-    def block_msgs(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df.loc[df["label"].notna(), ["key", "label"]]
-        edg = df.loc[df["neigh"].notna(), ["key", "neigh"]]
-        m = edg.merge(lab, on="key", how="inner")
-        return pd.DataFrame({
-            "node": np.concatenate([m["neigh"].to_numpy(),
-                                    lab["key"].to_numpy()]),
-            "label": np.concatenate([m["label"].to_numpy(),
-                                     lab["label"].to_numpy()]),
-            "is_self": np.concatenate([
-                np.zeros(len(m), dtype=np.int8),
-                np.ones(len(lab), dtype=np.int8)])})
-
-    def block_reduce(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["node", "label"], kind="mergesort")
-        node = df["node"].to_numpy()
-        label = df["label"].to_numpy()
-        is_self = df["is_self"].to_numpy()
-        new = group_starts(node)
-        group_idx = np.cumsum(new, dtype=np.int32) - 1
-        best = label[new]                       # min label per node
-        n_groups = len(best)
-        old = np.full(n_groups, None, dtype=object)
-        self_pos = np.flatnonzero(is_self == 1)
-        old[group_idx[self_pos]] = label[self_pos]
-        return pd.DataFrame({
-            "key": node[new], "label": best,
-            "changed": (best != old).astype(np.int64)})
 
     def lab_rows(t: pa.Table) -> pa.Table:
         return pa.table({"key": t["key"], "label": t["label"],
@@ -200,10 +215,11 @@ def _distributed_label_prop(edges: ray.data.Dataset, cfg: DedupConfig) -> ray.da
 
     while True:
         # labels and edges meet in one shuffle, each with its own row prep
-        msgs = partitioned_group_map([labels, bidir], ["key"], block_msgs, P,
+        msgs = partitioned_group_map([labels, bidir], ["key"],
+                                     _messages_block, P,
                                      out_schema=msg_schema,
                                      pre=[lab_rows, edge_rows])
-        labels = partitioned_group_map(msgs, ["node"], block_reduce, P,
+        labels = partitioned_group_map(msgs, ["node"], _min_label_block, P,
                                        out_schema=lab_schema)
         # None on an empty graph: nothing to change either
         if not labels.sum("changed"):
@@ -222,21 +238,10 @@ def connected_components(edges: ray.data.Dataset,
     up to ``cfg.cc_driver_max_edges`` edges, label propagation past it."""
     cfg = cfg.resolved()
     if edges.count() <= cfg.cc_driver_max_edges:
-        import pyarrow as pa
-
-        from ..functions.groups import table_dataset, tables_of
-
         # no projection: the union-find reads ``a`` and ``b`` itself, and
-        # the blocks of a materialized ``edges`` are fetched by ref
-        df = _driver_union_find(tables_of(edges))
-
-        if df.empty:
-            nt = _node_type(edges)
-            labels = pa.table({"file_id": pa.array([], nt),
-                               "cluster_id": pa.array([], nt)})
-        else:
-            labels = pa.Table.from_pandas(df, preserve_index=False)
+        # the blocks of a materialized ``edges`` are fetched by ref;
         # materialized: the label attach collects it without a Ray Data
         # job
-        return table_dataset(labels)
+        return table_dataset(_driver_union_find(tables_of(edges),
+                                                _node_type(edges)))
     return _distributed_label_prop(edges, cfg)

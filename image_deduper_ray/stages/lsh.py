@@ -85,12 +85,14 @@ construction.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
 from ..config import DedupConfig
+from ..functions.groups import (csr_expand, group_starts, map_blocks,
+                               partitioned_group_map, partitioned_sum,
+                               tables_of)
 
 _BAND_MULT = np.uint64(0x9E3779B97F4A7C15)
 CONTAINMENT_BAND_BASE = 1000  # band_ids >= this are containment bands
@@ -289,8 +291,6 @@ def find_hot_buckets(sigs: ray.data.Dataset, cfg: DedupConfig):
                         np.full(t.num_rows, k, dtype=np.int64))
         return partial(t.filter(pa.array(sel == 0)))
 
-    from ..functions.groups import partitioned_sum, tables_of
-
     # partitioned vectorized sum — Ray's native groupby().sum() is a
     # full sort-based shuffle, ~10x slower on this narrow key shape.
     # Sampling and partial counts run in the shuffle's map tasks
@@ -367,13 +367,9 @@ def _pairs_block(t: pa.Table, cfg: DedupConfig,
     than one representative shares (``_fid_index``). Signature rows are
     gathered one scoring batch at a time, so a reducer holds its band
     rows plus ``SCORE_BATCH_ROWS`` pairs of signatures."""
-    from ..functions.groups import csr_expand, group_starts
     from .cc import spanning_forest
     from .verify import (CONTAINMENT_EST_JACCARD_MIN, SCORE_BATCH_ROWS,
                          est_jaccard, gather_rows)
-
-    if t.num_rows == 0:
-        return _RAW_SCHEMA.empty_table()
 
     def col(name, dtype):
         return t[name].to_numpy(zero_copy_only=False).astype(dtype, copy=False)
@@ -486,37 +482,48 @@ def _pairs_block(t: pa.Table, cfg: DedupConfig,
                                   pa.repeat("rep", n_r)])}, schema=_RAW_SCHEMA)
 
 
-def _link_reps_block(df: pd.DataFrame) -> pd.DataFrame:
-    """Second (tiny) shuffle: all-pair the sub-bucket representatives of
-    each hot bucket so salting never disconnects a component."""
-    empty = pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                          "b": pd.Series([], dtype=np.int64),
-                          "is_cont": pd.Series([], dtype=np.int8)})
-    if df.empty:
-        return empty
-    df = df.sort_values(["band_id", "band_key", "a"], kind="mergesort")
-    bid = df["band_id"].to_numpy(np.int32)
-    bkey = df["band_key"].to_numpy(np.int64)
-    rep = df["a"].to_numpy(np.int64)
-    cont = df["is_cont"].to_numpy(np.int8)
-    new = np.zeros(len(bid), dtype=bool)
-    new[0] = True
-    new[1:] = (bid[1:] != bid[:-1]) | (bkey[1:] != bkey[:-1])
-    bounds = np.append(np.flatnonzero(new), len(bid))
-    a_out, b_out, c_out = [], [], []
-    for s in range(len(bounds) - 1):
-        lo, hi = bounds[s], bounds[s + 1]
-        if hi - lo >= 2:
-            r = np.unique(rep[lo:hi])
-            ia, ib = np.triu_indices(len(r), k=1)
-            a_out.append(r[ia])
-            b_out.append(r[ib])
-            c_out.append(np.full(len(ia), cont[lo], dtype=np.int8))
-    if not a_out:
-        return empty
-    return pd.DataFrame({"a": np.concatenate(a_out),
-                         "b": np.concatenate(b_out),
-                         "is_cont": np.concatenate(c_out)})
+_PAIR_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                          ("is_cont", pa.int8())])
+
+
+def _link_reps_block(t: pa.Table) -> pa.Table:
+    """Second (tiny) shuffle: all-pair the distinct sub-bucket
+    representatives (``a``) of each hot bucket (band_id, band_key),
+    each pair carrying the is_cont of the bucket's first row in (a)
+    order, so salting never disconnects a component. Pairs come out
+    bucket by bucket, (i, j) for i < j in rep order."""
+    bid, bkey, rep, cont = (t[c].to_numpy(zero_copy_only=False) for c in
+                            ("band_id", "band_key", "a", "is_cont"))
+    order = np.lexsort((rep, bkey, bid))
+    # one row per distinct (bucket, rep): the first in the stable order
+    keep = order[group_starts(bid[order], bkey[order], rep[order])]
+    bid, bkey, rep, cont = bid[keep], bkey[keep], rep[keep], cont[keep]
+    new = group_starts(bid, bkey)
+    lo = np.flatnonzero(new)
+    sub = np.cumsum(new) - 1
+    end = np.append(lo[1:], len(rep))[sub]
+    i, j = csr_expand(np.arange(1, len(rep) + 1), end)
+    return pa.table({"a": rep[i], "b": rep[j], "is_cont": cont[lo[sub[i]]]},
+                    schema=_PAIR_SCHEMA)
+
+
+def _dedup_pairs_block(t: pa.Table) -> pa.Table:
+    """Distinct (a, b) of one partition, in (a, b) order, with is_cont
+    the max over its rows. A pair whose every row has is_cont 1 (seen
+    only by containment bands) is kept only when it has at least
+    ``CONTAINMENT_MIN_BAND_HITS`` rows."""
+    a, b, c = (t[n].to_numpy(zero_copy_only=False)
+               for n in ("a", "b", "is_cont"))
+    order = np.lexsort((c, b, a))
+    a, b, c = a[order], b[order], c[order]
+    first = group_starts(a, b)
+    starts = np.flatnonzero(first)
+    last = np.append(starts[1:], len(a)) - 1    # max is_cont (sort asc)
+    counts = np.diff(np.append(starts, len(a)))
+    cont_only = c[first] == 1        # min is_cont (sort asc) == 1
+    keep = last[~cont_only | (counts >= CONTAINMENT_MIN_BAND_HITS)]
+    return pa.table({"a": a[keep], "b": b[keep], "is_cont": c[keep]},
+                    schema=_PAIR_SCHEMA)
 
 
 @ray.remote
@@ -555,15 +562,11 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     bands is routed to the substring pass if Jaccard rejects it."""
     import pyarrow.compute as pc
 
-    from ..functions.groups import (partitioned_group_map,
-                                    partitioned_group_map_arrow)
     from .verify import pack_signatures
 
     cfg = cfg.resolved()
     hot_ref = find_hot_buckets(sigs, cfg)
 
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("is_cont", pa.int8())])
     if packed is None:
         packed = pack_signatures(sigs, cfg)
     if packed is None:
@@ -581,7 +584,7 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     # by the band rows it makes; the output is materialized, so the cand
     # and rep reads below both take its blocks
     explode = ExplodeBands(cfg, hot_ref)
-    raw = partitioned_group_map_arrow(
+    raw = partitioned_group_map(
         sigs, ["band_id", "band_key", "salt"], pairs, cfg.num_partitions,
         out_schema=_RAW_SCHEMA, pre=explode, pre_rows=explode.bands)
 
@@ -590,7 +593,7 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
 
     rep_pairs = partitioned_group_map(
         raw, ["band_id", "band_key"], _link_reps_block,
-        cfg.num_partitions, out_schema=pair_schema,
+        cfg.num_partitions, out_schema=_PAIR_SCHEMA,
         pre=kind_rows("rep", ["a", "is_cont", "band_id", "band_key"]))
 
     # distinct on (a, b); is_cont = max => ANY containment-band evidence
@@ -600,34 +603,12 @@ def candidate_pairs(sigs: ray.data.Dataset, cfg: DedupConfig,
     # by containment bands must agree in >= CONTAINMENT_MIN_BAND_HITS
     # bands: at band collision prob J^r a real containment pair (J >=
     # ~0.5) hits many bands, while a boilerplate-noise pair almost never
-    # hits twice — the cheap pre-verify noise gate.
-
-    def dedup_block(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                                 "b": pd.Series([], dtype=np.int64),
-                                 "is_cont": pd.Series([], dtype=np.int8)})
-        df = df.sort_values(["a", "b", "is_cont"], kind="mergesort")
-        a = df["a"].to_numpy(np.int64)
-        b = df["b"].to_numpy(np.int64)
-        c = df["is_cont"].to_numpy(np.int8)
-        first = np.zeros(len(a), dtype=bool)
-        first[0] = True
-        first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        last = np.zeros(len(a), dtype=bool)
-        last[-1] = True
-        last[:-1] = first[1:]
-        group_idx = np.cumsum(first, dtype=np.int32) - 1
-        counts = np.bincount(group_idx)
-        cont_only = c[first] == 1        # min is_cont (sort asc) == 1
-        keep = ~cont_only | (counts >= CONTAINMENT_MIN_BAND_HITS)
-        return pd.DataFrame({"a": a[last][keep], "b": b[last][keep],
-                             "is_cont": c[last][keep]})  # max = last
+    # hits twice — the cheap pre-verify noise gate (_dedup_pairs_block).
 
     # the union of cand rows and rep-link pairs: two shuffle inputs
     deduped = partitioned_group_map(
-        [raw, rep_pairs], ["a", "b"], dedup_block, cfg.num_partitions,
-        out_schema=pair_schema,
+        [raw, rep_pairs], ["a", "b"], _dedup_pairs_block,
+        cfg.num_partitions, out_schema=_PAIR_SCHEMA,
         pre=[kind_rows("cand", ["a", "b", "is_cont"]), None])
     return _resolve_pairs(deduped, sigs, cfg)
 
@@ -658,7 +639,6 @@ def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
     id map, both joins and their renames run as plain tasks."""
     import pyarrow.compute as pc
 
-    from ..functions.groups import map_blocks
     from ..functions.joins import broadcast_join
 
     id_map = map_blocks(sigs, _id_map_block, _ID_MAP_SCHEMA)

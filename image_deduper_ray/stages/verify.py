@@ -21,13 +21,13 @@ edges per group — groups of size 1 emit nothing.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
 from ..config import DedupConfig
-from ..functions.groups import blocks_of, map_blocks, materialized
+from ..functions.groups import (blocks_of, group_starts, map_blocks,
+                               materialized, partitioned_group_map)
 
 # containment candidates must clear this estimated Jaccard before the
 # (content-joining) substring pass: real containment of ratio r has
@@ -38,6 +38,7 @@ CONTAINMENT_EST_JACCARD_MIN = 0.15
 _VERIFIED_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string()),
                               ("jaccard", pa.float64()),
                               ("verdict", pa.string())])
+_EDGE_SCHEMA = pa.schema([("a", pa.string()), ("b", pa.string())])
 
 # pair rows per scoring batch: each batch gathers two (n, num_perms)
 # uint64 signature matrices, so whole materialized blocks (~70k pairs)
@@ -48,8 +49,9 @@ SCORE_BATCH_ROWS = 4096
 def _sig_of(batch_col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray:
     """(n, P) uint64 view of a packed-minhash column. fixed_size_binary
     (the signature stage's native layout) reshapes the Arrow data buffer
-    ZERO-COPY; variable binary (post-join pandas round-trips) falls back
-    to one join+frombuffer."""
+    ZERO-COPY; variable binary (the join scorer's ``minhash_a`` /
+    ``minhash_b``, cast by ``attach_signatures``) falls back to one
+    join+frombuffer."""
     if isinstance(batch_col, pa.ChunkedArray):
         batch_col = batch_col.combine_chunks()
     if pa.types.is_fixed_size_binary(batch_col.type):
@@ -123,10 +125,9 @@ def score_joined_pairs(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
 
 
 @ray.remote(num_returns=2)
-def _pack(block, num_perms: int):
+def _pack(t: pa.Table, num_perms: int):
     """(S32 file_ids, uint64 signature matrix) of one signature block."""
-    from ..functions.arrow_utils import as_table, fixed_str_view
-    t = as_table(block)
+    from ..functions.arrow_utils import fixed_str_view
     if t.num_rows == 0 or "file_id" not in t.column_names:
         # Ray 2.49 empty partitions can arrive schema-less
         return (np.empty(0, dtype="S32"),
@@ -262,8 +263,6 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
     whose sig_kind is 'fallback' are never merged by signature (their
     signature encodes identity, not content); 'empty' rows are dropped
     from both outputs (M16 validator semantics)."""
-    from ..functions.groups import partitioned_group_map_arrow
-
     num_partitions = cfg.num_partitions
 
     # Shuffle a 128-bit FOLD of the signature, not the 1 KB payload
@@ -294,14 +293,12 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
                          "h2": pa.array(h2.view(np.int64)),
                          "sig_kind": t["sig_kind"]})
 
-    edge_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
-
     def member_edges(t: pa.Table) -> pa.Table:
         """(first, member) edges of one partition's 'ok' rows, grouped
         by fold; the first is the group's min file_id."""
         m = t.filter(pc.equal(t["sig_kind"], "ok"))
         if m.num_rows == 0:
-            return edge_schema.empty_table()
+            return _EDGE_SCHEMA.empty_table()
         m = m.take(pc.sort_indices(
             m, sort_keys=[("h1", "ascending"), ("h2", "ascending"),
                           ("file_id", "ascending")])).combine_chunks()
@@ -316,9 +313,9 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
 
     # materialized by the shuffle: the anti-join below AND the
     # ``edges_sig`` checkpoint read it
-    sig_edges = partitioned_group_map_arrow(
+    sig_edges = partitioned_group_map(
         sigs, ["h1", "h2"], member_edges, num_partitions,
-        out_schema=edge_schema, pre=fold)
+        out_schema=_EDGE_SCHEMA, pre=fold)
 
     rep_schema = pa.schema([("file_id", pa.string()),
                             ("minhash", pa.binary(P * 8)),
@@ -337,6 +334,26 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
     return reps, sig_edges
 
 
+def _exact_edges_block(t: pa.Table) -> pa.Table:
+    """(first, other) edges of one partition's sha256 groups: in
+    (sha256, file_id) order, every row but a group's first is an edge
+    from that first row (the group's min file_id). ``empty`` rows are
+    left out."""
+    import pyarrow.compute as pc
+
+    t = t.filter(pc.not_equal(t["sig_kind"], "empty"))
+    if t.num_rows == 0:
+        return _EDGE_SCHEMA.empty_table()
+    t = t.take(pc.sort_indices(t, sort_keys=[("sha256", "ascending"),
+                                             ("file_id", "ascending")]))
+    new = group_starts(t["sha256"].to_numpy(zero_copy_only=False))
+    first = np.flatnonzero(new)[np.cumsum(new) - 1]
+    other = np.flatnonzero(~new)
+    fid = t["file_id"]
+    return pa.table({"a": fid.take(first[other]), "b": fid.take(other)},
+                    schema=_EDGE_SCHEMA)
+
+
 def exact_dup_edges(sigs: ray.data.Dataset,
                     num_partitions: int | None = None) -> ray.data.Dataset:
     """A1: sha256-equal edges (first-vs-rest per group, deterministic
@@ -346,24 +363,7 @@ def exact_dup_edges(sigs: ray.data.Dataset,
     Partition-level block processing (functions/groups.py): one shuffle
     on hash(sha256), then the whole partition's groups segment in one
     vectorized pass — no per-group Python overhead."""
-    from ..functions.groups import group_starts, partitioned_group_map
-
-    def block(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["sig_kind"] != "empty"]
-        if df.empty:
-            return pd.DataFrame({"a": pd.Series([], dtype=object),
-                                 "b": pd.Series([], dtype=object)})
-        sha = df["sha256"].to_numpy()
-        fid = df["file_id"].to_numpy()
-        order = np.lexsort((fid, sha))
-        sha, fid = sha[order], fid[order]
-        new = group_starts(sha)
-        group_idx = np.cumsum(new, dtype=np.int32) - 1
-        first_fid = fid[new][group_idx]  # group's min file_id, broadcast
-        mask = ~new                      # every non-first row is an edge
-        return pd.DataFrame({"a": first_fid[mask], "b": fid[mask]})
-
     return partitioned_group_map(
-        sigs, ["sha256"], block, num_partitions,
-        out_schema=pa.schema([("a", pa.string()), ("b", pa.string())]),
+        sigs, ["sha256"], _exact_edges_block, num_partitions,
+        out_schema=_EDGE_SCHEMA,
         pre=lambda t: t.select(["sha256", "file_id", "sig_kind"]))

@@ -309,16 +309,17 @@ def test_fixed_str_view_layouts():
 
 
 def test_hash_join_right_dup_modes():
-    """right_dup='unique' keeps one right row per key (supply
+    """right_dup='unique' keeps one right row per key, its first (supply
     semantics); right_dup='expand' emits one output row per matching
-    right row (collision-expansion semantics)."""
+    right row (collision-expansion semantics). A left join keeps the
+    unmatched left row, with a null right value."""
     import pyarrow as pa
     import ray.data
 
     from image_deduper_ray.functions.joins import hash_join
 
     left = ray.data.from_arrow(pa.table({
-        "k": pa.array(["x", "y"]), "lv": pa.array([1, 2], pa.int64())}))
+        "k": pa.array(["x", "y", "z"]), "lv": pa.array([1, 2, 3], pa.int64())}))
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array(["x", "x", "y"]),
         "rv": pa.array([10, 11, 20], pa.int64())}))
@@ -327,11 +328,21 @@ def test_hash_join_right_dup_modes():
 
     uniq = hash_join(left, right, "k", "rk", ls, rs,
                      num_partitions=2).to_pandas()
-    assert len(uniq) == 2          # one row per left key
+    assert len(uniq) == 2          # one row per matched left key
+    assert sorted(uniq.rv) == [10, 20]
     exp = hash_join(left, right, "k", "rk", ls, rs,
                     num_partitions=2, right_dup="expand").to_pandas()
     assert len(exp) == 3           # x expands to both right rows
     assert sorted(exp[exp.k == "x"].rv) == [10, 11]
+    for right_dup, rows in (("unique", [("x", 1, 10), ("y", 2, 20),
+                                        ("z", 3, None)]),
+                            ("expand", [("x", 1, 10), ("x", 1, 11),
+                                        ("y", 2, 20), ("z", 3, None)])):
+        out = hash_join(left, right, "k", "rk", ls, rs, how="left",
+                        num_partitions=2, right_dup=right_dup)
+        assert out.schema().base_schema == pa.schema(list(ls) + list(rs))
+        assert sorted((r["k"], r["lv"], r["rv"]) for r in out.take_all()) \
+            == rows
 
     import pytest
     with pytest.raises(ValueError):
@@ -343,9 +354,12 @@ def test_hash_join_right_dup_modes():
 def test_broadcast_join_routes(how, key_type):
     """Both routes of ``broadcast_join`` (the Acero broadcast at the
     default cap, the partitioned hash join at ``max_bytes=0``) give the
-    rows of a pandas.merge reference. The right side repeats one key:
-    inner/left expand it, semi/anti never repeat a left row. An empty
-    right side keeps every left row for left/anti and none otherwise."""
+    same rows, those of a pandas.merge reference. The right side repeats
+    one key: inner/left expand it, semi/anti never repeat a left row;
+    two left keys match nothing, so a left join pads them with nulls.
+    The right side carries a ``fixed_size_binary`` payload, the layout
+    of a ``minhash`` column. An empty right side keeps every left row
+    for left/anti and none otherwise."""
     import pandas as pd
     import pyarrow as pa
     import ray.data
@@ -356,8 +370,11 @@ def test_broadcast_join_routes(how, key_type):
     conv = str if key_type == "string" else int
     left = pa.table({"k": pa.array([conv(x) for x in (5, 1, 9, 7, 1)], typ),
                      "x": pa.array([0, 1, 2, 3, 4], pa.int64())})
+    sig = [np.arange(4, dtype=np.uint64) * np.uint64(i) for i in range(4)]
     right = pa.table({"rk": pa.array([conv(x) for x in (1, 9, 9, 4)], typ),
-                      "v": pa.array(["a", "b", "c", "d"])})
+                      "v": pa.array(["a", "b", "c", "d"]),
+                      "m": pa.array([s.tobytes() for s in sig],
+                                    pa.binary(32))})
 
     def reference(r: pa.Table) -> pd.DataFrame:
         ldf, rdf = left.to_pandas(), r.to_pandas()
@@ -380,22 +397,30 @@ def test_broadcast_join_routes(how, key_type):
     for r in (right, right.slice(0, 0)):
         exp = rows(reference(r))
         exp_post = sorted((row[0], row[1] + 10) + row[2:] for row in exp)
-        for cap in (2_000_000_000, 0):
-            for post, want in ((None, exp), (plus10, exp_post)):
+        for post, want in ((None, exp), (plus10, exp_post)):
+            routes = []
+            for cap in (2_000_000_000, 0):
                 out = broadcast_join(ray.data.from_arrow(left),
                                      ray.data.from_arrow(r), "k", "rk", how,
                                      max_bytes=cap, num_partitions=2,
                                      post=post)
                 df = out.to_pandas()
                 cols = ["k", "x"] + ([] if how in ("semi", "anti")
-                                     else ["v"])
+                                     else ["v", "m"])
                 # a zero-row to_pandas drops the columns (Ray 2.49)
                 assert df.empty or list(df.columns) == cols, (cap, df.columns)
                 assert rows(df) == want, (cap, r.num_rows, post)
+                if r.num_rows and how not in ("semi", "anti"):
+                    assert out.schema().base_schema.field("m").type \
+                        == pa.binary(32), cap
+                routes.append(sorted(out.take_all(), key=repr))
+            assert routes[0] == routes[1]
     if how in ("semi", "anti"):
         assert len(reference(right)) == len(set(reference(right).x))
     else:
         assert (reference(right).k == conv(9)).sum() == 2   # expanded
+    if how == "left":
+        assert reference(right).v.isna().sum() == 2         # padded
 
 
 def test_safe_coalesce_misaligned_chunks():
@@ -431,7 +456,7 @@ def _sorted_rows(ds) -> list:
 
 
 def _shuffle_entry_points():
-    """(name, call) for the three shuffle entry points, each summing
+    """{name: call} for the two shuffle entry points, each summing
     ``w`` per key ``k`` over 3 partitions."""
     import pyarrow as pa
 
@@ -439,22 +464,16 @@ def _shuffle_entry_points():
 
     out = pa.schema([("k", pa.int64()), ("s", pa.int64())])
 
-    def pandas_sum(df):
-        return df.groupby("k", as_index=False)["w"].sum() \
-            .rename(columns={"w": "s"})
-
     def arrow_sum(t):
         return t.group_by("k").aggregate([("w", "sum")]) \
             .rename_columns(["k", "s"])
 
-    return [
-        ("pandas", lambda ds, pre=None: groups.partitioned_group_map(
-            ds, ["k"], pandas_sum, 3, out, pre=pre)),
-        ("arrow", lambda ds, pre=None: groups.partitioned_group_map_arrow(
-            ds, ["k"], arrow_sum, 3, out, pre=pre)),
-        ("sum", lambda ds, pre=None: groups.partitioned_sum(
-            ds, ["k"], "w", 3, out, out_name="s", pre=pre)),
-    ]
+    return {
+        "arrow": lambda ds, pre=None: groups.partitioned_group_map(
+            ds, ["k"], arrow_sum, 3, out, pre=pre),
+        "sum": lambda ds, pre=None: groups.partitioned_sum(
+            ds, ["k"], "w", 3, out, out_name="s", pre=pre),
+    }
 
 
 def _odd_doubled():
@@ -481,7 +500,7 @@ def _set_fan_out(monkeypatch, fanned: bool) -> int:
 
 
 @pytest.mark.parametrize("fanned", [False, True], ids=["one_task", "fanned"])
-@pytest.mark.parametrize("entry", [0, 1, 2])
+@pytest.mark.parametrize("entry", ["arrow", "sum"])
 def test_shuffle_pre_equals_map_then_shuffle(entry, fanned, monkeypatch):
     """A shuffle's per-block ``pre`` gives the rows of ``map_batches``
     followed by the shuffle, and a two-input shuffle (each input with
@@ -491,7 +510,7 @@ def test_shuffle_pre_equals_map_then_shuffle(entry, fanned, monkeypatch):
     import ray.data
 
     parts = _set_fan_out(monkeypatch, fanned)
-    _, shuffle = _shuffle_entry_points()[entry]
+    shuffle = _shuffle_entry_points()[entry]
     prep = _odd_doubled()
     v = np.arange(200, dtype=np.int64)
     first = ray.data.from_arrow(
@@ -510,7 +529,7 @@ def test_shuffle_pre_equals_map_then_shuffle(entry, fanned, monkeypatch):
 
 
 @pytest.mark.parametrize("fanned", [False, True], ids=["one_task", "fanned"])
-@pytest.mark.parametrize("entry", [0, 1, 2])
+@pytest.mark.parametrize("entry", ["arrow", "sum"])
 def test_shuffle_skips_empty_blocks_before_pre(entry, fanned, monkeypatch):
     """Empty and schema-less blocks (Ray 2.49 unions produce both) are
     skipped by the map task, or by the one task of a shuffle sized to
@@ -521,7 +540,7 @@ def test_shuffle_skips_empty_blocks_before_pre(entry, fanned, monkeypatch):
     import ray.data
 
     parts = _set_fan_out(monkeypatch, fanned)
-    _, shuffle = _shuffle_entry_points()[entry]
+    shuffle = _shuffle_entry_points()[entry]
     prep = _odd_doubled()
 
     def strict(t):
@@ -541,6 +560,43 @@ def test_shuffle_skips_empty_blocks_before_pre(entry, fanned, monkeypatch):
     assert out.count() == 0
     assert out.schema().names == ["k", "s"]
 
+
+@pytest.mark.parametrize("fanned", [False, True], ids=["one_task", "fanned"])
+def test_shuffle_never_calls_its_block_function_on_zero_rows(fanned,
+                                                              monkeypatch):
+    """A partition with no rows gets the typed empty output without a
+    call of the block function, as one task and fanned: inputs of only
+    empty or schema-less blocks, blocks ``pre`` filters to nothing, and
+    keys that leave partitions empty. So no block function needs a
+    zero-row branch."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from image_deduper_ray.functions import groups
+
+    _set_fan_out(monkeypatch, fanned)
+    prep = _odd_doubled()
+    out_schema = pa.schema([("k", pa.int64()), ("s", pa.int64())])
+
+    def strict_sum(t):
+        if t.num_rows == 0:
+            raise ValueError("block function called on zero rows")
+        return t.group_by("k").aggregate([("w", "sum")]) \
+            .rename_columns(["k", "s"])
+
+    rows = pa.table({"k": pa.array([1, 2, 1], pa.int64()),
+                     "v": pa.array([1, 3, 5], pa.int64())})
+    evens = pa.table({"k": pa.array([1, 2, 4], pa.int64()),
+                      "v": pa.array([2, 4, 6], pa.int64())})
+    for blocks, want in (([rows.slice(0, 0), pa.table({})], []),
+                         ([evens, evens.slice(0, 0)], []),
+                         ([rows, evens, pa.table({})], [(1, 12), (2, 6)])):
+        ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
+        out = groups.partitioned_group_map(ds, ["k"], strict_sum, 3,
+                                           out_schema, pre=prep)
+        assert _sorted_rows(out) == want
+        assert out.schema().names == ["k", "s"]
 
 
 def _count_executions(monkeypatch) -> list:
@@ -621,10 +677,10 @@ def test_shuffle_fan_out_counts_the_rows_pre_makes(pre_rows, parts,
     from image_deduper_ray.functions import groups
 
     monkeypatch.setattr(groups, "ROWS_PER_TASK", 200)
-    _, shuffle = _shuffle_entry_points()[1]
+    shuffle = _shuffle_entry_points()["arrow"]
     v = np.arange(200, dtype=np.int64)
     ds = ray.data.from_arrow(pa.table({"k": v % 7, "w": v}))
-    out = groups.partitioned_group_map_arrow(
+    out = groups.partitioned_group_map(
         ds, ["k"], lambda t: t.group_by("k").aggregate([("w", "sum")])
         .rename_columns(["k", "s"]), 3,
         pa.schema([("k", pa.int64()), ("s", pa.int64())]),

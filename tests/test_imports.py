@@ -127,3 +127,26 @@ def test_every_module_is_reachable_from_the_scan():
     modules = {f.relative_to(PKG).with_suffix("").parts
                for f in PKG.rglob("*.py") if f.name != "__init__.py"}
     assert sorted(".".join(m) for m in modules - seen) == []
+
+
+def _imports_pandas(f: Path) -> bool:
+    """Whether ``f`` imports pandas (or a submodule), at any depth."""
+    for node in ast.walk(ast.parse(f.read_text())):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "pandas" for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] == "pandas":
+            return True
+    return False
+
+
+def test_only_the_key_hash_module_imports_pandas():
+    """Arrow is the one block format: every block function is
+    ``pa.Table -> pa.Table``. pandas stays only for the shuffle's key
+    hash (``functions/groups._key_hash``), whose partition assignment a
+    resume relies on."""
+    files = sorted(PKG.rglob("*.py")) + [PKG.parent / "__ray_entry__.py"]
+    assert _imports_pandas(PKG / "functions" / "groups.py")
+    assert [str(f.relative_to(PKG.parent)) for f in files
+            if _imports_pandas(f)] == ["image_deduper_ray/functions/groups.py"]

@@ -4,9 +4,11 @@ Each vectorized kernel on the scan path is checked against a plain
 Python reference that follows its docstring literally: Python ints
 masked to 64 bits instead of numpy uint64 wraparound, sorting instead
 of prefix doubling, a union-find instead of vectorized hooking, ``in``
-instead of a suffix-array search. The cases are a grid over the shapes
-that pick different code paths (short input vs k, one chunk vs many,
-empty, hot keys, degenerate graphs).
+instead of a suffix-array search, ``sorted()`` and dicts instead of a
+shuffle block function's Arrow sort and segment scan. The cases are a
+grid over the shapes that pick different code paths (short input vs k,
+one chunk vs many, empty, hot keys, degenerate graphs), or random rows
+drawn from few values, so keys repeat and sorts tie.
 """
 
 from __future__ import annotations
@@ -322,3 +324,160 @@ def test_verdict_rule(jac, is_cont, tau):
     assert out.column_names == ["a", "b", "jaccard", "verdict"]
     assert out["jaccard"].to_pylist() == [jac]
     assert out["verdict"].to_pylist() == [_ref_verdict(jac, is_cont, tau)]
+
+
+# --- shuffle block functions ----------------------------------------------
+# each runs once per shuffle partition with at least one row
+
+@pytest.mark.parametrize("seed", range(6))
+def test_link_reps_pairs_every_two_distinct_reps_of_a_bucket(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    rows = [(rng.randrange(3), rng.randrange(-2, 2), rng.randrange(8),
+             rng.randrange(2)) for _ in range(n)]     # bid, bkey, rep, cont
+    t = pa.table({"a": pa.array([r[2] for r in rows], pa.int64()),
+                  "is_cont": pa.array([r[3] for r in rows], pa.int8()),
+                  "band_id": pa.array([r[0] for r in rows], pa.int32()),
+                  "band_key": pa.array([r[1] for r in rows], pa.int64())})
+    want = []
+    for bucket in sorted({r[:2] for r in rows}):
+        members = sorted((r for r in rows if r[:2] == bucket),
+                         key=lambda r: r[2])        # stable
+        reps = sorted({r[2] for r in members})
+        want += [(x, y, members[0][3]) for i, x in enumerate(reps)
+                 for y in reps[i + 1:]]
+    got = lsh._link_reps_block(t)
+    assert got.schema == lsh._PAIR_SCHEMA
+    assert list(zip(*got.to_pydict().values())) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_pairs_keeps_distinct_pairs_with_max_is_cont(seed):
+    rng = random.Random(seed)
+    rows = [(rng.randrange(5), rng.randrange(5), rng.randrange(2))
+            for _ in range(rng.randrange(1, 60))]
+    t = pa.table({"a": pa.array([r[0] for r in rows], pa.int64()),
+                  "b": pa.array([r[1] for r in rows], pa.int64()),
+                  "is_cont": pa.array([r[2] for r in rows], pa.int8())})
+    seen: dict = {}
+    for a, b, c in rows:
+        seen.setdefault((a, b), []).append(c)
+    want = [(a, b, max(cs)) for (a, b), cs in sorted(seen.items())
+            if min(cs) == 0 or len(cs) >= lsh.CONTAINMENT_MIN_BAND_HITS]
+    got = lsh._dedup_pairs_block(t)
+    assert got.schema == lsh._PAIR_SCHEMA
+    assert list(zip(*got.to_pydict().values())) == want
+
+
+def _hex(rng: random.Random, n: int, width: int) -> list[str]:
+    """``n`` hex ids of ``width`` chars from a small pool, so ids repeat."""
+    pool = [f"{rng.getrandbits(4 * width):0{width}x}" for _ in range(4)]
+    return [rng.choice(pool) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_edges_link_each_sha_group_to_its_min_file_id(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    sha = _hex(rng, n, 64)
+    fids = [f"{i:032x}" for i in rng.sample(range(1000), n)]
+    kinds = [rng.choice(["ok", "ok", "fallback", "empty"]) for _ in range(n)]
+    t = pa.table({"sha256": sha, "file_id": fids, "sig_kind": kinds})
+    want = []
+    for s in sorted(set(sha)):
+        group = sorted(f for f, x, k in zip(fids, sha, kinds)
+                       if x == s and k != "empty")
+        want += [(group[0], f) for f in group[1:]]
+    got = verify._exact_edges_block(t)
+    assert got.schema == verify._EDGE_SCHEMA
+    assert list(zip(got["a"].to_pylist(), got["b"].to_pylist())) == want
+
+
+@pytest.mark.parametrize("order", [("-n_bytes", "repo", "path", "commit"),
+                                   ("repo", "-path", "n_bytes")])
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_pick_matches_a_stable_sort(seed, order):
+    from image_deduper_ray.stages import canonical
+
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    cols = {"file_id": [f"f{i:02d}" for i in range(n)],
+            "cluster_id": [rng.choice("xyz") for _ in range(n)],
+            "repo": [rng.choice(["r1", "r2"]) for _ in range(n)],
+            "path": [rng.choice(["a.py", "b.py", "c.py"]) for _ in range(n)],
+            "commit": [rng.choice(["c0", "c1"]) for _ in range(n)],
+            "n_bytes": [rng.randrange(3) for _ in range(n)]}
+    rows = [dict(zip(cols, v)) for v in zip(*cols.values())]
+    rng.shuffle(rows)
+    t = pa.table({c: [r[c] for r in rows] for c in cols})
+    # stable sorts from the last key to the first: a row keeps its input
+    # place among rows equal on every key
+    want = rows
+    for spec in reversed(("cluster_id",) + order):
+        want = sorted(want, key=lambda r: r[spec.lstrip("-")],
+                      reverse=spec.startswith("-"))
+    keep = {}
+    for r in want:
+        keep.setdefault(r["cluster_id"], r["file_id"])
+    got = canonical._pick_block(t, canonical._sort_keys(
+        DedupConfig(canonical_order=order)), "symlink")
+    assert got.schema == canonical._ACTIONS_SCHEMA
+    assert got.to_pylist() == [
+        {"file_id": r["file_id"], "cluster_id": r["cluster_id"],
+         "role": "keep" if keep[r["cluster_id"]] == r["file_id"] else "dup",
+         "canonical_file_id": keep[r["cluster_id"]],
+         "action": "none" if keep[r["cluster_id"]] == r["file_id"]
+         else "symlink", "success": True} for r in want]
+
+
+@pytest.mark.parametrize("node_type", ["string", "int64"])
+@pytest.mark.parametrize("seed", range(6))
+def test_label_propagation_round_matches_a_dict_min_label_step(seed,
+                                                               node_type):
+    from image_deduper_ray.stages import cc
+
+    rng = random.Random(seed)
+    typ, conv = (pa.string(), lambda i: f"n{i:02d}") \
+        if node_type == "string" else (pa.int64(), int)
+    nodes = [conv(i) for i in range(rng.randrange(2, 12))]
+    labels = {v: rng.choice(nodes) for v in nodes if rng.random() < 0.8}
+    edges = [(rng.choice(nodes), rng.choice(nodes))
+             for _ in range(rng.randrange(0, 20))]
+    # a seed round over the edge keys: each distinct key, its own label
+    if edges:
+        seed_out = cc._seed_block(pa.table({"key": pa.array(
+            [k for k, _ in edges], typ)}))
+        assert sorted(seed_out["key"].to_pylist()) == sorted({k for k, _ in edges})
+        assert seed_out["label"].to_pylist() == seed_out["key"].to_pylist()
+    t = pa.table({
+        "key": pa.array(list(labels) + [k for k, _ in edges], typ),
+        "label": pa.array(list(labels.values()) + [None] * len(edges), typ),
+        "neigh": pa.array([None] * len(labels) + [v for _, v in edges], typ)})
+    new: dict = {}
+    for k, v in [(k, k) for k in labels] + edges:
+        if k in labels:
+            new[v] = min(new.get(v, labels[k]), labels[k])
+    msgs = cc._messages_block(t)
+    got = cc._min_label_block(msgs)
+    assert got.column_names == ["key", "label", "changed"]
+    assert got["key"].to_pylist() == sorted(new)
+    assert dict(zip(got["key"].to_pylist(), got["label"].to_pylist())) == new
+    assert got["changed"].to_pylist() == [
+        int(k not in labels or labels[k] != new[k]) for k in sorted(new)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabel_gives_each_cluster_its_min_doc_id(seed):
+    import __ray_entry__ as entry
+
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    keys = [rng.choice(["c", "a", "b"]) for _ in range(n)]
+    dids = rng.sample(range(100), n)
+    t = pa.table({"doc_id": pa.array(dids, pa.int64()), "cluster_key": keys})
+    got = entry._relabel_block(t)
+    want = sorted(zip(keys, dids), key=lambda r: r[0])      # stable
+    mins = {k: min(d for kk, d in want if kk == k) for k in keys}
+    assert got.schema == entry._RELABELED
+    assert list(zip(got["doc_id"].to_pylist(), got["cluster_id"].to_pylist())) \
+        == [(d, mins[k]) for k, d in want]
