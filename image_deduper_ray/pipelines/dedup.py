@@ -6,7 +6,7 @@ Discovery -> Processing -> Persistence -> DuplicateCheck -> Action) and
 of the ``ImageDeduper::run`` / ``hash_and_persist`` drivers
 (/root/reference/crates/image-deduper-core/src/lib.rs:110-243):
 
-  read + sign_batch (a task per input unit)   [checkpoint signatures]
+  read + sign_batch (row slices, part/unit)   [checkpoint signatures]
   -> exact sha256 edges (partition blocks)     [checkpoint edges_exact]
   -> signature-identical collapse              [checkpoint edges_sig]
   -> LSH candidate pairs (salted, on reps)     [checkpoint pairs]
@@ -28,11 +28,14 @@ and gets its inputs as arguments, in the entry's order. ``STAGES``,
 which ``stats`` and ``diagnose`` read, is the table's written stages.
 
 The checkpoints are written, never read back by the run that wrote
-them. The signatures build is one plain Ray task per input unit
-(``sign_input``: a file, or a run of a Parquet file's row groups),
-which drops the done ids, signs its rows and writes its own part to a
-temp name, then renames it, so a killed scan keeps whole parts only;
-the tasks' blocks are the stage, in memory. Every other stage is
+them. The signatures build (``sign_input``) writes one part per input
+unit (a file, or a run of a Parquet file's row groups) and spreads the
+signing over the cluster's CPUs in row slices, two per CPU: a unit of
+at most one slice is one plain Ray task, a larger one a read task, a
+sign task per slice and a write task. Each unit drops the done ids,
+signs its rows and writes its part to a temp name, then renames it, so
+a killed scan keeps whole parts only; the units' blocks are the stage,
+in memory. Every other stage is
 materialized once, its blocks are written by plain tasks, and the next
 stage reads it from the object store. Only stages an earlier run
 completed (and the parts a killed run left) are read from Parquet, each
@@ -79,8 +82,8 @@ import ray.data
 from ..config import DedupConfig, DEFAULT_CONFIG
 from ..functions.arrow_utils import ensure_schema, rename_drop, safe_coalesce
 from ..functions.groups import (_dataset_of, _with_meta, coalesce_blocks,
-                                map_blocks, materialized, table_dataset,
-                                union_blocks)
+                                default_partitions, map_blocks,
+                                materialized, table_dataset, union_blocks)
 from ..functions.joins import broadcast_join, collect_under_cap
 from ..sources import checkpoints as ckpt
 from ..sources.files import (UNIT_SCHEMA, input_units, read_content,
@@ -132,41 +135,91 @@ def _fallback_counts(tables) -> dict[str, int]:
     return counts
 
 
+def _sign_rows(t: pa.Table, cfg: DedupConfig) -> pa.Table:
+    """``sign_batch`` over ``t``, ``cfg.sig_batch_size`` rows per call."""
+    n = cfg.sig_batch_size
+    # no row still signs the empty table: the output schema
+    return pa.concat_tables([sign_batch(t.slice(i, n), cfg)
+                             for i in range(0, t.num_rows, n)]
+                            or [sign_batch(t, cfg)])
+
+
+def _write_signed(sig: pa.Table, part: str) -> tuple:
+    """Write ``sig``, if it holds a row, as the Parquet part ``part``
+    (atomically); returns ``(block, metadata, fallback counts)``."""
+    if sig.num_rows:
+        ckpt.write_part(sig, part)
+    return (*_with_meta(sig), _fallback_counts([sig]))
+
+
 @ray.remote(num_returns=3)
 def _sign_unit(path: str, file_format: str, row_groups, done, langs,
                prefixes, cfg: DedupConfig, part: str) -> tuple:
     """Sign the rows of one input unit whose ``file_id`` is not in
-    ``done`` (the resume anti-join), ``cfg.sig_batch_size`` rows per
-    ``sign_batch`` call, and write them, if any, as the Parquet part
-    ``part`` (atomically). Returns ``(block, metadata, fallback
-    counts)``."""
+    ``done`` (the resume anti-join) and write them, if any, as the part
+    ``part``: one task for a unit of at most one slice."""
     t, _, _ = read_unit(path, file_format, row_groups, langs=langs,
                         exclude_path_prefixes=prefixes, ids=done,
                         drop_ids=True)
-    n = cfg.sig_batch_size
-    # an empty unit still signs its empty table: the output schema
-    sig = pa.concat_tables([sign_batch(t.slice(i, n), cfg)
-                            for i in range(0, t.num_rows, n)]
-                           or [sign_batch(t, cfg)])
-    if sig.num_rows:
-        ckpt.write_part(sig, part)
-    return (*_with_meta(sig), _fallback_counts([sig]))
+    return _write_signed(_sign_rows(t, cfg), part)
+
+
+@ray.remote(num_returns=2)
+def _read_kept(path: str, file_format: str, row_groups, done, langs,
+               prefixes) -> tuple:
+    """The rows of one input unit whose ``file_id`` is not in ``done``,
+    and their count: the input of a sliced unit's sign tasks."""
+    t, _, _ = read_unit(path, file_format, row_groups, langs=langs,
+                        exclude_path_prefixes=prefixes, ids=done,
+                        drop_ids=True)
+    return t, t.num_rows
+
+
+@ray.remote
+def _sign_slice(rows: pa.Table, start: int, n: int,
+                cfg: DedupConfig) -> pa.Table:
+    """The signatures of ``rows[start:start + n]`` (a zero-copy slice of
+    the unit's kept rows in the object store)."""
+    return _sign_rows(rows.slice(start, n), cfg)
+
+
+@ray.remote(num_returns=3)
+def _sign_write(rows: pa.Table, cfg: DedupConfig, part: str) -> tuple:
+    """A sliced unit whose kept rows fit one slice: sign and write them
+    in one task."""
+    return _write_signed(_sign_rows(rows, cfg), part)
+
+
+@ray.remote(num_returns=3)
+def _write_slices(part: str, *slices: pa.Table) -> tuple:
+    """A sliced unit's part: its signed slices in row order."""
+    return _write_signed(pa.concat_tables(slices), part)
 
 
 def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
                resume: bool = True, langs: list[str] | None = None,
                exclude_path_prefixes: list[str] | None = None) -> tuple:
     """Write the ``signatures`` stage: sign every input row the stage's
-    parts lack, with one plain Ray task per input unit
+    parts lack, one part ``part-<run_id>-<unit>.parquet`` per input unit
     (``files.input_units``: a file, or a run of a Parquet file's row
-    groups), each writing its own part ``part-<run_id>-<unit>.parquet``,
-    then the manifest. Returns the stage as a materialized dataset (the
-    new blocks and the earlier parts, read by one task each, in part
-    name order) and its metrics ``extra``.
+    groups), then the manifest. Returns the stage as a materialized
+    dataset (the new blocks and the earlier parts, read by one task
+    each, in part name order) and its metrics ``extra``.
+
+    The work is spread over the cluster's CPUs in slices of
+    ``slice_rows``, the input's footer rows over two slices per CPU. A
+    unit of at most one slice (or a JSONL/CSV file, which no footer
+    counts) is one plain task that reads, signs and writes it. A larger
+    unit is a read task that puts its kept rows in the object store, a
+    sign task per ``slice_rows`` of them, each on a zero-copy slice, and
+    a write task that joins the slices in row order (one task signs and
+    writes kept rows that fit one slice; none runs for a unit with no
+    kept row). Either way the unit gives one block and one part, of the
+    same rows in input order, and every task is waited for.
 
     A resume keeps the parts an earlier run left (bar a torn one or a
     temp file) and signs only the rows whose ``file_id`` they lack: the
-    done ids are ``ray.put`` once and each task drops them. No Ray Data
+    done ids are ``ray.put`` once and each read drops them. No Ray Data
     execution runs, and a fresh scan reads nothing back. A stage with
     no row gets one schema-only part."""
     d = ckpt.stage_dir(out_dir, "signatures")
@@ -182,14 +235,38 @@ def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
              for f in earlier}
     file_format, units = input_units(input_paths, cfg.sig_batch_size)
     done_ref = ray.put(pa.array(list(done), pa.string())) if done else None
-    signed = {}
-    for i, (path, row_groups) in enumerate(units):
+    footer_rows = sum(n or 0 for _, _, n in units)
+    slice_rows = max(1, -(-footer_rows // (2 * default_partitions())))
+    signed, kept = {}, {}
+    for i, (path, row_groups, n) in enumerate(units):
         name = f"part-{run_id}-{i:05d}.parquet"
-        signed[name] = _sign_unit.remote(
-            path, file_format, row_groups, done_ref, langs,
-            exclude_path_prefixes, cfg, os.path.join(d, name))
+        args = (path, file_format, row_groups, done_ref, langs,
+                exclude_path_prefixes)
+        if n is None or n <= slice_rows:
+            signed[name] = _sign_unit.remote(*args, cfg, os.path.join(d, name))
+        else:
+            kept[name] = _read_kept.remote(*args)
     read_metas = ray.get([m for _, m in parts.values()])
     read_s = _time.monotonic() - t0
+    sign_tasks = len(signed)
+    no_rows = None
+    for (name, (rows, _)), n in zip(kept.items(),
+                                    ray.get([n for _, n in kept.values()])):
+        part = os.path.join(d, name)
+        sign_tasks += -(-n // slice_rows)
+        if n == 0:
+            # no sign task and no part, but the unit's block all the
+            # same: empty, with the stage schema
+            no_rows = no_rows or tuple(map(ray.put, (
+                *_with_meta(sign_batch(UNIT_SCHEMA.empty_table(), cfg)),
+                _fallback_counts([]))))
+            signed[name] = no_rows
+        elif n <= slice_rows:
+            signed[name] = _sign_write.remote(rows, cfg, part)
+        else:
+            signed[name] = _write_slices.remote(part, *(
+                _sign_slice.remote(rows, s, slice_rows, cfg)
+                for s in range(0, n, slice_rows)))
     # waits for every task
     metas = ray.get([m for _, m, _ in signed.values()])
     counts = _fallback_counts(pq.read_table(os.path.join(d, f),
@@ -210,6 +287,7 @@ def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
     ckpt.write_manifest(out_dir, "signatures", cfg.to_json())
     return sigs, {"resumed_from": len(done), "units": len(units),
                   "units_signed": sum(m.metadata.num_rows > 0 for m in metas),
+                  "sign_tasks": sign_tasks, "slice_rows": slice_rows,
                   "read_s": round(read_s, 2), **counts}
 
 

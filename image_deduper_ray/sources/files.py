@@ -256,16 +256,18 @@ def read_unit(path: str, file_format: str, row_groups: list[int] | None = None,
 
 
 def input_units(paths: str | list[str], min_rows: int) -> tuple:
-    """The input's format and its ``(file, row groups)`` units, in read
-    order: each JSONL or CSV file whole (``None``), each Parquet file as
-    runs of consecutive whole row groups holding at least ``min_rows``
-    rows (the last run of a file may hold fewer). A Parquet file without
-    a row group gives no unit. Reads each Parquet footer on the driver."""
+    """The input's format and its ``(file, row groups, rows)`` units, in
+    read order: each JSONL or CSV file whole (row groups and rows
+    ``None``: no footer counts them), each Parquet file as runs of
+    consecutive whole row groups holding at least ``min_rows`` rows (the
+    last run of a file may hold fewer), with the rows their footer
+    counts. A Parquet file without a row group gives no unit. Reads each
+    Parquet footer on the driver."""
     file_format = _sniff_format(paths)
     units = []
     for f in _input_files(paths, file_format):
         if file_format != "parquet":
-            units.append((f, None))
+            units.append((f, None, None))
             continue
         md = pq.read_metadata(f)
         run, n = [], 0
@@ -273,10 +275,10 @@ def input_units(paths: str | list[str], min_rows: int) -> tuple:
             run.append(i)
             n += md.row_group(i).num_rows
             if n >= min_rows:
-                units.append((f, run))
+                units.append((f, run, n))
                 run, n = [], 0
         if run:
-            units.append((f, run))
+            units.append((f, run, n))
     return file_format, units
 
 

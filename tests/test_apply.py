@@ -13,6 +13,9 @@ import shutil
 
 import pytest
 
+# every test here runs Ray (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("ray_session")
+
 
 @pytest.fixture(scope="module")
 def scanned(tmp_path_factory):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from image_deduper_ray.sources.checkpoints import anti_join_done
+
+# every test here runs Ray (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("ray_session")
 
 
 def _files_ds(n=100):

@@ -14,6 +14,9 @@ import pytest
 from image_deduper_ray.config import DedupConfig
 from image_deduper_ray.functions import hashing, minhash as mh, tokenize as tok
 
+# every test here runs Ray (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("ray_session")
+
 
 def _sig(text: str, lang: str = "py", cfg: DedupConfig = DedupConfig()):
     a, b = mh.make_perms(cfg.num_perms, cfg.minhash_seed)

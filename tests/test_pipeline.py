@@ -21,6 +21,9 @@ from image_deduper_ray.pipelines.dedup import (STAGE_TABLE, STAGES,
 from image_deduper_ray.pipelines.oracle import (dup_pair_recall, oracle_pairs,
                                                 oracle_signatures)
 
+# every test here runs Ray (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("ray_session")
+
 N_CLUSTERS = 10
 
 
@@ -125,18 +128,21 @@ def test_signature_metrics_count_fallbacks(corpus_run):
 
 
 def test_signature_metrics_count_units(corpus_run):
-    """The signatures metrics row reports the sign tasks (``units``: the
-    one input file of ``corpus_run``, one row group) and those that
-    signed a row (``units_signed``)."""
+    """The signatures metrics row reports the input units (``units``:
+    the one input file of ``corpus_run``, one row group), those that
+    signed a row (``units_signed``), the row slice the signing is cut
+    in and the sign tasks that ran: one per slice of the unit's rows."""
     import ast
 
     import pyarrow.parquet as pq
 
-    _, out_dir, _, _, _ = corpus_run
+    _, out_dir, res, _, _ = corpus_run
     m = pq.read_table(os.path.join(out_dir, "metrics")).to_pydict()
     extra = ast.literal_eval(dict(zip(m["stage"], m["extra"]))["signatures"])
     assert (extra["units"], extra["units_signed"]) == (1, 1)
     assert extra["resumed_from"] == 0
+    rows = res["signatures"].count()
+    assert extra["sign_tasks"] == -(-rows // extra["slice_rows"]) > 1
 
 
 def test_plain_task_blocks_carry_no_schema_metadata(corpus_run, tmp_path):
@@ -436,16 +442,17 @@ def test_fresh_scan_reads_back_no_stage(corpus_run, tmp_path, monkeypatch):
 
 def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
     """A fresh scan starts no Ray Data execution and exactly 7 hash
-    shuffles. The signing runs one plain task per input unit and the
-    containment content lookup one per input file; each shuffle's row
-    prep runs in its own map tasks; every map over a materialized stage
-    (the joins' probes and their ``post``, verify scoring, the edge
-    filters and union, the cluster meta) runs plain tasks through
-    ``groups.map_blocks``, as do the representatives' signature
-    broadcast and a checkpoint's block coalescing. No plan the scan
-    builds calls ``ExecutionPlan.execute`` either: the datasets are
-    built computed and their blocks read from that snapshot, so the
-    scan makes none of its GCS calls."""
+    shuffles. The signing runs plain tasks, one per input unit or, for
+    a unit larger than a row slice, a read, a sign per slice and a
+    write, and the containment content lookup one per input file; each
+    shuffle's row prep runs in its own map tasks; every map over a
+    materialized stage (the joins' probes and their ``post``, verify
+    scoring, the edge filters and union, the cluster meta) runs plain
+    tasks through ``groups.map_blocks``, as do the representatives'
+    signature broadcast and a checkpoint's block coalescing. No plan
+    the scan builds calls ``ExecutionPlan.execute`` either: the
+    datasets are built computed and their blocks read from that
+    snapshot, so the scan makes none of its GCS calls."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
     from ray.data._internal.plan import ExecutionPlan

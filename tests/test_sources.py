@@ -13,6 +13,9 @@ import ray.data
 from image_deduper_ray.sources.files import (CONTENT_SCHEMA, add_file_id,
                                              read_content, read_files)
 
+# every test here runs Ray (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("ray_session")
+
 
 def _write(tmp_path):
     t = pa.table({
@@ -276,24 +279,67 @@ def _sign_matches_read_files(paths, out_dir: str, cfg=None, **kw) -> dict:
 def test_sign_units_cut_a_parquet_file_into_row_group_runs(tmp_path):
     """Eight row groups of at most 4 rows at ``sig_batch_size=10``: three
     units of consecutive whole row groups holding at least 10 rows (the
-    last fewer), one part each, named in unit order."""
+    last fewer), with their footer rows, one part each, named in unit
+    order. Each unit is larger than a slice (30 rows over two slices
+    per CPU of the 4-CPU session: 4 rows), so its rows are signed in
+    slices and joined back in order."""
     from image_deduper_ray.sources.files import input_units
 
     t = _table(30)
     p = str(tmp_path / "files.parquet")
     pq.write_table(t, p, row_group_size=4)
-    assert input_units(p, 10) == ("parquet", [(p, [0, 1, 2]), (p, [3, 4, 5]),
-                                              (p, [6, 7])])
+    assert input_units(p, 10) == ("parquet", [(p, [0, 1, 2], 12),
+                                              (p, [3, 4, 5], 12),
+                                              (p, [6, 7], 6)])
     out = str(tmp_path / "out")
     extra = _sign_matches_read_files(p, out, _sign_cfg(sig_batch_size=10))
     assert (extra["units"], extra["units_signed"]) == (3, 3)
-    parts = sorted(f for f in os.listdir(os.path.join(out, "signatures"))
-                   if f.endswith(".parquet"))
-    assert parts == [f"part-run0-{i:05d}.parquet" for i in range(3)]
-    assert [pq.read_table(os.path.join(out, "signatures", f))["path"]
-            .to_pylist() for f in parts] == [
-        t["path"].to_pylist()[:12], t["path"].to_pylist()[12:24],
-        t["path"].to_pylist()[24:]]
+    assert (extra["slice_rows"], extra["sign_tasks"]) == (4, 3 + 3 + 2)
+    paths = t["path"].to_pylist()
+    assert _part_paths(out) == {
+        f"part-run0-{i:05d}.parquet": paths[s]
+        for i, s in enumerate([slice(0, 12), slice(12, 24), slice(24, 30)])}
+
+
+def _part_paths(out_dir: str) -> dict:
+    """The ``path`` column of each ``signatures`` part, by part name."""
+    d = os.path.join(out_dir, "signatures")
+    return {f: pq.read_table(os.path.join(d, f))["path"].to_pylist()
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
+
+
+@pytest.mark.parametrize("done", [[], list(range(0, 40, 2)), list(range(40))],
+                         ids=["fresh", "half_done", "all_done"])
+def test_sign_input_slices_a_unit_over_the_cpus(tmp_path, done):
+    """A 40-row Parquet file of one row group is one unit. On the 4-CPU
+    test session a slice is 40 rows over two slices per CPU, 5 rows, so
+    the rows no earlier part holds are signed by one task per 5 of them.
+    The unit still writes one part, of exactly those rows in input
+    order; when an earlier part holds every row it writes none and runs
+    no sign task."""
+    from image_deduper_ray.sources import checkpoints as ckpt
+    from image_deduper_ray.stages.signatures import sign_batch
+
+    t = _table(40)
+    p = str(tmp_path / "files.parquet")
+    pq.write_table(t, p)
+    out = str(tmp_path / "out")
+    want = {}
+    if done:
+        os.makedirs(os.path.join(out, "signatures"))
+        earlier = "part-run-1-00000.parquet"
+        ckpt.write_part(sign_batch(add_file_id(t.take(done)), _sign_cfg()),
+                        os.path.join(out, "signatures", earlier))
+        want[earlier] = t.take(done)["path"].to_pylist()
+    extra = _sign_matches_read_files(p, out)
+    todo = [i for i in range(40) if i not in done]
+    if todo:
+        want["part-run0-00000.parquet"] = t.take(todo)["path"].to_pylist()
+    assert _part_paths(out) == want
+    assert (extra["units"], extra["resumed_from"], extra["slice_rows"]) == (
+        1, len(done), 5)
+    assert extra["sign_tasks"] == len(todo) // 5
+    assert extra["units_signed"] == (len(todo) > 0)
 
 
 def test_sign_units_list_files_as_the_parquet_read(tmp_path):
@@ -338,7 +384,8 @@ def test_sign_units_over_row_formats(tmp_path, fmt):
     _write_rows(rows[:3], str(d / f"a.{fmt}"), fmt)
     _write_rows(rows[3:], str(d / f"b.{fmt}"), fmt)
     extra = _sign_matches_read_files(str(d), str(tmp_path / "out"))
-    assert extra["units"] == 2
+    # no footer counts their rows: one task each reads, signs and writes
+    assert extra["units"] == extra["sign_tasks"] == 2
     _sign_matches_read_files(str(d), str(tmp_path / "out_py"), langs=["py"])
 
 
