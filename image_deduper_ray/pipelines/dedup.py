@@ -30,9 +30,9 @@ which ``stats`` and ``diagnose`` read, is the table's written stages.
 The checkpoints are written, never read back by the run that wrote
 them. The signatures build (``sign_input``) writes one part per input
 unit (a file, or a run of a Parquet file's row groups) and spreads the
-signing over the cluster's CPUs in row slices, two per CPU: a unit of
-at most one slice is one plain Ray task, a larger one a read task, a
-sign task per slice and a write task. Each unit drops the done ids,
+signing over the cluster's CPUs in row slices, two per CPU: a Parquet
+unit is a read task, a sign task per slice and a write task, a JSONL or
+CSV file one plain Ray task. Each unit drops the done ids,
 signs its rows and writes its part to a temp name, then renames it, so
 a killed scan keeps whole parts only; the units' blocks are the stage,
 in memory. Every other stage is
@@ -155,9 +155,10 @@ def _write_signed(sig: pa.Table, part: str) -> tuple:
 @ray.remote(num_returns=3)
 def _sign_unit(path: str, file_format: str, row_groups, done, langs,
                prefixes, cfg: DedupConfig, part: str) -> tuple:
-    """Sign the rows of one input unit whose ``file_id`` is not in
+    """Sign the rows of one JSONL/CSV file whose ``file_id`` is not in
     ``done`` (the resume anti-join) and write them, if any, as the part
-    ``part``: one task for a unit of at most one slice."""
+    ``part``: no footer counts such a file's rows, so one task does it
+    all."""
     t, _, _ = read_unit(path, file_format, row_groups, langs=langs,
                         exclude_path_prefixes=prefixes, ids=done,
                         drop_ids=True)
@@ -168,7 +169,7 @@ def _sign_unit(path: str, file_format: str, row_groups, done, langs,
 def _read_kept(path: str, file_format: str, row_groups, done, langs,
                prefixes) -> tuple:
     """The rows of one input unit whose ``file_id`` is not in ``done``,
-    and their count: the input of a sliced unit's sign tasks."""
+    and their count: the input of a Parquet unit's sign tasks."""
     t, _, _ = read_unit(path, file_format, row_groups, langs=langs,
                         exclude_path_prefixes=prefixes, ids=done,
                         drop_ids=True)
@@ -184,15 +185,8 @@ def _sign_slice(rows: pa.Table, start: int, n: int,
 
 
 @ray.remote(num_returns=3)
-def _sign_write(rows: pa.Table, cfg: DedupConfig, part: str) -> tuple:
-    """A sliced unit whose kept rows fit one slice: sign and write them
-    in one task."""
-    return _write_signed(_sign_rows(rows, cfg), part)
-
-
-@ray.remote(num_returns=3)
 def _write_slices(part: str, *slices: pa.Table) -> tuple:
-    """A sliced unit's part: its signed slices in row order."""
+    """A Parquet unit's part: its signed slices in row order."""
     return _write_signed(pa.concat_tables(slices), part)
 
 
@@ -208,13 +202,12 @@ def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
 
     The work is spread over the cluster's CPUs in slices of
     ``slice_rows``, the input's footer rows over two slices per CPU. A
-    unit of at most one slice (or a JSONL/CSV file, which no footer
-    counts) is one plain task that reads, signs and writes it. A larger
-    unit is a read task that puts its kept rows in the object store, a
-    sign task per ``slice_rows`` of them, each on a zero-copy slice, and
-    a write task that joins the slices in row order (one task signs and
-    writes kept rows that fit one slice; none runs for a unit with no
-    kept row). Either way the unit gives one block and one part, of the
+    Parquet unit is a read task that puts its kept rows in the object
+    store, a sign task per ``slice_rows`` of them, each on a zero-copy
+    slice, and a write task that joins the slices in row order (no sign
+    or write task runs for a unit with no kept row). A JSONL/CSV file,
+    which no footer counts, is one plain task that reads, signs and
+    writes it. Either way the unit gives one block and one part, of the
     same rows in input order, and every task is waited for.
 
     A resume keeps the parts an earlier run left (bar a torn one or a
@@ -242,31 +235,28 @@ def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
         name = f"part-{run_id}-{i:05d}.parquet"
         args = (path, file_format, row_groups, done_ref, langs,
                 exclude_path_prefixes)
-        if n is None or n <= slice_rows:
+        if n is None:
             signed[name] = _sign_unit.remote(*args, cfg, os.path.join(d, name))
         else:
             kept[name] = _read_kept.remote(*args)
     read_metas = ray.get([m for _, m in parts.values()])
     read_s = _time.monotonic() - t0
     sign_tasks = len(signed)
+    empty = sign_batch(UNIT_SCHEMA.empty_table(), cfg)
     no_rows = None
     for (name, (rows, _)), n in zip(kept.items(),
                                     ray.get([n for _, n in kept.values()])):
-        part = os.path.join(d, name)
         sign_tasks += -(-n // slice_rows)
-        if n == 0:
+        if n:
+            signed[name] = _write_slices.remote(os.path.join(d, name), *(
+                _sign_slice.remote(rows, s, slice_rows, cfg)
+                for s in range(0, n, slice_rows)))
+        else:
             # no sign task and no part, but the unit's block all the
             # same: empty, with the stage schema
             no_rows = no_rows or tuple(map(ray.put, (
-                *_with_meta(sign_batch(UNIT_SCHEMA.empty_table(), cfg)),
-                _fallback_counts([]))))
+                *_with_meta(empty), _fallback_counts([]))))
             signed[name] = no_rows
-        elif n <= slice_rows:
-            signed[name] = _sign_write.remote(rows, cfg, part)
-        else:
-            signed[name] = _write_slices.remote(part, *(
-                _sign_slice.remote(rows, s, slice_rows, cfg)
-                for s in range(0, n, slice_rows)))
     # waits for every task
     metas = ray.get([m for _, m, _ in signed.values()])
     counts = _fallback_counts(pq.read_table(os.path.join(d, f),
@@ -279,7 +269,6 @@ def sign_input(input_paths, out_dir: str, cfg: DedupConfig, run_id: str,
         parts.update((name, (b, m)) for name, (b, m, _) in signed.items())
         sigs = _dataset_of([parts[name] for name in sorted(parts)])
     else:
-        empty = sign_batch(UNIT_SCHEMA.empty_table(), cfg)
         if not earlier:
             # every row filtered: persist the schema so readers still work
             ckpt.write_part(empty, os.path.join(d, f"part-{run_id}-empty.parquet"))

@@ -308,15 +308,16 @@ def _part_paths(out_dir: str) -> dict:
             for f in sorted(os.listdir(d)) if f.endswith(".parquet")}
 
 
-@pytest.mark.parametrize("done", [[], list(range(0, 40, 2)), list(range(40))],
-                         ids=["fresh", "half_done", "all_done"])
+@pytest.mark.parametrize("done", [[], list(range(0, 40, 2)), list(range(3, 40)),
+                                  list(range(40))],
+                         ids=["fresh", "half_done", "one_slice_left", "all_done"])
 def test_sign_input_slices_a_unit_over_the_cpus(tmp_path, done):
     """A 40-row Parquet file of one row group is one unit. On the 4-CPU
     test session a slice is 40 rows over two slices per CPU, 5 rows, so
-    the rows no earlier part holds are signed by one task per 5 of them.
-    The unit still writes one part, of exactly those rows in input
-    order; when an earlier part holds every row it writes none and runs
-    no sign task."""
+    the rows no earlier part holds are signed by one task per 5 of them
+    or fewer. The unit still writes one part, of exactly those rows in
+    input order; when an earlier part holds every row it writes none
+    and runs no sign task."""
     from image_deduper_ray.sources import checkpoints as ckpt
     from image_deduper_ray.stages.signatures import sign_batch
 
@@ -338,7 +339,7 @@ def test_sign_input_slices_a_unit_over_the_cpus(tmp_path, done):
     assert _part_paths(out) == want
     assert (extra["units"], extra["resumed_from"], extra["slice_rows"]) == (
         1, len(done), 5)
-    assert extra["sign_tasks"] == len(todo) // 5
+    assert extra["sign_tasks"] == -(-len(todo) // 5)
     assert extra["units_signed"] == (len(todo) > 0)
 
 
