@@ -26,13 +26,6 @@ def arrow_schema_of(ds) -> pa.Schema | None:
     return None if schema is None else schema.base_schema
 
 
-def rename_drop(tb: pa.Table, renames: dict[str, str], drops: tuple[str, ...]) -> pa.Table:
-    names = [renames.get(c, c) for c in tb.column_names]
-    tb = tb.rename_columns(names)
-    present = [c for c in drops if c in tb.column_names]
-    return tb.drop_columns(present) if present else tb
-
-
 def fixed_str_view(col, width: int):
     """Zero-copy ``S{width}`` numpy view of a pyarrow string column
     whose values are AT MOST ``width`` bytes (key columns — file_ids

@@ -1,17 +1,22 @@
 """Joins: one broadcast-or-join helper over a partitioned hash join.
 
 ``broadcast_join`` is the engine's one small-side lookup (the J4
-pair-signature attach, containment id prune and content attach,
-cluster label attach and signature-member filter; SURVEY.md §2.4). It
-stream-collects the right side under a byte cap (``collect_under_cap``)
-into ONE Arrow table, ``ray.put``s it once (zero-copy through plasma)
-and probes it per left block with Acero's ``pa.Table.join``, so the big
-side never shuffles. The probe, and the caller's per-block ``post``
-riding in the same task, go through ``groups.map_blocks``: over a
-materialized left side (every scan-path join, the containment content
-prune too: ``read_content`` returns a materialized dataset) that is
-plain Ray tasks and no Ray Data execution. Past the cap it calls
-``hash_join`` with the same ``how``; both routes keep every matching
+pair-signature attach past the verify cap, pair resolution,
+containment id prune and content attach, cluster label attach,
+signature-member filter and ``apply``'s path lookup; SURVEY.md §2.4).
+It stream-collects the right side under a byte cap
+(``collect_under_cap``) into ONE Arrow table, ``ray.put``s it once
+(zero-copy through plasma) and probes it per left block with Acero's
+``pa.Table.join``, so the big side never shuffles. A lookup for both
+ends of a row takes a tuple key (``("a", "b")``): each left block is
+joined on every key in one task, against the one put table, and each
+key's right columns are named ``<col>_<key>``. The probe, and the
+caller's per-block ``post`` riding in the same task after the last
+key, go through ``groups.map_blocks``: over a materialized left side
+(every scan-path join, the containment content prune too:
+``read_content`` returns a materialized dataset) that is plain Ray
+tasks and no Ray Data execution. Past the cap it calls ``hash_join``
+once per key with the same ``how``; both routes keep every matching
 right row.
 
 ``hash_join`` is the partitioned route. Ray 2.49's ``Dataset.join``
@@ -44,8 +49,8 @@ _SIDE = "__side"
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               key_left: str, key_right: str,
               left_schema: pa.Schema, right_schema: pa.Schema,
-              how: str = "inner", num_partitions: int | None = None,
-              right_dup: str = "unique") -> ray.data.Dataset:
+              how: str = "inner",
+              num_partitions: int | None = None) -> ray.data.Dataset:
     """Join two datasets on keys compared as strings.
 
     ``left_schema`` / ``right_schema``: the exact output columns taken
@@ -53,20 +58,15 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     are attached to matching left rows). Column names must be disjoint.
     how: "inner", "left", or "semi"/"anti" (left rows with / without a
     matching right key, each at most once; right_schema is then empty).
-    right_dup: "unique" (default) keeps ONE right row per key (supply
-    semantics — duplicates dropped with a logged warning); "expand"
-    keeps every right row, so a left row matching k right rows emits k
-    output rows (the fid64-collision resolution semantics: expansion
-    can only add candidate rows for a downstream verifier to reject,
-    never lose one).
+    Every matching right row is kept, so a left row matching k right
+    rows emits k output rows (the fid64-collision resolution semantics:
+    expansion can only add candidate rows for a downstream verifier to
+    reject, never lose one).
     """
     import pyarrow.compute as pc
 
     from .groups import partitioned_group_map
 
-    if right_dup not in ("unique", "expand"):
-        raise ValueError(f"right_dup must be 'unique' or 'expand', "
-                         f"got {right_dup!r}")
     lcols = left_schema.names
     rcols = right_schema.names
     super_fields = ([pa.field(_KEY, pa.string()), pa.field(_SIDE, pa.int8())]
@@ -91,17 +91,6 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     def merge_block(t: pa.Table) -> pa.Table:
         lt = t.filter(pc.equal(t[_SIDE], 0)).select([_KEY] + lcols)
         rt = t.filter(pc.equal(t[_SIDE], 1)).select([_KEY] + rcols)
-        if right_dup == "unique" and how in ("inner", "left"):
-            # supply semantics: ONE right row per key, its first.
-            # Duplicate right keys are dropped — observable, never silent.
-            keys = rt[_KEY]
-            first = pc.index_in(pc.unique(keys), value_set=keys)
-            if len(first) < rt.num_rows:
-                import logging
-                logging.getLogger(__name__).warning(
-                    "hash_join: dropped %d duplicate right-side key rows "
-                    "(supply-unique semantics)", rt.num_rows - len(first))
-                rt = rt.take(first)
         out = lt.join(rt, _KEY, join_type=_JOIN_TYPES[how], use_threads=False)
         return out.select(out_schema.names)
 
@@ -145,53 +134,70 @@ def collect_under_cap(ds: ray.data.Dataset,
     return pa.table({}) if schema is None else schema.empty_table()
 
 
+def _suffixed(t: pa.Table, key: str, suffix: str) -> pa.Table:
+    """``t`` with every column but ``key`` renamed ``<col><suffix>``."""
+    return t.rename_columns([n if n == key else n + suffix
+                             for n in t.column_names])
+
+
 def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                   key_left: str, key_right: str, how: str = "inner",
-                   max_bytes: int = 2_000_000_000,
+                   key_left: str | tuple[str, ...], key_right: str,
+                   how: str = "inner", max_bytes: int = 2_000_000_000,
                    num_partitions: int | None = None,
                    post=None) -> ray.data.Dataset:
-    """Join ``left`` with a presumed-small ``right`` on one key.
+    """Join ``left`` with a presumed-small ``right`` on one key, or on
+    each key of a tuple ``key_left`` in turn (both ends of a pair,
+    ``("a", "b")``).
 
     ``how``: "inner", "left" (unmatched left rows get null right
     columns), "semi" or "anti" (left rows with / without a match, each
     at most once). Output: the left columns, then for inner/left the
-    right columns without ``key_right`` (names must not clash). Key
-    types must match. A left row matching k right rows gives k rows on
-    both routes. ``post`` (``pa.Table -> pa.Table``, also called on an
-    empty table to learn its output schema) runs on each joined block
-    in the same task, so a follow-up map costs no pass of its own.
+    right columns without ``key_right`` (names must not clash); with a
+    tuple key each key's right columns are named ``<col>_<key>``
+    (``f_a``, ``f_b``), in key order. Key types must match. A left row
+    matching k right rows gives k rows on both routes. ``post``
+    (``pa.Table -> pa.Table``, also called on an empty table to learn
+    its output schema) runs on each joined block after the last key, in
+    the same task, so a follow-up map costs no pass of its own.
 
     Broadcast route: ``right`` is collected under ``max_bytes`` into one
-    Arrow table, ``ray.put`` once, and joined with each left block by
-    Acero (``use_threads=False``: the task already owns its CPU), through
-    ``groups.map_blocks``: plain tasks over a materialized ``left``, a
-    fused ``map_batches`` over a lazy one. Past the cap: the partitioned
-    ``hash_join`` over a materialized ``left`` (its schema then comes
-    from block metadata; fetching a lazy dataset's schema runs part of
-    its plan and cancels the rest), then ``post`` as plain tasks. Row
-    order is not kept. A right side without a schema (no rows, none
-    reported) attaches no columns — Ray 2.49 reports the schema from
-    BEFORE a transform of an executed-empty dataset, so pass an empty
-    right side untransformed."""
+    Arrow table, ``ray.put`` once, and each left block is joined with it
+    on every key in one task by Acero (``use_threads=False``: the task
+    already owns its CPU), through ``groups.map_blocks``: plain tasks
+    over a materialized ``left``, a fused ``map_batches`` over a lazy
+    one. Past the cap: one partitioned ``hash_join`` per key over a
+    materialized ``left`` (its schema then comes from block metadata;
+    fetching a lazy dataset's schema runs part of its plan and cancels
+    the rest), then ``post`` as plain tasks. Row order is not kept. A
+    right side without a schema (no rows, none reported) attaches no
+    columns — Ray 2.49 reports the schema from BEFORE a transform of an
+    executed-empty dataset, so pass an empty right side untransformed."""
     from .groups import map_blocks, materialized
 
     if how not in _JOIN_TYPES:
         raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}, "
                          f"got {how!r}")
+    keys = [(key_left, "")] if isinstance(key_left, str) else \
+        [(k, f"_{k}") for k in key_left]
     filtering = how in ("semi", "anti")     # right keys only
     rtbl = collect_under_cap(right, max_bytes)
     if rtbl is None:
-        left = materialized(left)
+        out = materialized(left)
+        ls = arrow_schema_of(out)
+        rfull = arrow_schema_of(right)
         rs = pa.schema([] if filtering else
-                       [f for f in arrow_schema_of(right)
-                        if f.name != key_right])
-        ls = arrow_schema_of(left)
-        out = hash_join(left, right, key_left, key_right, ls, rs, how=how,
-                        num_partitions=num_partitions, right_dup="expand")
+                       [f for f in rfull if f.name != key_right])
+        for k, suffix in keys:
+            rk = right if not suffix else map_blocks(
+                right, lambda t, s=suffix: _suffixed(t, key_right, s),
+                _suffixed(rfull.empty_table(), key_right, suffix).schema)
+            ks = _suffixed(rs.empty_table(), key_right, suffix).schema
+            out = hash_join(out, rk, k, key_right, ls, ks, how=how,
+                            num_partitions=num_partitions)
+            ls = pa.schema(list(ls) + list(ks))
         if post is None:
             return out
-        joined = pa.schema(list(ls) + list(rs))
-        return map_blocks(out, post, post(joined.empty_table()).schema)
+        return map_blocks(out, post, post(ls.empty_table()).schema)
     if filtering and rtbl.num_rows:
         rtbl = rtbl.select([key_right])
 
@@ -202,12 +208,14 @@ def broadcast_join(left: ray.data.Dataset, right: ray.data.Dataset,
         if t.num_columns == 0:      # schema-less empty block
             return t
         rt = ray.get(ref)
-        if key_right not in rt.column_names:    # schema-less right
-            out = t if how in ("anti", "left") else t.slice(0, 0)
-        else:
-            out = t.join(rt, keys=key_left, right_keys=key_right,
-                         join_type=join_type, use_threads=False)
-        return out if post is None else post(out)
+        for k, suffix in keys:
+            if key_right not in rt.column_names:    # schema-less right
+                t = t if how in ("anti", "left") else t.slice(0, 0)
+            else:
+                t = t.join(_suffixed(rt, key_right, suffix), keys=k,
+                           right_keys=key_right, join_type=join_type,
+                           use_threads=False)
+        return t if post is None else post(t)
 
     ls = arrow_schema_of(left) if isinstance(left, MaterializedDataset) \
         else None

@@ -63,9 +63,12 @@ Every small-side lookup (signature-member filter, pair resolution,
 containment id prune and content attach, cluster label attach) is one
 ``functions/joins.broadcast_join``: one byte cap,
 ``cfg.broadcast_max_bytes``, picks a broadcast or a partitioned hash
-join. The ``content`` column is dropped inside the signature stage;
-below the cap the candidate ids ride to the content lookup's tasks, so
-only the candidates' content leaves them, and never crosses a shuffle.
+join. A lookup for both ends of a pair (pair resolution, the content
+attach, verify past the cap) is one call on ``("a", "b")``, so its
+small side is collected and put once. The ``content`` column is dropped
+inside the signature stage; below the cap the candidate ids ride to the
+content lookup's tasks, so only the candidates' content leaves them,
+and never crosses a shuffle.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ import ray
 import ray.data
 
 from ..config import DedupConfig, DEFAULT_CONFIG
-from ..functions.arrow_utils import ensure_schema, rename_drop, safe_coalesce
+from ..functions.arrow_utils import ensure_schema, safe_coalesce
 from ..functions.groups import (_dataset_of, _with_meta, coalesce_blocks,
                                 default_partitions, map_blocks,
                                 materialized, table_dataset, union_blocks)
@@ -404,43 +407,14 @@ def _edges_cont(run: _Run, verified) -> dict:
                 cfg.broadcast_max_bytes, cfg.num_partitions)
         _t_scan = _time.monotonic() - _t0 - _t_ids
         n_cand_ids = content.count()
-        verify_cont = ContainmentVerify()
-
-        def with_a(tb: pa.Table) -> pa.Table:
-            return rename_drop(tb, {"content": "content_a"}, ())
-
-        def contained(tb: pa.Table) -> pa.Table:
-            return verify_cont(
-                rename_drop(tb, {"content": "content_b"}, ()))
-
-        ctbl = collect_under_cap(content, cfg.broadcast_max_bytes)
-        if ctbl is None:
-            # past the cap, one hash join per endpoint; both
-            # content attaches and the substring check ride as
-            # the joins' per-block ``post``
-            j = broadcast_join(
-                cands, content, "a", "file_id", "inner",
-                cfg.broadcast_max_bytes, cfg.num_partitions,
-                post=with_a)
-            ce = broadcast_join(
-                j, content, "b", "file_id", "inner",
-                cfg.broadcast_max_bytes, cfg.num_partitions,
-                post=contained)
-        else:
-            # below it the content is collected and put once, and
-            # one task per run of blocks attaches both endpoints
-            # and runs the substring check
-            ref = ray.put(ctbl)
-
-            def attach(tb: pa.Table) -> pa.Table:
-                c = ray.get(ref)
-                for key, post in (("a", with_a), ("b", contained)):
-                    tb = post(tb.join(c, keys=key, right_keys="file_id",
-                                      join_type="inner",
-                                      use_threads=False))
-                return tb
-
-            ce = map_blocks(cands, attach, _EDGE_SCHEMA)
+        # one lookup for both endpoints: below the byte cap the
+        # content is collected and put once and one task per run of
+        # blocks attaches ``content_a`` and ``content_b``; past it one
+        # hash join per endpoint. The substring check rides as the
+        # per-block ``post``
+        ce = broadcast_join(cands, content, ("a", "b"), "file_id", "inner",
+                            cfg.broadcast_max_bytes, cfg.num_partitions,
+                            post=ContainmentVerify())
     # sub-step attribution (the metrics 'extra' column):
     # candidate-id collect, pruned content scan (with the input
     # files and row groups it read), and the remainder (attach

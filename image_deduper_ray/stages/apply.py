@@ -11,14 +11,17 @@ with a per-row ActionResult lineage record (applied, error) written by
 the caller to Parquet. ``dry_run`` (the default) validates every
 precondition and touches NOTHING.
 
-Scale shape: path resolution is two partitioned hash joins (dup-side
-path, canonical-side path) so no full-table broadcast is needed; the
-filesystem work itself is a stateless ``map_batches`` — on a real
-cluster the tree lives on shared storage, so each task applies its own
-batch's rows wherever it lands. Every operation is IDEMPOTENT (a row
-already in its desired state reports applied=True), so a crashed apply
-re-runs to completion instead of erroring on its own partial work —
-the same resume discipline as the checkpointed pipeline stages.
+Scale shape: path resolution is one two-key left
+``functions/joins.broadcast_join`` on the dup-side and canonical-side
+ids: below the byte cap the path map is collected and put once, past it
+one partitioned hash join per side, so no full-table broadcast is
+needed; the filesystem work itself is the join's stateless per-block
+``post`` — on a real cluster the tree lives on shared storage, so each
+task applies its own batch's rows wherever it lands. Every operation
+is IDEMPOTENT (a row already in its desired state reports
+applied=True), so a crashed apply re-runs to completion instead of
+erroring on its own partial work — the same resume discipline as the
+checkpointed pipeline stages.
 Per-row failures are RECORDED, never raised: one unreadable file must
 not poison a million-row apply.
 """
@@ -146,7 +149,7 @@ def apply_actions(actions: ray.data.Dataset, clusters: ray.data.Dataset,
     Returns one ActionResult row per dup (APPLY_RESULT_SCHEMA);
     ``keep`` rows are never touched. ``dry_run=True`` (default)
     validates preconditions only."""
-    from ..functions.joins import hash_join
+    from ..functions.joins import broadcast_join
 
     def dups_only(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["role"], "dup"))
@@ -157,34 +160,18 @@ def apply_actions(actions: ray.data.Dataset, clusters: ray.data.Dataset,
 
     def relpaths(t: pa.Table) -> pa.Table:
         rel = pc.binary_join_element_wise(t["repo"], t["path"], "/")
-        return pa.table({"pm_fid": t["file_id"], "src_rel": rel})
+        return pa.table({"file_id": t["file_id"], "rel": rel})
 
     pmap = clusters.map_batches(relpaths, batch_format="pyarrow",
                                 zero_copy_batch=True)
-
-    base = pa.schema([("file_id", pa.string()),
-                      ("canonical_file_id", pa.string()),
-                      ("action", pa.string())])
-    # left joins: an unresolvable path becomes an error ROW, not a
-    # silently dropped action
-    j = hash_join(dups, pmap, "file_id", "pm_fid", base,
-                  pa.schema([("src_rel", pa.string())]), how="left",
-                  num_partitions=num_partitions)
-    pmap2 = pmap.map_batches(
-        lambda t: t.rename_columns(["pm_fid2", "can_rel"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    j = hash_join(j, pmap2, "canonical_file_id", "pm_fid2",
-                  base.append(pa.field("src_rel", pa.string())),
-                  pa.schema([("can_rel", pa.string())]), how="left",
-                  num_partitions=num_partitions)
 
     def run(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return APPLY_RESULT_SCHEMA.empty_table()
         fids = t["file_id"].to_pylist()
         acts = t["action"].to_pylist()
-        srcs = t["src_rel"].to_pylist()
-        cans = t["can_rel"].to_pylist()
+        srcs = t["rel_file_id"].to_pylist()
+        cans = t["rel_canonical_file_id"].to_pylist()
         targets, applied, errors = [], [], []
         for act, src_rel, can_rel in zip(acts, srcs, cans):
             if src_rel is None:
@@ -208,7 +195,13 @@ def apply_actions(actions: ray.data.Dataset, clusters: ray.data.Dataset,
             "error": pa.array(errors, pa.string()),
         }, schema=APPLY_RESULT_SCHEMA)
 
-    out = j.map_batches(run, batch_format="pyarrow", zero_copy_batch=True)
+    # one left join for both paths (``rel_file_id``,
+    # ``rel_canonical_file_id``), under the default byte cap: an
+    # unresolvable path becomes an error ROW, not a silently dropped
+    # action
+    out = broadcast_join(dups, pmap, ("file_id", "canonical_file_id"),
+                         "file_id", "left", num_partitions=num_partitions,
+                         post=run)
     # zero-dup corpora must still yield a typed (empty) result
     return ray.data.from_arrow(APPLY_RESULT_SCHEMA.empty_table()).union(out)
 

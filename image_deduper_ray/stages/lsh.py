@@ -61,8 +61,8 @@ pair resolution still expands the collision. ``verify_pairs``
 re-scores the emitted pairs and stays the one source of verdicts.
 
 Band rows and every pair shuffle run on the 8-byte ``fid64`` key; the
-final pair set resolves back to file_ids with two inner
-``functions/joins.broadcast_join``s on it (``_resolve_pairs``), whose
+final pair set resolves back to file_ids with one two-key inner
+``functions/joins.broadcast_join`` on it (``_resolve_pairs``), whose
 many-to-many match expands a 64-bit collision to all member ids.
 
 Containment candidates (for the suffix-array substring pass) ride the
@@ -628,33 +628,29 @@ def _id_map_block(t: pa.Table) -> pa.Table:
 
 def _resolve_pairs(pairs64: ray.data.Dataset, sigs: ray.data.Dataset,
                    cfg: DedupConfig) -> ray.data.Dataset:
-    """fid64 pairs -> file_id pairs: two inner joins on the int64 fid64
-    key (functions/joins.broadcast_join), one per endpoint. A 64-bit
-    COLLISION (two file_ids sharing a fid64 — expected only in the
-    10^10+ regime) expands by construction: the many-to-many join
-    resolves a colliding endpoint to ALL its member ids, so a collision
-    can only add candidate pairs for verification to reject, never lose
-    a true pair. Self-pairs from a collision are dropped and each pair
-    is ordered a < b. Over a materialized ``sigs`` and ``pairs64`` the
-    id map, both joins and their renames run as plain tasks."""
+    """fid64 pairs -> file_id pairs: one two-key inner join on the int64
+    fid64 key (functions/joins.broadcast_join on ``("a", "b")``, which
+    names the endpoints' ids ``f_a`` and ``f_b``). A 64-bit COLLISION
+    (two file_ids sharing a fid64 — expected only in the 10^10+ regime)
+    expands by construction: the many-to-many join resolves a colliding
+    endpoint to ALL its member ids, so a collision can only add
+    candidate pairs for verification to reject, never lose a true pair.
+    Self-pairs from a collision are dropped and each pair is ordered
+    a < b. Over a materialized ``sigs`` and ``pairs64`` the id map, the
+    join and its ``post`` run as plain tasks, and below the byte cap the
+    id map is collected and put once."""
     import pyarrow.compute as pc
 
     from ..functions.joins import broadcast_join
 
     id_map = map_blocks(sigs, _id_map_block, _ID_MAP_SCHEMA)
 
-    def fa(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["fa" if n == "f" else n
-                                 for n in t.column_names])
-
     def fin(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.not_equal(t["fa"], t["f"]))
-        return pa.table({"a": pc.min_element_wise(t["fa"], t["f"]),
-                         "b": pc.max_element_wise(t["fa"], t["f"]),
+        t = t.filter(pc.not_equal(t["f_a"], t["f_b"]))
+        return pa.table({"a": pc.min_element_wise(t["f_a"], t["f_b"]),
+                         "b": pc.max_element_wise(t["f_a"], t["f_b"]),
                          "is_cont": t["is_cont"]})
 
-    ja = broadcast_join(pairs64, id_map, "a", "k", "inner",
-                        cfg.broadcast_max_bytes, cfg.num_partitions, post=fa)
-    return broadcast_join(ja, id_map, "b", "k", "inner",
+    return broadcast_join(pairs64, id_map, ("a", "b"), "k", "inner",
                           cfg.broadcast_max_bytes, cfg.num_partitions,
                           post=fin)

@@ -5,25 +5,21 @@ the reference's byte-level JPEG marker scan,
 /root/reference/crates/image-deduper-core/src/processing/formats/jpeg.rs:34-66
 — scanning content for an embedded structure): detects file A embedded
 verbatim inside file B, which MinHash misses when |A| << |B| (Jaccard
-~ |A|/|B|). Runs ONLY per candidate group / pair — never a global
+~ |A|/|B|). Runs ONLY per candidate pair — never a global
 index (SURVEY.md §7.1 step 8).
 
-Two entry points:
-  - ``find_containments(ids, texts)``: per-group suffix-array scan —
-    build one suffix array (numpy prefix-doubling, O(n log^2 n)) over
-    the concatenated group with out-of-alphabet sentinels, then binary
-    search each member's full text; used by groupby(...).map_groups.
-  - ``ContainmentVerify``: per-pair verdict stage for LSH containment
-    candidates (pairs already joined with both contents) — C-speed
-    ``needle in host`` per row.
+The entry point is ``ContainmentVerify``: a per-pair verdict over
+LSH containment candidates joined with both contents. Each needle is
+found in its host with C-speed ``needle in host``, or, for a host
+facing ``sa_min_needles`` or more needles, by binary search over one
+suffix array of the host (``suffix_array``: numpy prefix-doubling,
+O(n log^2 n)).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-SENTINEL_BASE = 0x110000  # beyond any unicode code point
 
 
 def suffix_array(s: np.ndarray) -> np.ndarray:
@@ -82,40 +78,6 @@ def _bounds(s: np.ndarray, sa: np.ndarray, pat: np.ndarray) -> tuple[int, int]:
         else:
             hi = mid
     return left, lo
-
-
-def find_containments(ids: list, texts: list[str],
-                      min_len: int = 16) -> list[tuple]:
-    """All (contained_id, host_id) pairs where texts[i] occurs verbatim
-    inside texts[j] (i != j). One suffix array over the whole group."""
-    n_docs = len(texts)
-    if n_docs < 2:
-        return []
-    parts, starts = [], []
-    pos = 0
-    for i, t in enumerate(texts):
-        starts.append(pos)
-        arr = np.frombuffer(t.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-        parts.append(arr)
-        parts.append(np.array([SENTINEL_BASE + i], dtype=np.int64))
-        pos += len(arr) + 1
-    s = np.concatenate(parts)
-    sa = suffix_array(s)
-    starts_arr = np.array(starts, dtype=np.int64)
-    out = []
-    for i, t in enumerate(texts):
-        if len(t) < min_len:
-            continue
-        pat = np.frombuffer(t.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-        left, right = _bounds(s, sa, pat)
-        if right <= left:
-            continue
-        occ = sa[left:right]
-        owners = np.searchsorted(starts_arr, occ, side="right") - 1
-        for j in np.unique(owners):
-            if j != i and len(texts[j]) > len(t):
-                out.append((ids[i], ids[int(j)]))
-    return out
 
 
 class ContainmentVerify:

@@ -6,12 +6,13 @@ J4 in SURVEY.md §2.4: the reference's intended pair check is
 Here: estimated Jaccard = mean(sig_a == sig_b), computed vectorized
 per batch of candidate pairs (a, b). The signature matrix is broadcast
 once while it fits ``broadcast_max_bytes`` (its own packer and gather:
-scoring through Acero joins measured ~1.5x slower); past it the pairs
-are hash-joined with the signatures table twice
-(``score_joined_pairs``). Both scorers share one verdict rule
-(``_verdicts``): ``near_dup`` at ``jaccard_threshold``, else
-``containment_cand`` for a containment-band pair at or above
-``CONTAINMENT_EST_JACCARD_MIN``, else ``reject``.
+scoring through Acero joins measured ~1.5x slower); past it one
+two-key ``functions/joins.broadcast_join`` on ``("a", "b")`` attaches
+both endpoints' signatures (``minhash_a``, ``minhash_b``: a partitioned
+hash join per endpoint) and scores them in its ``post``. Both routes
+share one verdict rule (``_verdicts``): ``near_dup`` at
+``jaccard_threshold``, else ``containment_cand`` for a containment-band
+pair at or above ``CONTAINMENT_EST_JACCARD_MIN``, else ``reject``.
 
 Exact dedup (A1, the commented-out ``_find_duplicate_images`` at
 src/deduplication/mod.rs:8-32): groupby(sha256), emit (first, other)
@@ -28,6 +29,7 @@ import ray.data
 from ..config import DedupConfig
 from ..functions.groups import (blocks_of, group_starts, map_blocks,
                                materialized, partitioned_group_map)
+from ..functions.joins import broadcast_join
 
 # containment candidates must clear this estimated Jaccard before the
 # (content-joining) substring pass: real containment of ratio r has
@@ -47,19 +49,14 @@ SCORE_BATCH_ROWS = 4096
 
 
 def _sig_of(batch_col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray:
-    """(n, P) uint64 view of a packed-minhash column. fixed_size_binary
-    (the signature stage's native layout) reshapes the Arrow data buffer
-    ZERO-COPY; variable binary (the join scorer's ``minhash_a`` /
-    ``minhash_b``, cast by ``attach_signatures``) falls back to one
-    join+frombuffer."""
+    """(n, P) uint64 view of a packed-minhash column: its
+    fixed_size_binary layout (the signature stage's, kept by both join
+    routes) reshapes the Arrow data buffer ZERO-COPY."""
     if isinstance(batch_col, pa.ChunkedArray):
         batch_col = batch_col.combine_chunks()
-    if pa.types.is_fixed_size_binary(batch_col.type):
-        w = batch_col.type.byte_width // 8
-        flat = np.frombuffer(batch_col.buffers()[1], dtype=np.uint64)
-        flat = flat[batch_col.offset * w:(batch_col.offset + len(batch_col)) * w]
-    else:
-        flat = np.frombuffer(b"".join(batch_col.to_pylist()), dtype=np.uint64)
+    w = batch_col.type.byte_width // 8
+    flat = np.frombuffer(batch_col.buffers()[1], dtype=np.uint64)
+    flat = flat[batch_col.offset * w:(batch_col.offset + len(batch_col)) * w]
     return flat.reshape(-1, num_perms)
 
 
@@ -71,37 +68,10 @@ def est_jaccard(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     return (sa == sb).mean(axis=1)
 
 
-def attach_signatures(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
-                      cfg: DedupConfig) -> ray.data.Dataset:
-    """pairs(a, b, is_cont) -> + minhash_a, minhash_b via two
-    partitioned hash joins (functions/joins.py). Both joins are inner
-    and ``sign_batch`` writes every ``minhash`` non-null, so each
-    joined row carries both signatures."""
-    from ..functions.joins import hash_join
-
-    def sig_side(name: str):
-        schema = pa.schema([("file_id", pa.string()),
-                            (name, pa.binary(cfg.num_perms * 8))])
-        return map_blocks(sigs, lambda t: pa.table(
-            {"file_id": t["file_id"], name: t["minhash"]}), schema)
-
-    sig_a, sig_b = sig_side("minhash_a"), sig_side("minhash_b")
-    pair_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
-                             ("is_cont", pa.int8())])
-    a_fields = pa.schema([("minhash_a", pa.binary())])
-    j = hash_join(pairs, sig_a, "a", "file_id", pair_schema, a_fields,
-                  num_partitions=cfg.num_partitions)
-    j = hash_join(j, sig_b, "b", "file_id",
-                  pa.schema(list(pair_schema) + list(a_fields)),
-                  pa.schema([("minhash_b", pa.binary())]),
-                  num_partitions=cfg.num_partitions)
-    return j
-
-
 def _verdicts(batch: pa.Table, jac: np.ndarray,
               cfg: DedupConfig) -> pa.Table:
     """(a, b, jaccard, verdict) of one scored pair batch, shared by the
-    broadcast and the join scorer: ``near_dup`` at est-Jaccard >=
+    broadcast and the join route: ``near_dup`` at est-Jaccard >=
     ``jaccard_threshold``; else ``containment_cand`` for a pair a
     containment band produced that clears CONTAINMENT_EST_JACCARD_MIN;
     else ``reject``."""
@@ -112,16 +82,6 @@ def _verdicts(batch: pa.Table, jac: np.ndarray,
     return pa.table({"a": batch["a"], "b": batch["b"],
                      "jaccard": pa.array(jac, pa.float64()),
                      "verdict": pa.array(verdict.tolist(), pa.string())})
-
-
-def score_joined_pairs(batch: pa.Table, cfg: DedupConfig) -> pa.Table:
-    """``map_batches`` fn of the join path: est-Jaccard of each pair
-    from its two attached signatures, then the shared verdicts."""
-    if batch.num_rows == 0:
-        return _VERIFIED_SCHEMA.empty_table()
-    sa = _sig_of(batch["minhash_a"], cfg.num_perms)
-    sb = _sig_of(batch["minhash_b"], cfg.num_perms)
-    return _verdicts(batch, est_jaccard(sa, sb), cfg)
 
 
 @ray.remote(num_returns=2)
@@ -201,14 +161,15 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
     gets zero-copy views and scores ``SCORE_BATCH_ROWS`` pairs at a time
     with one vectorized searchsorted + equality mean. No shuffle, no
     per-pair signature copies. Past the budget (the 10^12-file regime, where
-    even collapsed representatives outgrow a node), fall back to the
-    partitioned hash joins."""
+    even collapsed representatives outgrow a node), one two-key
+    ``broadcast_join`` on a (file_id, minhash) projection attaches both
+    signatures by partitioned hash joins and scores each joined block."""
     cfg = cfg.resolved()
+    P = cfg.num_perms
     if packed is None:
         # None past the byte cap, sized from ``sigs``' block metadata
         packed = pack_signatures(sigs, cfg)
     if packed is not None:
-        P = cfg.num_perms
         id_refs, mat_refs = packed
         index_ref = _index.remote(*id_refs)
 
@@ -239,9 +200,20 @@ def verify_pairs(pairs: ray.data.Dataset, sigs: ray.data.Dataset,
 
         return map_blocks(pairs, score_block, _VERIFIED_SCHEMA)
 
-    joined = attach_signatures(pairs, sigs, cfg)
-    return map_blocks(joined, lambda t: score_joined_pairs(t, cfg),
-                      _VERIFIED_SCHEMA)
+    sig_schema = pa.schema([("file_id", pa.string()),
+                            ("minhash", pa.binary(P * 8))])
+
+    def score_joined(t: pa.Table) -> pa.Table:
+        sa, sb = _sig_of(t["minhash_a"], P), _sig_of(t["minhash_b"], P)
+        return _verdicts(t, est_jaccard(sa, sb), cfg)
+
+    # both joins are inner and ``sign_batch`` writes every ``minhash``
+    # non-null, so each joined row carries both signatures
+    return broadcast_join(
+        pairs, map_blocks(sigs, lambda t: t.select(sig_schema.names),
+                          sig_schema),
+        ("a", "b"), "file_id", "inner", cfg.broadcast_max_bytes,
+        cfg.num_partitions, post=score_joined)
 
 
 def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
@@ -273,8 +245,6 @@ def signature_representatives(sigs: ray.data.Dataset, cfg: DedupConfig
     # members are then removed from the signature stream by an
     # anti-join on the edges' ``b`` (functions/joins.broadcast_join).
     import pyarrow.compute as pc
-
-    from ..functions.joins import broadcast_join
 
     P = cfg.num_perms
     mults1 = np.cumprod(np.full(P, 1099511628211, dtype=np.uint64),

@@ -183,8 +183,9 @@ class TestConfig:
         assert DedupConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_score_joined_pairs_verdicts():
-    """The join-path scorer applies the shared verdict rule: near_dup at
+def test_verdicts_over_fixed_size_signatures():
+    """The shared verdict rule over est-Jaccard of two fixed_size_binary
+    signature columns (the layout both join routes keep): near_dup at
     est-Jaccard >= jaccard_threshold, containment_cand for a
     containment-band pair at or above CONTAINMENT_EST_JACCARD_MIN,
     reject otherwise."""
@@ -192,7 +193,7 @@ def test_score_joined_pairs_verdicts():
     import pyarrow as pa
     from image_deduper_ray.config import DedupConfig
     from image_deduper_ray.stages.verify import (
-        CONTAINMENT_EST_JACCARD_MIN, score_joined_pairs)
+        CONTAINMENT_EST_JACCARD_MIN, _sig_of, _verdicts, est_jaccard)
 
     cfg = DedupConfig()
     base = np.arange(128, dtype=np.uint64)
@@ -201,18 +202,24 @@ def test_score_joined_pairs_verdicts():
     low = base + np.uint64(1000)
     low[:8] = base[:8]                    # est-Jaccard 1/16
     assert 1 / 16 < CONTAINMENT_EST_JACCARD_MIN < 0.5
+    sig = pa.binary(128 * 8)
     batch = pa.table({
         "a": ["p", "q", "r", "s"], "b": ["w", "x", "y", "z"],
         "is_cont": pa.array([0, 1, 0, 1], pa.int8()),
-        "minhash_a": pa.array([base.tobytes()] * 4, pa.binary()),
+        "minhash_a": pa.array([base.tobytes()] * 4, sig),
         "minhash_b": pa.array([base.tobytes(), half.tobytes(),
-                               half.tobytes(), low.tobytes()], pa.binary())})
-    out = score_joined_pairs(batch, cfg)
+                               half.tobytes(), low.tobytes()], sig)})
+
+    def verdicts(t: pa.Table) -> pa.Table:
+        return _verdicts(t, est_jaccard(_sig_of(t["minhash_a"], 128),
+                                        _sig_of(t["minhash_b"], 128)), cfg)
+
+    out = verdicts(batch)
     assert out.column_names == ["a", "b", "jaccard", "verdict"]
     assert out["jaccard"].to_pylist() == [1.0, 0.5, 0.5, 1 / 16]
     assert out["verdict"].to_pylist() == [
         "near_dup", "containment_cand", "reject", "reject"]
-    assert score_joined_pairs(batch.slice(0, 0), cfg).num_rows == 0
+    assert verdicts(batch.slice(0, 0)).num_rows == 0
 
 
 def test_fid64_collision_expansion():
@@ -311,11 +318,10 @@ def test_fixed_str_view_layouts():
     assert fixed_str_view(pa.array([], pa.string()), 32).shape == (0,)
 
 
-def test_hash_join_right_dup_modes():
-    """right_dup='unique' keeps one right row per key, its first (supply
-    semantics); right_dup='expand' emits one output row per matching
-    right row (collision-expansion semantics). A left join keeps the
-    unmatched left row, with a null right value."""
+def test_hash_join_expands_repeated_right_keys():
+    """A left row matching k right rows emits k output rows (the
+    collision-expansion semantics); a left join keeps the unmatched
+    left row, with a null right value."""
     import pyarrow as pa
     import ray.data
 
@@ -329,39 +335,31 @@ def test_hash_join_right_dup_modes():
     ls = pa.schema([("k", pa.string()), ("lv", pa.int64())])
     rs = pa.schema([("rv", pa.int64())])
 
-    uniq = hash_join(left, right, "k", "rk", ls, rs,
-                     num_partitions=2).to_pandas()
-    assert len(uniq) == 2          # one row per matched left key
-    assert sorted(uniq.rv) == [10, 20]
     exp = hash_join(left, right, "k", "rk", ls, rs,
-                    num_partitions=2, right_dup="expand").to_pandas()
+                    num_partitions=2).to_pandas()
     assert len(exp) == 3           # x expands to both right rows
     assert sorted(exp[exp.k == "x"].rv) == [10, 11]
-    for right_dup, rows in (("unique", [("x", 1, 10), ("y", 2, 20),
-                                        ("z", 3, None)]),
-                            ("expand", [("x", 1, 10), ("x", 1, 11),
-                                        ("y", 2, 20), ("z", 3, None)])):
-        out = hash_join(left, right, "k", "rk", ls, rs, how="left",
-                        num_partitions=2, right_dup=right_dup)
-        assert out.schema().base_schema == pa.schema(list(ls) + list(rs))
-        assert sorted((r["k"], r["lv"], r["rv"]) for r in out.take_all()) \
-            == rows
-
-    import pytest
-    with pytest.raises(ValueError):
-        hash_join(left, right, "k", "rk", ls, rs, right_dup="bogus")
+    out = hash_join(left, right, "k", "rk", ls, rs, how="left",
+                    num_partitions=2)
+    assert out.schema().base_schema == pa.schema(list(ls) + list(rs))
+    assert sorted((r["k"], r["lv"], r["rv"]) for r in out.take_all()) \
+        == [("x", 1, 10), ("x", 1, 11), ("y", 2, 20), ("z", 3, None)]
 
 
+@pytest.mark.parametrize("keys", ["one", "two"])
 @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
 @pytest.mark.parametrize("key_type", ["string", "int64"])
-def test_broadcast_join_routes(how, key_type):
+def test_broadcast_join_routes(how, key_type, keys):
     """Both routes of ``broadcast_join`` (the Acero broadcast at the
     default cap, the partitioned hash join at ``max_bytes=0``) give the
-    same rows, those of a pandas.merge reference. The right side repeats
-    one key: inner/left expand it, semi/anti never repeat a left row;
-    two left keys match nothing, so a left join pads them with nulls.
-    The right side carries a ``fixed_size_binary`` payload, the layout
-    of a ``minhash`` column. An empty right side keeps every left row
+    same rows, those of a pandas.merge reference. ``keys="two"`` joins
+    on ``("k", "j")``, both ends of a pair, and the reference chains one
+    merge per key with the right columns suffixed ``_<key>``. The right
+    side repeats one key: inner/left expand it on every end, semi/anti
+    never repeat a left row; some left keys match nothing, so a left
+    join pads that end with nulls. The right side carries a
+    ``fixed_size_binary`` payload, the layout of a ``minhash`` column,
+    which both routes keep. An empty right side keeps every left row
     for left/anti and none otherwise."""
     import pandas as pd
     import pyarrow as pa
@@ -371,21 +369,30 @@ def test_broadcast_join_routes(how, key_type):
 
     typ = pa.string() if key_type == "string" else pa.int64()
     conv = str if key_type == "string" else int
-    left = pa.table({"k": pa.array([conv(x) for x in (5, 1, 9, 7, 1)], typ),
-                     "x": pa.array([0, 1, 2, 3, 4], pa.int64())})
+    left = pa.table({
+        "k": pa.array([conv(x) for x in (5, 1, 9, 4, 1, 7, 9)], typ),
+        "x": pa.array(range(7), pa.int64()),
+        "j": pa.array([conv(x) for x in (9, 4, 1, 9, 6, 6, 9)], typ)})
     sig = [np.arange(4, dtype=np.uint64) * np.uint64(i) for i in range(4)]
     right = pa.table({"rk": pa.array([conv(x) for x in (1, 9, 9, 4)], typ),
                       "v": pa.array(["a", "b", "c", "d"]),
                       "m": pa.array([s.tobytes() for s in sig],
                                     pa.binary(32))})
+    key = "k" if keys == "one" else ("k", "j")
+    named = [("k", "")] if keys == "one" else [("k", "_k"), ("j", "_j")]
+    filtering = how in ("semi", "anti")
 
     def reference(r: pa.Table) -> pd.DataFrame:
         ldf, rdf = left.to_pandas(), r.to_pandas()
-        if how in ("semi", "anti"):
-            hit = ldf.k.isin(rdf.rk)
-            return ldf[hit if how == "semi" else ~hit]
-        return ldf.merge(rdf, left_on="k", right_on="rk",
-                         how=how).drop(columns=["rk"])
+        for k, suffix in named:
+            if filtering:
+                hit = ldf[k].isin(rdf.rk)
+                ldf = ldf[hit if how == "semi" else ~hit]
+            else:
+                ldf = ldf.merge(
+                    rdf.rename(columns={"v": "v" + suffix, "m": "m" + suffix}),
+                    left_on=k, right_on="rk", how=how).drop(columns=["rk"])
+        return ldf
 
     def rows(df: pd.DataFrame) -> list:
         return sorted(tuple(None if pd.isna(v) else v for v in row)
@@ -397,6 +404,8 @@ def test_broadcast_join_routes(how, key_type):
         return t.set_column(t.column_names.index("x"), "x",
                             pc.add(t["x"], 10))
 
+    payload = [] if filtering else [c + suffix for _, suffix in named
+                                    for c in ("v", "m")]
     for r in (right, right.slice(0, 0)):
         exp = rows(reference(r))
         exp_post = sorted((row[0], row[1] + 10) + row[2:] for row in exp)
@@ -404,26 +413,29 @@ def test_broadcast_join_routes(how, key_type):
             routes = []
             for cap in (2_000_000_000, 0):
                 out = broadcast_join(ray.data.from_arrow(left),
-                                     ray.data.from_arrow(r), "k", "rk", how,
+                                     ray.data.from_arrow(r), key, "rk", how,
                                      max_bytes=cap, num_partitions=2,
                                      post=post)
                 df = out.to_pandas()
-                cols = ["k", "x"] + ([] if how in ("semi", "anti")
-                                     else ["v", "m"])
                 # a zero-row to_pandas drops the columns (Ray 2.49)
-                assert df.empty or list(df.columns) == cols, (cap, df.columns)
+                assert df.empty or list(df.columns) == \
+                    ["k", "x", "j"] + payload, (cap, df.columns)
                 assert rows(df) == want, (cap, r.num_rows, post)
-                if r.num_rows and how not in ("semi", "anti"):
-                    assert out.schema().base_schema.field("m").type \
-                        == pa.binary(32), cap
+                if r.num_rows:
+                    for m in payload[1::2]:
+                        assert out.schema().base_schema.field(m).type \
+                            == pa.binary(32), (cap, m)
                 routes.append(sorted(out.take_all(), key=repr))
             assert routes[0] == routes[1]
-    if how in ("semi", "anti"):
-        assert len(reference(right)) == len(set(reference(right).x))
+    ref = reference(right)
+    if filtering:
+        assert len(ref) == len(set(ref.x)) > 0
     else:
-        assert (reference(right).k == conv(9)).sum() == 2   # expanded
-    if how == "left":
-        assert reference(right).v.isna().sum() == 2         # padded
+        # left row 6 holds the repeated key on every end: expanded
+        assert (ref.x == 6).sum() == 2 ** len(named)
+    if how == "left":                                   # padded
+        assert [ref["v" + suffix].isna().sum() for _, suffix in named] \
+            == ([2] if keys == "one" else [3, 2])
 
 
 def test_safe_coalesce_misaligned_chunks():

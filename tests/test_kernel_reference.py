@@ -24,7 +24,7 @@ from image_deduper_ray.functions import hashing, minhash as mh
 from image_deduper_ray.functions.groups import csr_expand, group_starts
 from image_deduper_ray.stages import lsh, verify
 from image_deduper_ray.stages.cc import spanning_forest
-from image_deduper_ray.stages.substring import find_containments, suffix_array
+from image_deduper_ray.stages.substring import ContainmentVerify, suffix_array
 
 MASK = 2**64 - 1
 
@@ -241,13 +241,24 @@ def _docs(seed: int, alphabet: str) -> list[str]:
 @pytest.mark.parametrize("min_len", [1, 4, 16])
 @pytest.mark.parametrize("alphabet", sorted(_ALPHABETS))
 @pytest.mark.parametrize("seed", range(4))
-def test_find_containments_matches_str_in(seed, alphabet, min_len):
+def test_containment_verify_matches_str_in(seed, alphabet, min_len):
+    """``ContainmentVerify`` over every pair of the documents, with its
+    suffix-array search forced for every host (``sa_min_needles=1``),
+    keeps exactly the pairs whose shorter text (at least ``min_len``
+    long) occurs inside the other."""
     docs = _docs(seed, _ALPHABETS[alphabet])
     ids = [f"d{i}" for i in range(len(docs))]
-    got = find_containments(ids, docs, min_len=min_len)
-    want = [(ids[i], ids[j]) for i, t in enumerate(docs) if len(t) >= min_len
-            for j, h in enumerate(docs)
-            if j != i and len(h) > len(t) and t in h]
+    pairs = [(i, j) for i in range(len(docs)) for j in range(i + 1, len(docs))]
+    out = ContainmentVerify(min_len=min_len, sa_min_needles=1)(pa.table({
+        "a": [ids[i] for i, _ in pairs], "b": [ids[j] for _, j in pairs],
+        "content_a": [docs[i] for i, _ in pairs],
+        "content_b": [docs[j] for _, j in pairs]}))
+    got = list(zip(out["a"].to_pylist(), out["b"].to_pylist()))
+    want = []
+    for i, j in pairs:
+        small, big = sorted((docs[i], docs[j]), key=len)
+        if len(small) >= min_len and len(small) < len(big) and small in big:
+            want.append((ids[i], ids[j]))
     assert sorted(got) == sorted(want)
     assert len(got) == len(set(got))
 
@@ -280,7 +291,7 @@ def test_csr_expand_matches_ranges(n, max_len):
 # --- verification ---------------------------------------------------------
 
 @pytest.mark.parametrize("layout", ["fixed", "fixed_sliced", "fixed_chunked",
-                                    "binary", "binary_chunked", "empty"])
+                                    "empty"])
 def test_sig_of_matches_unpacked_rows(layout):
     p = 4
     rng = np.random.default_rng(3)
@@ -288,10 +299,7 @@ def test_sig_of_matches_unpacked_rows(layout):
                         dtype=np.uint64)
     rows = [s.tobytes() for s in sigs]
     want = sigs
-    if layout.startswith("fixed") or layout == "empty":
-        col = pa.array(rows, pa.binary(8 * p))
-    else:
-        col = pa.array(rows, pa.binary())
+    col = pa.array(rows, pa.binary(8 * p))
     if layout == "fixed_sliced":
         col, want = col.slice(2, 5), sigs[2:7]
     elif layout.endswith("chunked"):

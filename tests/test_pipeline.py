@@ -452,17 +452,22 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
     signature broadcast and a checkpoint's block coalescing. No plan
     the scan builds calls ``ExecutionPlan.execute`` either: the
     datasets are built computed and their blocks read from that
-    snapshot, so the scan makes none of its GCS calls."""
+    snapshot, so the scan makes none of its GCS calls. Each small side
+    is collected once: a lookup on both ends of a pair (pair
+    resolution's id map, the containment content) is one two-key
+    ``broadcast_join`` that collects and puts its right side once."""
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
     from ray.data._internal.plan import ExecutionPlan
 
-    from image_deduper_ray.functions import groups
+    from image_deduper_ray.functions import groups, joins
+    from image_deduper_ray.pipelines import dedup
 
-    executions, shuffles, plans = [], [], []
+    executions, shuffles, plans, collected = [], [], [], []
     real_execute = StreamingExecutor.execute
     real_shuffle = groups._manual_shuffle
     real_plan_execute = ExecutionPlan.execute
+    real_collect = joins.collect_under_cap
 
     def execute(self, *args, **kwargs):
         executions.append(type(self).__name__)
@@ -476,14 +481,22 @@ def test_fresh_scan_execution_budget(corpus_run, tmp_path, monkeypatch):
         plans.append(self)
         return real_plan_execute(self, *args, **kwargs)
 
+    def collect(ds, *args, **kwargs):
+        # the dataset itself is kept, so no id is reused by a new one
+        collected.append(ds)
+        return real_collect(ds, *args, **kwargs)
+
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     monkeypatch.setattr(groups, "_manual_shuffle", shuffle)
     monkeypatch.setattr(ExecutionPlan, "execute", plan_execute)
+    monkeypatch.setattr(joins, "collect_under_cap", collect)
+    monkeypatch.setattr(dedup, "collect_under_cap", collect)
     d, _, _, _, _ = corpus_run
     run_pipeline(d, str(tmp_path / "out"))
     assert len(shuffles) == 7, shuffles
     assert executions == [], len(executions)
     assert plans == [], len(plans)
+    assert collected and len({id(ds) for ds in collected}) == len(collected)
 
 
 def test_complete_rerun_reads_no_stage(corpus_run, monkeypatch):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from image_deduper_ray.stages.substring import (find_containments,
+from image_deduper_ray.stages.substring import (ContainmentVerify,
                                                  suffix_array)
 
 
@@ -28,35 +28,49 @@ class TestSuffixArray:
         assert (suffix_array(s) == np.arange(49, -1, -1)).all()
 
 
-class TestFindContainments:
+def _contained(texts: dict[str, str], min_len: int) -> set:
+    """The (a, b) pairs, over every pair of ``texts``, that
+    ``ContainmentVerify`` keeps with its suffix-array search forced for
+    every host."""
+    import pyarrow as pa
+
+    ids = sorted(texts)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    out = ContainmentVerify(min_len=min_len, sa_min_needles=1)(pa.table({
+        "a": pa.array([a for a, _ in pairs], pa.string()),
+        "b": pa.array([b for _, b in pairs], pa.string()),
+        "content_a": pa.array([texts[a] for a, _ in pairs], pa.string()),
+        "content_b": pa.array([texts[b] for _, b in pairs], pa.string())}))
+    return set(zip(out["a"].to_pylist(), out["b"].to_pylist()))
+
+
+class TestSuffixArrayContainment:
     def test_detects_embedding(self):
         needle = "def shared_helper(x):\n    return x * 41\n"
         host = "import os\n" + needle + "print('done')\n"
         other = "completely unrelated text that stands alone here ok"
-        got = find_containments(["n", "h", "o"], [needle, host, other],
-                                min_len=16)
-        assert got == [("n", "h")]
+        assert _contained({"n": needle, "h": host, "o": other},
+                          min_len=16) == {("h", "n")}
 
     def test_respects_min_len(self):
-        got = find_containments(["a", "b"], ["xy", "wxyz"], min_len=16)
-        assert got == []
+        assert _contained({"a": "xy", "b": "wxyz"}, min_len=16) == set()
 
     def test_no_self_or_equal_len(self):
         t = "some sufficiently long piece of text for the scan!"
-        assert find_containments(["a", "b"], [t, t], min_len=8) == []
+        assert _contained({"a": t, "b": t}, min_len=8) == set()
 
     def test_multiple_hosts(self):
         needle = "the common embedded fragment, long enough to count"
-        hosts = [f"prefix{i} {needle} suffix{i}" for i in range(3)]
-        ids = ["n", "h0", "h1", "h2"]
-        got = set(find_containments(ids, [needle] + hosts, min_len=16))
-        assert got == {("n", "h0"), ("n", "h1"), ("n", "h2")}
+        texts = {"n": needle, **{f"h{i}": f"prefix{i} {needle} suffix{i}"
+                                 for i in range(3)}}
+        assert _contained(texts, min_len=16) == {
+            ("h0", "n"), ("h1", "n"), ("h2", "n")}
 
     def test_unicode(self):
         needle = "中文片段嵌入测试，足够长的片段内容。"
         host = "开头 " + needle + " 结尾"
-        assert find_containments(["n", "h"], [needle, host],
-                                 min_len=4) == [("n", "h")]
+        assert _contained({"n": needle, "h": host}, min_len=4) \
+            == {("h", "n")}
 
 
 class TestContainmentVerify:
